@@ -51,6 +51,7 @@ from .errors import (
     DivisionByZero,
     FieldMismatch,
     Infeasible,
+    MalformedWire,
     NonInvertibleScalar,
     NonInvertibleSurd,
     NotIdempotent,

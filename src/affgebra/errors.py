@@ -43,5 +43,9 @@ class NotIdempotent(AffgebraError, ValueError):
     """A bracket expected to satisfy [a, a] = a failed the witness check."""
 
 
+class MalformedWire(AffgebraError, ValueError):
+    """A wire document or scalar has the wrong JSON type or shape."""
+
+
 class UnknownCheck(AffgebraError, KeyError):
     """Check identifier not present in the catalogue."""

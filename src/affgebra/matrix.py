@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .errors import FieldMismatch, SingularMatrix, SizeMismatch
+from .errors import FieldMismatch, MalformedWire, SingularMatrix, SizeMismatch
 from .scalars import RAT, Field, GaussianRational, QI, QQ, can_widen, field_by_tag, widen_scalar
 
 
@@ -298,10 +298,6 @@ def commutator_shift(a: Matrix, b: Matrix) -> Matrix:
     return a @ b - b @ a + b
 
 
-def widen_matrix(m: Matrix, field: Field) -> Matrix:
-    return m.widen(field)
-
-
 def common_field(a: Matrix, b: Matrix) -> tuple[Matrix, Matrix]:
     """Widen whichever operand sits in the smaller field."""
     if a.field is b.field:
@@ -327,8 +323,12 @@ def matrix_to_wire(m: Matrix) -> dict:
 
 
 def matrix_from_wire(doc: dict) -> Matrix:
+    if not isinstance(doc, dict):
+        raise MalformedWire("a matrix document must be a JSON object")
     field = field_by_tag(doc["field"], doc.get("p"))
     entries = doc["entries"]
+    if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+        raise MalformedWire("entries must be a list of rows")
     if len(entries) != doc["n"]:
         raise SizeMismatch("entry rows do not match declared size")
     return Matrix(field, [[field.parse(s) for s in row] for row in entries])

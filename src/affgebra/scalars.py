@@ -24,7 +24,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DivisionByZero, FieldMismatch, NonInvertibleScalar, NonInvertibleSurd
+from .errors import (
+    DivisionByZero,
+    FieldMismatch,
+    MalformedWire,
+    NonInvertibleScalar,
+    NonInvertibleSurd,
+)
 
 try:
     from gmpy2 import mpq as RAT
@@ -44,7 +50,17 @@ def _parse_rational(s: str):
     s = s.strip()
     if s.startswith("+"):
         s = s[1:]
-    return RAT(s)
+    try:
+        return RAT(s)
+    except ZeroDivisionError:
+        raise DivisionByZero(f"zero denominator in {s!r}") from None
+
+
+def _text(s) -> str:
+    """A scalar's wire string, stripped; MalformedWire for any other type."""
+    if not isinstance(s, str):
+        raise MalformedWire(f"a scalar must be a string, got {type(s).__name__} {s!r}")
+    return s.strip()
 
 
 @lru_cache(maxsize=None)
@@ -168,7 +184,8 @@ class GaussianRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes like the rational it equals
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -421,6 +438,11 @@ class SurdReal:
         return self._terms == o._terms
 
     def __hash__(self):
+        # a rational value hashes like the rational it equals
+        if not self._terms:
+            return hash(0)
+        if len(self._terms) == 1 and self._terms[0][0] == 1:
+            return hash(self._terms[0][1])
         return hash(self._terms)
 
     def __bool__(self):
@@ -526,7 +548,9 @@ class SurdComplex:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # the same rule as GaussianRational, whose values this field
+        # contains: SurdReal parts hash like the rationals they equal
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -698,7 +722,7 @@ class RationalField(Field):
         raise FieldMismatch(f"cannot take {type(x).__name__} as a rational")
 
     def parse(self, s):
-        return _parse_rational(s)
+        return _parse_rational(_text(s))
 
     def format(self, x):
         return str(x)
@@ -727,7 +751,7 @@ class GaussianField(Field):
         raise FieldMismatch(f"cannot take {type(x).__name__} as a Gaussian rational")
 
     def parse(self, s):
-        re_str, im_str = _split_gaussian_string(s)
+        re_str, im_str = _split_gaussian_string(_text(s))
         im_str = im_str.strip()
         if im_str in ("+", "-"):
             im_str += "1"
@@ -773,7 +797,7 @@ class PrimeField(Field):
         raise FieldMismatch(f"cannot take {type(x).__name__} in GF({self.p})")
 
     def parse(self, s):
-        return PrimeFieldElement(int(s.strip()), self.p)
+        return PrimeFieldElement(int(_text(s)), self.p)
 
     def format(self, x):
         return str(x.residue)
@@ -801,7 +825,7 @@ class SurdRealField(Field):
         raise FieldMismatch(f"cannot take {type(x).__name__} as a real surd")
 
     def parse(self, s):
-        return _parse_surd_real(s)
+        return _parse_surd_real(_text(s))
 
     def format(self, x):
         return _format_surd_real(x)
@@ -830,7 +854,7 @@ class SurdComplexField(Field):
         raise FieldMismatch(f"cannot take {type(x).__name__} as a complex surd")
 
     def parse(self, s):
-        s = s.strip().replace(" ", "")
+        s = _text(s).replace(" ", "")
         # canonical form "(re)+(im)i"
         if not (s.startswith("(") and s.endswith(")i")):
             return SurdComplex(_parse_surd_real(s))
@@ -883,8 +907,8 @@ def field_by_tag(tag: str, p: int | None = None) -> Field:
     if tag == "surd_c":
         return SURD_C
     if tag == "GF":
-        if p is None:
-            raise ValueError("GF needs a prime p")
+        if type(p) is not int:
+            raise ValueError("GF needs an integer prime p")
         return GF(p)
     raise ValueError(f"unknown field tag {tag!r}")
 

@@ -37,6 +37,7 @@ from .scalars import (
     SURD,
     SURD_C,
     SurdReal,
+    can_widen,
     squarefree_split,
     widen_scalar,
 )
@@ -154,7 +155,11 @@ class BlockTarget:
     def field(self) -> Field:
         return self.base_block.field
 
-    def contains(self, m: Matrix) -> bool:
+    def contains(self, m: Matrix, radicals=None) -> bool:
+        """Membership of m.  With ``radicals`` f_0..f_n, m is a frame
+        matrix of the U route and the tested block matrix is D·m·D⁻¹ for
+        D = diag(√f_k): the zero pattern and the trace carry over, and
+        (anti)symmetry reads f_l·d_lk = -f_k·d_kl."""
         base = self.base_block.widen(m.field) if m.field is not self.field else self.base_block
         d = m - base
         size = m.size
@@ -162,7 +167,7 @@ class BlockTarget:
         for k in range(size):
             if d.entry(self.n, k) != zero or d.entry(k, self.n) != zero:
                 return False
-        return _block_member(self.block_kind, d, self.n, m.field)
+        return _block_member(self.block_kind, d, self.n, m.field, radicals or (1,) * size)
 
     def sample(self, rng: random.Random) -> Matrix:
         """base plus a random element of the block algebra, embedded."""
@@ -174,7 +179,7 @@ class BlockTarget:
         return Matrix(self.field, rows)
 
 
-def _block_member(kind: str, d: Matrix, n: int, field: Field) -> bool:
+def _block_member(kind: str, d: Matrix, n: int, field: Field, f) -> bool:
     zero = field.zero()
     if kind in ("sl", "su"):
         tr = zero
@@ -185,13 +190,13 @@ def _block_member(kind: str, d: Matrix, n: int, field: Field) -> bool:
     if kind == "o":
         for k in range(n):
             for l in range(k, n):
-                if d.entry(l, k) != -d.entry(k, l):
+                if f[l] * d.entry(l, k) != -(f[k] * d.entry(k, l)):
                     return False
     if kind in ("u", "su"):
         conj = field.conjugate
         for k in range(n):
             for l in range(k, n):
-                if d.entry(l, k) != -conj(d.entry(k, l)):
+                if f[l] * d.entry(l, k) != -(f[k] * conj(d.entry(k, l))):
                     return False
     return True
 
@@ -287,41 +292,123 @@ def _validate_via(spec: MatrixClassSpec, via: str) -> None:
         raise FieldMismatch("the orthonormal route needs characteristic zero")
 
 
-def conjugation_field(spec: MatrixClassSpec, via: str) -> Field:
-    if via == VIA_P:
-        return spec.field
-    return SURD_C if spec.field.is_complex else SURD
+@dataclass(frozen=True)
+class Frame:
+    """Conjugation by a basis T = R·D⁻¹ with R over the class field and
+    D = diag(√f_0, ..., √f_n), f_k squarefree.
+
+    The image T⁻¹·m·T is D·Z·D⁻¹ with Z = R⁻¹·m·R, so every identity
+    the theorem asserts between images (heap, action, the commutator
+    bracket, the inverse) holds for the Z matrices over the class field.
+    Surds appear only when ``materialise`` builds D·Z·D⁻¹ and in
+    ``pull_back``.  For P, R = T and D = I; for U, R = W·diag(f) and
+    R⁻¹ = Wᵀ, where U = W·D with W rational, since every column of U
+    carries a single radical.
+    """
+
+    left: Matrix  # R⁻¹
+    right: Matrix  # R
+    radicals: tuple  # f_0..f_n
+    basis: Matrix  # T over the block field
+    basis_inverse: Matrix  # T⁻¹ over the block field
+    scales: tuple | None  # rows of √f_i/√f_j over the block field; None when D = I
+
+    @property
+    def block_field(self) -> Field:
+        return self.basis.field
+
+    def _over(self, field: Field) -> tuple[Matrix, Matrix]:
+        # (R⁻¹, R) over ``field``, which must embed in the block field
+        if field is self.left.field:
+            return self.left, self.right
+        if not can_widen(field, self.block_field):
+            raise FieldMismatch(
+                f"cannot widen {field.describe()} into {self.block_field.describe()}"
+            )
+        return self.left.widen(field), self.right.widen(field)
+
+    def image(self, m: Matrix) -> Matrix:
+        """Z = R⁻¹·m·R."""
+        left, right = self._over(m.field)
+        return left @ m @ right
+
+    def preimage(self, z: Matrix) -> Matrix:
+        """m = R·Z·R⁻¹."""
+        left, right = self._over(z.field)
+        return right @ z @ left
+
+    def materialise(self, z: Matrix) -> Matrix:
+        """The block matrix D·Z·D⁻¹; each entry is z_ij·√(f_i f_j)/f_j."""
+        if self.scales is None:
+            return z
+        z = z.widen(self.block_field)
+        return Matrix._wrap(
+            self.block_field,
+            tuple(
+                tuple(x * s for x, s in zip(row, srow))
+                for row, srow in zip(z.rows, self.scales)
+            ),
+        )
+
+    def pull_back(self, y: Matrix) -> Matrix:
+        """T·y·T⁻¹ for a block-field matrix y (surd-valued for U)."""
+        return self.basis @ y.widen(self.block_field) @ self.basis_inverse
 
 
 @lru_cache(maxsize=None)
-def _conjugators(spec: MatrixClassSpec, via: str) -> tuple[Matrix, Matrix]:
-    """(left, right) such that class -> block is left @ m @ right."""
+def _conjugators(n: int, field: Field, via: str) -> Frame:
+    m = n + 1
     if via == VIA_P:
-        p = change_of_basis(spec.n, spec.field)
-        return change_of_basis_inverse(spec.n, spec.field), p
-    u = orthonormal_change_of_basis(spec.n)
-    target = conjugation_field(spec, via)
-    u = u.widen(target)
-    return u.transpose(), u
+        p, pinv = change_of_basis(n, field), change_of_basis_inverse(n, field)
+        return Frame(pinv, p, (1,) * m, p, pinv, None)
+    u = orthonormal_change_of_basis(n)
+    w_cols, radicals = [], []
+    for col in zip(*u.rows):
+        (f,) = {d for x in col for d, _ in x.terms}  # one radical per column
+        radicals.append(f)
+        w_cols.append([x.coefficient(f) for x in col])
+    right = Matrix(QQ, [[w_cols[j][i] * radicals[j] for j in range(m)] for i in range(m)])
+    block = SURD_C if field.is_complex else SURD
+    scales = []
+    for fi in radicals:
+        row = []
+        for fj in radicals:
+            s, g = squarefree_split(fi * fj)
+            row.append(block.coerce(SurdReal({g: RAT(s, fj)})))
+        scales.append(tuple(row))
+    u = u.widen(block)
+    return Frame(
+        Matrix(QQ, w_cols).widen(field),
+        right.widen(field),
+        tuple(radicals),
+        u,
+        u.transpose(),
+        tuple(scales),
+    )
+
+
+def _frame(spec: MatrixClassSpec, via: str | None) -> Frame:
+    via = via or required_via(spec)
+    _validate_via(spec, via)
+    return _conjugators(spec.n, spec.field, via)
+
+
+def _class_image(spec: MatrixClassSpec, frame: Frame, m: Matrix) -> Matrix:
+    if not contains(spec, m):
+        raise ClassViolation(f"input is not in {spec.describe()}")
+    return frame.image(m)
 
 
 def to_block(spec: MatrixClassSpec, m: Matrix, via: str | None = None) -> Matrix:
     """Conjugate a class member into its block target (ClassViolation if
     the input fails membership)."""
-    via = via or required_via(spec)
-    _validate_via(spec, via)
-    if not contains(spec, m):
-        raise ClassViolation(f"input is not in {spec.describe()}")
-    left, right = _conjugators(spec, via)
-    return left @ m.widen(left.field) @ right
+    frame = _frame(spec, via)
+    return frame.materialise(_class_image(spec, frame, m))
 
 
 def from_block(spec: MatrixClassSpec, m: Matrix, via: str | None = None) -> Matrix:
     """Inverse conjugation, block target back into the class."""
-    via = via or required_via(spec)
-    _validate_via(spec, via)
-    left, right = _conjugators(spec, via)
-    return right @ m.widen(right.field) @ left
+    return _frame(spec, via).pull_back(m)
 
 
 def base_point_image(spec: MatrixClassSpec, via: str | None = None) -> Matrix:
@@ -338,43 +425,44 @@ def evaluate_theorem_case(spec: MatrixClassSpec, via: str, inputs: dict) -> tupl
     inputs: points a, b, c over the class field, scalar alpha, and a
     block-target element z for the surjectivity direction.  Returns
     (passed, detail) where detail names the first failed property and
-    carries expected/actual wire forms.
+    carries expected/actual wire forms.  Properties are checked on the
+    frame matrices Z (see ``Frame``); a failure reports the block
+    matrices D·Z·D⁻¹.
     """
     a, b, c = inputs["a"], inputs["b"], inputs["c"]
     alpha, z = inputs["alpha"], inputs["z"]
     target = block_target(spec)
-    wide = conjugation_field(spec, via)
+    frame = _frame(spec, via)
 
-    fa = to_block(spec, a, via)
-    fb = to_block(spec, b, via)
-    fc = to_block(spec, c, via)
-    for name, img in (("a", fa), ("b", fb), ("c", fc)):
-        if not target.contains(img):
+    def mismatch(label, lhs, rhs):
+        return False, _detail(label, frame.materialise(lhs), frame.materialise(rhs))
+
+    za, zb, zc = (_class_image(spec, frame, x) for x in (a, b, c))
+    for name, img in (("a", za), ("b", zb), ("c", zc)):
+        if not target.contains(img, frame.radicals):
             return False, _detail(f"image of {name} not in block target", True, False)
 
-    lhs = to_block(spec, bracket(COMMUTATOR, a, b), via)
-    rhs = bracket(COMMUTATOR, fa, fb)
+    lhs = _class_image(spec, frame, bracket(COMMUTATOR, a, b))
+    rhs = bracket(COMMUTATOR, za, zb)
     if lhs != rhs:
-        return False, _detail("bracket preservation", lhs, rhs)
+        return mismatch("bracket preservation", lhs, rhs)
 
-    lhs = to_block(spec, heap(a, b, c), via)
-    rhs = heap(fa, fb, fc)
+    lhs = _class_image(spec, frame, heap(a, b, c))
+    rhs = heap(za, zb, zc)
     if lhs != rhs:
-        return False, _detail("heap preservation", lhs, rhs)
+        return mismatch("heap preservation", lhs, rhs)
 
-    alpha_w = widen_scalar(alpha, spec.scalar_field, wide)
-    lhs = to_block(spec, action(alpha, a, b), via)
-    rhs = action(alpha_w, fa, fb)
+    lhs = _class_image(spec, frame, action(alpha, a, b))
+    rhs = action(widen_scalar(alpha, spec.scalar_field, za.field), za, zb)
     if lhs != rhs:
-        return False, _detail("action preservation", lhs, rhs)
+        return mismatch("action preservation", lhs, rhs)
 
-    back = from_block(spec, fa, via)
-    orig = a.widen(wide)
-    if back != orig:
-        return False, _detail("inverse conjugation roundtrip", orig, back)
+    back = frame.preimage(za)
+    if back != a:
+        wide = frame.block_field
+        return False, _detail("inverse conjugation roundtrip", a.widen(wide), back.widen(wide))
 
-    pulled = from_block(spec, z.widen(wide), via)
-    if not contains(spec, pulled):
+    if not contains(spec, frame.pull_back(z)):
         return False, _detail("surjectivity pullback membership", True, False)
     return True, {}
 

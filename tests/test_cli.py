@@ -186,6 +186,29 @@ class TestBracketAndRetract:
         code, _, err = run_cli(capsys, "bracket", "{not json", "{}")
         assert code == 2
 
+    def test_zero_denominator_entry_is_usage_error(self, capsys):
+        good = json.dumps(matrix_to_wire(Matrix.identity(QQ, 1)))
+        bad = '{"field":"Q","n":1,"entries":[["1/0"]]}'
+        code, out, err = run_cli(capsys, "bracket", bad, good)
+        assert code == 2
+        assert out == ""
+        assert err == "error: DivisionByZero: zero denominator in '1/0'\n"
+
+    def test_non_string_entry_is_usage_error(self, capsys):
+        good = json.dumps(matrix_to_wire(Matrix.identity(QQ, 1)))
+        bad = '{"field":"Q","n":1,"entries":[[1]]}'
+        code, out, err = run_cli(capsys, "bracket", bad, good)
+        assert code == 2
+        assert out == ""
+        assert err == "error: MalformedWire: a scalar must be a string, got int 1\n"
+
+    def test_entries_not_a_list_of_rows_is_usage_error(self, capsys):
+        good = json.dumps(matrix_to_wire(Matrix.identity(QQ, 1)))
+        for bad in ('{"field":"Q","n":1,"entries":5}', '{"field":"Q","n":1,"entries":["1"]}'):
+            code, _, err = run_cli(capsys, "bracket", bad, good)
+            assert code == 2
+            assert err == "error: MalformedWire: entries must be a list of rows\n"
+
 
 class TestDims:
     def test_table_values(self, capsys):

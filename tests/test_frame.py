@@ -1,0 +1,245 @@
+"""The U route's rational frame against the direct surd computation.
+
+``to_block`` and ``evaluate_theorem_case`` work in U's rational frame and
+build surd values only at the boundary.  The oracle here is the direct
+computation over the surd fields, with the orthonormal basis itself:
+images U^T m U, brackets, heaps and actions of surd matrices, and the
+inverse U y U^T.  ``tests/golden/theorem_frame.json`` holds the wire
+output of ``golden_document()`` as computed by that direct surd
+evaluation; regenerate it only for an intended change of output with
+
+    PYTHONPATH=src python -c "import json, tests.test_frame as t; \
+print(json.dumps(t.golden_document(), indent=1))" > tests/golden/theorem_frame.json
+"""
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from affgebra.affine import COMMUTATOR, action, bracket, heap
+from affgebra.checks import replay
+from affgebra.classes import ClassKind, MatrixClassSpec, contains, derive_rng, sample, spec_to_wire
+from affgebra.cli import main
+from affgebra.errors import ClassViolation, FieldMismatch
+from affgebra.matrix import Matrix, matrix_to_wire
+from affgebra.scalars import GF, QI, QQ, SURD, SURD_C, widen_scalar
+from affgebra.transforms import (
+    VIA_P,
+    VIA_U,
+    base_point_image,
+    block_target,
+    evaluate_theorem_case,
+    orthonormal_change_of_basis,
+    theorem_inputs,
+    to_block,
+)
+
+GOLDEN = Path(__file__).parent / "golden" / "theorem_frame.json"
+U_KINDS = (ClassKind.ONA, ClassKind.UNA, ClassKind.SUNA)
+
+
+def spec(kind, n, field=None):
+    if field is None:
+        field = QI if kind in (ClassKind.UNA, ClassKind.SUNA) else QQ
+    return MatrixClassSpec(kind, n, field)
+
+
+# -- the direct surd evaluation (oracle) ----------------------------------
+
+
+def surd_field(s):
+    return SURD_C if s.field.is_complex else SURD
+
+
+def surd_to_block(s, m):
+    """U^T m U over the surd field."""
+    if not contains(s, m):
+        raise ClassViolation(f"input is not in {s.describe()}")
+    u = orthonormal_change_of_basis(s.n).widen(surd_field(s))
+    return u.transpose() @ m.widen(u.field) @ u
+
+
+def surd_from_block(s, y):
+    u = orthonormal_change_of_basis(s.n).widen(surd_field(s))
+    return u @ y.widen(u.field) @ u.transpose()
+
+
+def surd_evaluate_theorem_case(s, inputs):
+    """The U-route theorem check computed directly on surd matrices."""
+
+    def detail(label, expected, actual):
+        def render(v):
+            return matrix_to_wire(v) if isinstance(v, Matrix) else v
+
+        return {"property": label, "expected": render(expected), "actual": render(actual)}
+
+    a, b, c, alpha, z = (inputs[k] for k in ("a", "b", "c", "alpha", "z"))
+    target = block_target(s)
+    wide = surd_field(s)
+    fa, fb, fc = (surd_to_block(s, x) for x in (a, b, c))
+    for name, img in (("a", fa), ("b", fb), ("c", fc)):
+        if not target.contains(img):
+            return False, detail(f"image of {name} not in block target", True, False)
+    lhs = surd_to_block(s, bracket(COMMUTATOR, a, b))
+    rhs = bracket(COMMUTATOR, fa, fb)
+    if lhs != rhs:
+        return False, detail("bracket preservation", lhs, rhs)
+    lhs = surd_to_block(s, heap(a, b, c))
+    rhs = heap(fa, fb, fc)
+    if lhs != rhs:
+        return False, detail("heap preservation", lhs, rhs)
+    lhs = surd_to_block(s, action(alpha, a, b))
+    rhs = action(widen_scalar(alpha, s.scalar_field, wide), fa, fb)
+    if lhs != rhs:
+        return False, detail("action preservation", lhs, rhs)
+    back = surd_from_block(s, fa)
+    if back != a.widen(wide):
+        return False, detail("inverse conjugation roundtrip", a.widen(wide), back)
+    if not contains(s, surd_from_block(s, z.widen(wide))):
+        return False, detail("surjectivity pullback membership", True, False)
+    return True, {}
+
+
+# -- golden wire output -----------------------------------------------------
+
+GOLDEN_IMAGE_SPECS = [spec(k, n) for k in U_KINDS for n in (1, 2, 3, 4)] + [
+    spec(ClassKind.GNA, 2),
+    spec(ClassKind.SNA, 3),
+    spec(ClassKind.GNA, 2, QI),
+]
+GOLDEN_REPLAY_CASES = [
+    (spec(ClassKind.ONA, 2), VIA_U),
+    (spec(ClassKind.UNA, 2), VIA_U),
+    (spec(ClassKind.SUNA, 3), VIA_U),
+    (spec(ClassKind.GNA, 2), VIA_U),
+    (spec(ClassKind.SNA, 2, GF(7)), VIA_P),
+]
+
+
+def _theorem_doc(s, via, inputs):
+    return {
+        "check": "theorem-iso",
+        "passed": False,
+        "trials": 1,
+        "counterexample": {
+            "class": spec_to_wire(s),
+            "via": via,
+            "inputs": {
+                "a": matrix_to_wire(inputs["a"]),
+                "b": matrix_to_wire(inputs["b"]),
+                "c": matrix_to_wire(inputs["c"]),
+                "alpha": s.scalar_field.format(inputs["alpha"]),
+                "z": matrix_to_wire(inputs["z"]),
+            },
+        },
+        "elapsed_ms": 0.0,
+    }
+
+
+def tampered_documents(s, via):
+    """Replay documents for one sampled case: z moved off the block target
+    (the surjectivity pull-back leaves the class), and a moved off the
+    class (conjugation refuses it)."""
+    inputs = theorem_inputs(s, derive_rng("golden", s.describe(), via))
+    n = s.n
+    z = inputs["z"]
+    bad_z = dict(inputs, z=z.with_entry(n, n, z.entry(n, n) + 1))
+    a = inputs["a"]
+    bad_a = dict(inputs, a=a.with_entry(0, 0, a.entry(0, 0) + 1))
+    return _theorem_doc(s, via, bad_z), _theorem_doc(s, via, bad_a)
+
+
+def _cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def golden_document() -> dict:
+    images = []
+    for s in GOLDEN_IMAGE_SPECS:
+        images.append({
+            "class": spec_to_wire(s),
+            "base_point_image": matrix_to_wire(base_point_image(s, VIA_U)),
+            "images": [matrix_to_wire(to_block(s, sample(s, 7, i), VIA_U)) for i in range(2)],
+        })
+    replays = []
+    for s, via in GOLDEN_REPLAY_CASES:
+        bad_z, bad_a = tampered_documents(s, via)
+        report = replay(bad_z).to_wire()
+        report.pop("elapsed_ms")
+        replays.append({
+            "class": spec_to_wire(s),
+            "via": via,
+            "report": report,
+            "cli_bad_z": _cli("replay", json.dumps(bad_z))["exit"],
+            "cli_bad_a": _cli("replay", json.dumps(bad_a)),
+        })
+    emit = [_cli("emit-matrix", "--which", "U", "--n", str(n))["stdout"] for n in range(1, 9)]
+    return {"to_block": images, "replay": replays, "emit_matrix_U": emit}
+
+
+def test_golden_wire_output_byte_identical():
+    expected = GOLDEN.read_text(encoding="utf-8")
+    assert json.dumps(golden_document(), indent=1) + "\n" == expected
+
+
+def test_tampered_z_fails_in_frame_and_in_oracle_alike():
+    for s, via in GOLDEN_REPLAY_CASES:
+        if via != VIA_U:
+            continue
+        inputs = theorem_inputs(s, derive_rng("golden", s.describe(), via))
+        n = s.n
+        inputs["z"] = inputs["z"].with_entry(n, n, inputs["z"].entry(n, n) + 1)
+        got = evaluate_theorem_case(s, VIA_U, inputs)
+        assert got == surd_evaluate_theorem_case(s, inputs)
+        assert got[1]["property"] == "surjectivity pullback membership"
+
+
+# -- frame against the direct surd path -------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(U_KINDS),
+    n=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_frame_to_block_matches_surd_conjugation(kind, n, seed):
+    s = spec(kind, n)
+    m = sample(s, seed, 0)
+    got = to_block(s, m, VIA_U)
+    want = surd_to_block(s, m)
+    assert got == want
+    assert json.dumps(matrix_to_wire(got)) == json.dumps(matrix_to_wire(want))
+
+
+@pytest.mark.parametrize("kind", U_KINDS)
+def test_sampled_theorem_case_through_direct_surd_evaluation(kind):
+    for n in (1, 2, 3):
+        s = spec(kind, n)
+        for i in range(3):
+            inputs = theorem_inputs(s, derive_rng("frame-oracle", s.describe(), i))
+            assert surd_evaluate_theorem_case(s, inputs) == (True, {})
+            assert evaluate_theorem_case(s, VIA_U, inputs) == (True, {})
+
+
+def test_inputs_over_a_wider_field_follow_the_oracle():
+    # replay documents carry their own field tags, so a class member may
+    # arrive over the surd field, or over a field the block field lacks
+    s = spec(ClassKind.ONA, 2)
+    inputs = theorem_inputs(s, derive_rng("wider", s.describe()))
+    wide = {k: (v.widen(SURD) if isinstance(v, Matrix) else v) for k, v in inputs.items()}
+    assert evaluate_theorem_case(s, VIA_U, wide) == surd_evaluate_theorem_case(s, wide) == (True, {})
+
+    g = spec(ClassKind.GNA, 2)
+    inputs = theorem_inputs(g, derive_rng("wider", g.describe()))
+    complex_a = dict(inputs, a=inputs["a"].widen(QI))
+    with pytest.raises(FieldMismatch, match="cannot widen Qi into surd"):
+        evaluate_theorem_case(g, VIA_U, complex_a)
+    with pytest.raises(FieldMismatch, match="cannot widen Qi into surd"):
+        surd_evaluate_theorem_case(g, complex_a)

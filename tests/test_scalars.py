@@ -3,7 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from affgebra.errors import DivisionByZero, FieldMismatch, NonInvertibleScalar, NonInvertibleSurd
+from affgebra.errors import (
+    DivisionByZero,
+    FieldMismatch,
+    MalformedWire,
+    NonInvertibleScalar,
+    NonInvertibleSurd,
+)
 from affgebra.scalars import (
     GF,
     QI,
@@ -263,3 +269,42 @@ class TestWidening:
             field_by_tag("GF")
         with pytest.raises(ValueError):
             field_by_tag("R")
+
+
+class TestHashAgreesWithEquality:
+    @given(rationals)
+    def test_real_values_hash_like_their_rational(self, q):
+        for x in (GaussianRational(q), SurdReal(q), SurdComplex(q), SurdComplex(SurdReal(q))):
+            assert x == q
+            assert hash(x) == hash(q)
+        if q.denominator == 1:
+            assert hash(GaussianRational(q)) == hash(int(q))
+
+    @given(rationals, rationals)
+    def test_surd_complex_hashes_like_gaussian_rational(self, re, im):
+        g = GaussianRational(re, im)
+        w = widen_scalar(g, QI, SURD_C)
+        assert w == g
+        assert hash(w) == hash(g)
+
+    @given(surds())
+    def test_real_surd_complex_hashes_like_its_real_part(self, re):
+        x = SurdComplex(re)
+        assert x == re
+        assert hash(x) == hash(re)
+
+    def test_mixed_sets_collapse(self):
+        values = {1, Fraction(1), GaussianRational(1), SurdReal(1), SurdComplex(1)}
+        assert len(values) == 1
+
+
+class TestParseErrors:
+    def test_zero_denominator(self):
+        for field, text in ((QQ, "1/0"), (QI, "1/0i"), (SURD, "1/0*sqrt(2)")):
+            with pytest.raises(DivisionByZero):
+                field.parse(text)
+
+    def test_non_string(self):
+        for field in (QQ, QI, GF(7), SURD, SURD_C):
+            with pytest.raises(MalformedWire):
+                field.parse(1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotIdempotent
-from .matrix import INTEGER_FORM_FIELDS, Matrix, combine, commutator_shift
+from .matrix import Matrix, combine, commutator_shift
 from .scalars import Field, QI, QQ
 
 
@@ -19,7 +19,7 @@ def heap(a: Matrix, b: Matrix, c: Matrix) -> Matrix:
     """<a, b, c> = a - b + c."""
     a._guard(b)
     a._guard(c)
-    if a.field in INTEGER_FORM_FIELDS:
+    if a.field.has_integer_form:
         return combine(((1, a), (-1, b), (1, c)))
     rows = tuple(
         tuple(x - y + z for x, y, z in zip(ra, rb, rc))
@@ -35,7 +35,7 @@ def heap5(a: Matrix, b: Matrix, c: Matrix, d: Matrix, e: Matrix) -> Matrix:
     a._guard(c)
     a._guard(d)
     a._guard(e)
-    if a.field in INTEGER_FORM_FIELDS:
+    if a.field.has_integer_form:
         return combine(((1, a), (-1, b), (1, c), (-1, d), (1, e)))
     rows = tuple(
         tuple(v - w + x - y + z for v, w, x, y, z in zip(ra, rb, rc, rd, re))
@@ -47,10 +47,15 @@ def heap5(a: Matrix, b: Matrix, c: Matrix, d: Matrix, e: Matrix) -> Matrix:
 def action(alpha, base: Matrix, b: Matrix) -> Matrix:
     """alpha |>_base b = alpha*b - alpha*base + base."""
     base._guard(b)
-    alpha = base.field.coerce(alpha)
-    if base.field is QQ or (base.field is QI and not alpha.im):
+    field = base.field
+    alpha = field.coerce(alpha)
+    if field.characteristic:
+        # alpha a residue: alpha*b + (1 - alpha)*base
+        a = alpha.residue
+        return combine(((a, b), (1 - a, base)))
+    if field is QQ or (field is QI and not alpha.im):
         # alpha = p/q: (p*b + (q - p)*base) / q
-        r = alpha if base.field is QQ else alpha.re
+        r = alpha if field is QQ else alpha.re
         p, q = int(r.numerator), int(r.denominator)
         return combine(((p, b), (q - p, base)), q)
     rows = tuple(

@@ -34,7 +34,7 @@ from .classes import (
     spec_from_wire,
     spec_to_wire,
 )
-from .errors import UnknownCheck
+from .errors import MalformedWire, UnknownCheck
 from .matrix import Matrix, matrix_from_wire, matrix_to_wire
 from .report import CheckReport
 from .transforms import (
@@ -631,7 +631,19 @@ def replay(report_doc: dict) -> CheckReport:
     if ce.get("class") is None:
         raise ValueError("counterexample from a custom carrier cannot be replayed")
     spec = spec_from_wire(ce["class"])
-    inputs_doc = ce["inputs"]
+    inputs_doc = ce.get("inputs")
+    if check == "theorem-iso":
+        needed = ("a", "b", "c", "alpha", "z")
+    elif check == "corollary-retract":
+        needed = ("a", "b")
+    else:
+        needed = CATALOGUE[check].points + CATALOGUE[check].scalars
+    if not isinstance(inputs_doc, dict):
+        raise MalformedWire(f"{check} counterexample: inputs must be a JSON object")
+    missing = [name for name in needed if name not in inputs_doc]
+    if missing:
+        plural = "s" if len(missing) > 1 else ""
+        raise MalformedWire(f"{check} counterexample lacks input{plural} {', '.join(map(repr, missing))}")
     start = time.perf_counter()
 
     if check == "theorem-iso":

@@ -23,10 +23,9 @@ from functools import lru_cache, reduce
 from math import lcm
 
 from .errors import FieldMismatch, SizeMismatch
-from .matrix import INTEGER_FORM_FIELDS, Matrix
+from .matrix import Matrix
 from .scalars import (
     Field,
-    PrimeFieldElement,
     QI,
     QQ,
     SURD,
@@ -115,9 +114,10 @@ def contains(spec: MatrixClassSpec, m: Matrix) -> bool:
         raise FieldMismatch(
             f"{spec.describe()} cannot contain a matrix over {m.field.describe()}"
         )
+    if m.field.has_integer_form:
+        nums, den = m.integer_form()
+        return contains_form(spec, m.field, m.size, nums, den)
     target = spec.normalisation(m.field)
-    if m.field in INTEGER_FORM_FIELDS:
-        return _contains_integer_form(spec, m, target)
     rows = m.rows
     zero = m.field.zero()
     col_sums = [zero] * m.size
@@ -149,13 +149,22 @@ def contains(spec: MatrixClassSpec, m: Matrix) -> bool:
     return True
 
 
-def _contains_integer_form(spec: MatrixClassSpec, m: Matrix, target) -> bool:
-    """``contains`` over Q or Q(i): every condition is real-linear, so it
-    is tested on each part of the integer form, constants times den."""
-    nums, den = m.integer_form()
-    k = m.size
+def contains_form(spec: MatrixClassSpec, field: Field, k: int, nums, den: int) -> bool:
+    """``contains`` for the k x k matrix over ``field`` with the integer
+    form (nums, den), which need not be reduced.  Every condition is
+    real-linear, so it is tested on each part of the form, constants
+    times den; over GF(p) sums are compared modulo p (the GF classes
+    have no (anti)symmetry condition)."""
     kk = k * k
-    consts = (target,) if m.field is QQ else (target.re, target.im)
+    target = spec.normalisation(field)
+    if field.characteristic:
+        p = field.p
+        rows = [nums[i : i + k] for i in range(0, kk, k)]
+        t = target.residue
+        if any(sum(r) % p != t for r in rows) or any(sum(c) % p != t for c in zip(*rows)):
+            return False
+        return spec.kind not in _TRACELESS or not sum(rows[i][i] for i in range(k)) % p
+    consts = (target,) if field is QQ else (target.re, target.im)
     for part, t in enumerate(consts):
         rows = [nums[i : i + k] for i in range(part * kk, (part + 1) * kk, k)]
         t = t * den
@@ -277,20 +286,15 @@ def derive_rng(*parts) -> random.Random:
 @lru_cache(maxsize=None)
 def _sampling_data(spec: MatrixClassSpec):
     """Particular solution and direction generators as flat integer
-    vectors over one common denominator (residues over GF(p)), so each
-    sample is a single integer accumulation pass.  Over Q and Q(i) the
-    layout is that of ``Matrix.integer_form``; with complex coefficients
-    each direction v contributes the generators v and i*v, one per part
-    of its coefficient."""
+    vectors over one common denominator, laid out as in
+    ``Matrix.integer_form``, so each sample is a single integer
+    accumulation pass.  With complex coefficients each direction v
+    contributes the generators v and i*v, one per part of its
+    coefficient."""
     space = subspace(spec)
-    mats = (space.particular, *space.directions)
-    if spec.field.tag == "GF":
-        den = 1
-        vecs = [[x.residue for row in mat.rows for x in row] for mat in mats]
-    else:
-        forms = [mat.integer_form() for mat in mats]
-        den = lcm(*(d for _, d in forms))
-        vecs = [[x * (den // d) for x in nums] for nums, d in forms]
+    forms = [mat.integer_form() for mat in (space.particular, *space.directions)]
+    den = lcm(*(d for _, d in forms))
+    vecs = [[x * (den // d) for x in nums] for nums, d in forms]
     part, dirs = vecs[0], vecs[1:]
     if spec.field is QI and not space.realified:
         mm = spec.ambient ** 2
@@ -305,24 +309,15 @@ def draw_element(spec: MatrixClassSpec, rng: random.Random) -> Matrix:
     space, den, part, gens = _sampling_data(spec)
     coeff_field = QQ if space.realified else spec.field
     coeffs = [coeff_field.sample(rng) for _ in space.directions]
-
-    if spec.field.tag == "GF":
-        acc = list(part)
-        for c, gen in zip(coeffs, gens):
-            for k, v in gen:
-                acc[k] += c.residue * v
-        m, p = spec.ambient, spec.field.p
-        return Matrix._wrap(
-            spec.field,
-            tuple(tuple(PrimeFieldElement(x, p) for x in acc[i : i + m]) for i in range(0, m * m, m)),
-        )
-
-    if coeff_field is QI:
-        coeffs = [r for c in coeffs for r in (c.re, c.im)]
-    seen = reduce(lcm, (int(c.denominator) for c in coeffs), 1)
+    if coeff_field.characteristic:
+        seen, ints = 1, [c.residue for c in coeffs]
+    else:
+        if coeff_field is QI:
+            coeffs = [r for c in coeffs for r in (c.re, c.im)]
+        seen = reduce(lcm, (int(c.denominator) for c in coeffs), 1)
+        ints = [int(c.numerator) * (seen // int(c.denominator)) for c in coeffs]
     acc = [x * seen for x in part]
-    for c, gen in zip(coeffs, gens):
-        f = int(c.numerator) * (seen // int(c.denominator))
+    for f, gen in zip(ints, gens):
         if f:
             for k, v in gen:
                 acc[k] += f * v

@@ -1,20 +1,22 @@
 """Dense square matrices over the exact scalar fields.
 
-Matrices are immutable.  Over Q and Q(i) every matrix also has one
-canonical integer form, built at most once and cached in a slot: a flat
-list of integer numerators over one positive common denominator, with
-the gcd of all numerators and the denominator equal to 1.  Over Q the
-list holds the entries row by row; over Q(i) it holds the real parts row
-by row, then the imaginary parts.  Equal matrices have equal forms, so
-equality is one list compare, and the heap, the action with a rational
-scalar, the affine commutator and the product are integer loops with one
-normalisation per result (``combine``, ``commutator_shift``, ``@``).
-Their results carry the form and still hold canonical scalar entries.
-Every other field, and the other operations here, go through the entry
-types.  The numerators are a list, never mutated, and gcd/lcm fold over
-them with ``reduce``: CPython keeps freed tuples of up to 19 items in
-per-size free lists, so short-lived tuples of those sizes would raise
-the peak memory of a long run.
+Matrices are immutable.  Over Q, Q(i) and GF(p) (the fields with
+``Field.has_integer_form``) every matrix also has one canonical integer
+form, built at most once and cached in a slot: a flat list of integers
+over one positive common denominator.  Over Q the list holds the
+numerators row by row, over Q(i) the real parts row by row and then the
+imaginary parts, with the gcd of all numerators and the denominator
+equal to 1; over GF(p) it holds the residues in [0, p) over denominator
+1.  Equal matrices have equal forms, so equality is one list compare,
+and the heap, the action, the affine commutator, the sum, the difference
+and the product are integer loops with one normalisation per result
+(``combine``, ``commutator_shift``, ``sandwich``, ``@``).  Their results
+carry the form and still hold canonical scalar entries.  Every other
+field, and the other operations here, go through the entry types.  The
+numerators are a list, never mutated, and gcd/lcm fold over them with
+``reduce``: CPython keeps freed tuples of up to 19 items in per-size
+free lists, so short-lived tuples of those sizes would raise the peak
+memory of a long run.
 """
 from __future__ import annotations
 
@@ -23,9 +25,17 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import FieldMismatch, MalformedWire, SingularMatrix, SizeMismatch
-from .scalars import RAT, Field, GaussianRational, QI, QQ, can_widen, field_by_tag, widen_scalar
-
-INTEGER_FORM_FIELDS = (QQ, QI)
+from .scalars import (
+    RAT,
+    Field,
+    GaussianRational,
+    PrimeFieldElement,
+    QI,
+    QQ,
+    can_widen,
+    field_by_tag,
+    widen_scalar,
+)
 
 
 class Matrix:
@@ -58,16 +68,24 @@ class Matrix:
 
     @classmethod
     def from_integer_form(cls, field: Field, m: int, nums, den: int) -> Matrix:
-        """The m x m matrix over Q or Q(i) with entries nums / den (laid
-        out as in ``integer_form``; den > 0), reduced to canonical form."""
-        g = reduce(gcd, nums, den)
-        nums = [x // g for x in nums] if g != 1 else list(nums)
-        den //= g
-        if field is QQ:
-            flat = [RAT(x, den) for x in nums]
+        """The m x m matrix with entries nums / den (laid out as in
+        ``integer_form``; den > 0), reduced to canonical form."""
+        if field.characteristic:
+            # residues over denominator 1: divide by den modulo p
+            p = field.p
+            inv = pow(den, -1, p)
+            nums = [x * inv % p for x in nums]
+            den = 1
+            flat = [PrimeFieldElement(x, p) for x in nums]
         else:
-            # real parts first; zip stops after the m*m of them
-            flat = [GaussianRational(RAT(x, den), RAT(y, den)) for x, y in zip(nums, nums[m * m :])]
+            g = reduce(gcd, nums, den)
+            nums = [x // g for x in nums] if g != 1 else list(nums)
+            den //= g
+            if field is QQ:
+                flat = [RAT(x, den) for x in nums]
+            else:
+                # real parts first; zip stops after the m*m of them
+                flat = [GaussianRational(RAT(x, den), RAT(y, den)) for x, y in zip(nums, nums[m * m :])]
         out = cls._wrap(field, tuple(tuple(flat[i : i + m]) for i in range(0, m * m, m)))
         object.__setattr__(out, "_form", (nums, den))
         return out
@@ -107,19 +125,22 @@ class Matrix:
             raise SizeMismatch(f"{self.size} vs {other.size}")
 
     def integer_form(self) -> tuple[list[int], int]:
-        """(numerators, denominator) of a matrix over Q or Q(i); see the
-        module docstring."""
+        """(numerators, denominator) of a matrix over Q, Q(i) or GF(p);
+        see the module docstring."""
         form = self._form
         if form is None:
-            if self.field not in INTEGER_FORM_FIELDS:
+            if not self.field.has_integer_form:
                 raise FieldMismatch(f"{self.field.describe()} has no integer form")
             flat = [x for row in self.rows for x in row]
-            if self.field is QI:
-                flat = [x.re for x in flat] + [x.im for x in flat]
-            dens = [int(x.denominator) for x in flat]
-            den = reduce(lcm, dens)
-            # den is the least common denominator, so the form is reduced
-            form = [int(x.numerator) * (den // d) for x, d in zip(flat, dens)], den
+            if self.field.characteristic:
+                form = [x.residue for x in flat], 1
+            else:
+                if self.field is QI:
+                    flat = [x.re for x in flat] + [x.im for x in flat]
+                dens = [int(x.denominator) for x in flat]
+                den = reduce(lcm, dens)
+                # den is the least common denominator, so the form is reduced
+                form = [int(x.numerator) * (den // d) for x, d in zip(flat, dens)], den
             object.__setattr__(self, "_form", form)
         return form
 
@@ -137,7 +158,7 @@ class Matrix:
             return NotImplemented
         if self.field is not other.field or self.size != other.size:
             return False
-        if self.field in INTEGER_FORM_FIELDS:
+        if self.field.has_integer_form:
             return self.integer_form() == other.integer_form()
         return self.rows == other.rows
 
@@ -154,6 +175,8 @@ class Matrix:
 
     def __add__(self, other):
         self._guard(other)
+        if self.field.has_integer_form:
+            return combine(((1, self), (1, other)))
         return Matrix._wrap(
             self.field,
             tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(self.rows, other.rows)),
@@ -161,6 +184,8 @@ class Matrix:
 
     def __sub__(self, other):
         self._guard(other)
+        if self.field.has_integer_form:
+            return combine(((1, self), (-1, other)))
         return Matrix._wrap(
             self.field,
             tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(self.rows, other.rows)),
@@ -175,7 +200,7 @@ class Matrix:
 
     def __matmul__(self, other):
         self._guard(other)
-        if self.field in INTEGER_FORM_FIELDS:
+        if self.field.has_integer_form:
             (a, da), (b, db) = self.integer_form(), other.integer_form()
             nums = _product(self.field, self.size, a, b)
             return Matrix.from_integer_form(self.field, self.size, nums, da * db)
@@ -241,7 +266,7 @@ class Matrix:
 
 def combine(terms, q: int = 1) -> Matrix:
     """(c_1*M_1 + ... + c_k*M_k) / q for integer c_i, q > 0 and matrices
-    M_i over the same Q or Q(i), on the integer forms."""
+    M_i over the same field with an integer form, on the forms."""
     forms = [(c, x.integer_form()) for c, x in terms]
     den = lcm(*(d for _, (_, d) in forms))
     acc = None
@@ -258,18 +283,44 @@ def _product(field: Field, m: int, a, b) -> list[int]:
     if field is QI:
         mm = m * m
         ar, ai, br, bi = a[:mm], a[mm:], b[:mm], b[mm:]
-        re = [x - y for x, y in zip(_product(QQ, m, ar, br), _product(QQ, m, ai, bi))]
-        return re + [x + y for x, y in zip(_product(QQ, m, ar, bi), _product(QQ, m, ai, br))]
+        re = [x - y for x, y in zip(_real_product(m, ar, br), _real_product(m, ai, bi))]
+        return re + [x + y for x, y in zip(_real_product(m, ar, bi), _real_product(m, ai, br))]
+    return _real_product(m, a, b)
+
+
+def _real_product(m: int, a, b) -> list[int]:
+    # the m x m integer matrix product of two flat row-major lists
     cols = [b[j::m] for j in range(m)]
     return [sum(map(mul, a[i : i + m], col)) for i in range(0, m * m, m) for col in cols]
 
 
+def sandwich_form(left, nums, right, m: int) -> list[int]:
+    """Numerators of L·X·R for the numerators of real integer forms L
+    and R (over Q, or over the GF(p) of X) and the numerators of a form
+    X; over Q(i) each part of X is multiplied on its own."""
+    mm = m * m
+    return [
+        v
+        for k in range(0, len(nums), mm)
+        for v in _real_product(m, _real_product(m, left, nums[k : k + mm]), right)
+    ]
+
+
+def sandwich(left, x: Matrix, right) -> Matrix:
+    """L·x·R for x with an integer form and the integer forms
+    (numerators, denominator) of two real matrices L and R as in
+    ``sandwich_form``: one integer triple product and one normalisation,
+    with no intermediate matrix."""
+    (a, da), (nums, d), (b, db) = left, x.integer_form(), right
+    return Matrix.from_integer_form(x.field, x.size, sandwich_form(a, nums, b, x.size), da * d * db)
+
+
 def commutator_shift(a: Matrix, b: Matrix) -> Matrix:
-    """a@b - b@a + b.  Over Q and Q(i) this is one integer pass over the
-    integer forms (numerators of ab - ba + b over da*db) with one
-    normalisation for the whole result."""
+    """a@b - b@a + b.  On integer forms this is one integer pass
+    (numerators of ab - ba + b over da*db) with one normalisation for
+    the whole result."""
     a._guard(b)
-    if a.field not in INTEGER_FORM_FIELDS:
+    if not a.field.has_integer_form:
         return a @ b - b @ a + b
     (x, da), (y, db) = a.integer_form(), b.integer_form()
     m = a.size

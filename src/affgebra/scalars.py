@@ -633,6 +633,12 @@ def _parse_surd_real(s: str) -> SurdReal:
         else:
             d = 1
             coef = _parse_rational(part)
+        if d > 0:
+            # sqrt(s*s*f) = s*sqrt(f) with f squarefree
+            s, d = squarefree_split(d)
+            coef *= s
+        elif d == 0:
+            d, coef = 1, RAT(0)
         acc[d] = acc.get(d, RAT(0)) + coef
     return SurdReal(acc)
 
@@ -659,6 +665,8 @@ class Field:
     tag: str = ""
     characteristic: int = 0
     is_complex: bool = False
+    # matrices over this field carry ``Matrix.integer_form``
+    has_integer_form: bool = False
 
     def zero(self):
         return self.from_int(0)
@@ -710,6 +718,7 @@ class Field:
 
 class RationalField(Field):
     tag = "Q"
+    has_integer_form = True
 
     def from_int(self, k):
         return RAT(k)
@@ -734,6 +743,7 @@ class RationalField(Field):
 class GaussianField(Field):
     tag = "Qi"
     is_complex = True
+    has_integer_form = True
 
     def from_int(self, k):
         return GaussianRational(k)
@@ -779,6 +789,7 @@ class PrimeField(Field):
         self.characteristic = p
 
     tag = "GF"
+    has_integer_form = True
 
     def from_int(self, k):
         return PrimeFieldElement(k, self.p)

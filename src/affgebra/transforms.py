@@ -23,12 +23,13 @@ from .classes import (
     MatrixClassSpec,
     base_point,
     contains,
+    contains_form,
     derive_rng,
     draw_element,
     spec_to_wire,
 )
 from .errors import ClassViolation, FieldMismatch
-from .matrix import Matrix, matrix_to_wire
+from .matrix import Matrix, matrix_to_wire, sandwich, sandwich_form
 from .report import CheckReport
 from .scalars import (
     RAT,
@@ -163,11 +164,14 @@ class BlockTarget:
         base = self.base_block.widen(m.field) if m.field is not self.field else self.base_block
         d = m - base
         size = m.size
+        radicals = radicals or (1,) * size
+        if m.field.has_integer_form:
+            return _block_member_form(self.block_kind, d, self.n, radicals)
         zero = m.field.zero()
         for k in range(size):
             if d.entry(self.n, k) != zero or d.entry(k, self.n) != zero:
                 return False
-        return _block_member(self.block_kind, d, self.n, m.field, radicals or (1,) * size)
+        return _block_member(self.block_kind, d, self.n, m.field, radicals)
 
     def sample(self, rng: random.Random) -> Matrix:
         """base plus a random element of the block algebra, embedded."""
@@ -198,6 +202,33 @@ def _block_member(kind: str, d: Matrix, n: int, field: Field, f) -> bool:
             for l in range(k, n):
                 if f[l] * d.entry(l, k) != -(f[k] * conj(d.entry(k, l))):
                     return False
+    return True
+
+
+def _block_member_form(kind: str, d: Matrix, n: int, f) -> bool:
+    """The zero last row and column plus ``_block_member`` on the integer
+    form of d.  Every condition is homogeneous, so the denominator drops
+    out; (anti)symmetry reads f_l·d_lk = -f_k·d_kl on the real part and
+    f_l·d_lk = f_k·d_kl on the imaginary part."""
+    nums, _ = d.integer_form()
+    size = d.size
+    last = n * size
+    parts = [nums[i : i + size * size] for i in range(0, len(nums), size * size)]
+    for part in parts:
+        if any(part[last + k] or part[k * size + n] for k in range(size)):
+            return False
+    if kind in ("sl", "su"):
+        p = d.field.characteristic
+        for part in parts:
+            tr = sum(part[k * size + k] for k in range(n))
+            if tr % p if p else tr:
+                return False
+    if kind in ("o", "u", "su"):
+        for sign, part in zip((-1, 1), parts):
+            for k in range(n):
+                for l in range(k, n):
+                    if f[l] * part[l * size + k] != sign * f[k] * part[k * size + l]:
+                        return False
     return True
 
 
@@ -238,6 +269,7 @@ def _sample_block(kind: str, n: int, field: Field, rng: random.Random):
     return block
 
 
+@lru_cache(maxsize=None)
 def block_target(spec: MatrixClassSpec) -> BlockTarget:
     field = spec.field
     m = spec.ambient
@@ -294,21 +326,30 @@ def _validate_via(spec: MatrixClassSpec, via: str) -> None:
 
 @dataclass(frozen=True)
 class Frame:
-    """Conjugation by a basis T = R·D⁻¹ with R over the class field and
-    D = diag(√f_0, ..., √f_n), f_k squarefree.
+    """Conjugation by a basis T = R·D⁻¹ with R rational (over GF(p) for
+    P over GF(p)) and D = diag(√f_0, ..., √f_n), f_k squarefree.
 
     The image T⁻¹·m·T is D·Z·D⁻¹ with Z = R⁻¹·m·R, so every identity
     the theorem asserts between images (heap, action, the commutator
     bracket, the inverse) holds for the Z matrices over the class field.
+    For P, R = T and D = I; for U, R = W·diag(f) and R⁻¹ = Wᵀ, where
+    U = W·D with W rational, since every column of U carries a single
+    radical.  On the class field, ``image``, ``preimage`` and each part
+    of ``pulls_back_into`` are one integer triple product on the forms.
+
+    The pull-back T·z·T⁻¹ = W·(D·z·D)·Wᵀ splits by radical: with
+    f_i·f_j = s_ij²·g_ij, g_ij squarefree, it is Σ_g √g·M_g where
+    M_g = W·Z_g·Wᵀ and Z_g keeps the entries s_ij·z_ij with g_ij = g.
     Surds appear only when ``materialise`` builds D·Z·D⁻¹ and in
-    ``pull_back``.  For P, R = T and D = I; for U, R = W·diag(f) and
-    R⁻¹ = Wᵀ, where U = W·D with W rational, since every column of U
-    carries a single radical.
+    ``pull_back``.
     """
 
-    left: Matrix  # R⁻¹
+    field: Field  # the class field
+    left: Matrix  # R⁻¹, rational or over GF(p)
     right: Matrix  # R
+    outer: Matrix  # W = T·D⁻¹
     radicals: tuple  # f_0..f_n
+    pieces: tuple  # (g, ((k, s_ij), ...)) for k = i*(n+1) + j, g = 1 first
     basis: Matrix  # T over the block field
     basis_inverse: Matrix  # T⁻¹ over the block field
     scales: tuple | None  # rows of √f_i/√f_j over the block field; None when D = I
@@ -317,11 +358,13 @@ class Frame:
     def block_field(self) -> Field:
         return self.basis.field
 
+    def _fused(self, x: Matrix) -> bool:
+        # class-field matrices of the right size take the integer path
+        return x.field is self.field and x.field.has_integer_form and x.size == self.left.size
+
     def _over(self, field: Field) -> tuple[Matrix, Matrix]:
         # (R⁻¹, R) over ``field``, which must embed in the block field
-        if field is self.left.field:
-            return self.left, self.right
-        if not can_widen(field, self.block_field):
+        if field is not self.field and not can_widen(field, self.block_field):
             raise FieldMismatch(
                 f"cannot widen {field.describe()} into {self.block_field.describe()}"
             )
@@ -329,11 +372,15 @@ class Frame:
 
     def image(self, m: Matrix) -> Matrix:
         """Z = R⁻¹·m·R."""
+        if self._fused(m):
+            return sandwich(self.left.integer_form(), m, self.right.integer_form())
         left, right = self._over(m.field)
         return left @ m @ right
 
     def preimage(self, z: Matrix) -> Matrix:
         """m = R·Z·R⁻¹."""
+        if self._fused(z):
+            return sandwich(self.right.integer_form(), z, self.left.integer_form())
         left, right = self._over(z.field)
         return right @ z @ left
 
@@ -354,37 +401,63 @@ class Frame:
         """T·y·T⁻¹ for a block-field matrix y (surd-valued for U)."""
         return self.basis @ y.widen(self.block_field) @ self.basis_inverse
 
+    def pulls_back_into(self, spec: MatrixClassSpec, z: Matrix) -> bool:
+        """Whether T·z·T⁻¹ = Σ_g √g·M_g is a member of the class.  The
+        class conditions are rational-linear (affine only in their
+        constants) and the √g are linearly independent over Q(i), so they
+        hold exactly when M_1 is a member and every M_g with g ≠ 1 is a
+        direction, that is when M_1 and every M_1 + M_g are members."""
+        if not self._fused(z):
+            return contains(spec, self.pull_back(z))
+        nums, den = z.integer_form()
+        (w, dw), (wt, dwt) = self.outer.integer_form(), self.left.integer_form()
+        m, mm = z.size, z.size * z.size
+        den *= dw * dwt
+        one = None
+        for _, entries in self.pieces:
+            zg = [0] * len(nums)
+            for k, s in entries:
+                for at in range(k, len(nums), mm):  # each part of the form
+                    zg[at] = s * nums[at]
+            part = sandwich_form(w, zg, wt, m)
+            if one is None:  # g = 1
+                one = part
+            else:
+                part = [x + y for x, y in zip(one, part)]
+            if not contains_form(spec, z.field, m, part, den):
+                return False
+        return True
+
 
 @lru_cache(maxsize=None)
 def _conjugators(n: int, field: Field, via: str) -> Frame:
     m = n + 1
+    base = field if field.characteristic else QQ
     if via == VIA_P:
-        p, pinv = change_of_basis(n, field), change_of_basis_inverse(n, field)
-        return Frame(pinv, p, (1,) * m, p, pinv, None)
+        p, pinv = change_of_basis(n, base), change_of_basis_inverse(n, base)
+        pieces = ((1, tuple((k, 1) for k in range(m * m))),)
+        return Frame(field, pinv, p, p, (1,) * m, pieces, p.widen(field), pinv.widen(field), None)
     u = orthonormal_change_of_basis(n)
     w_cols, radicals = [], []
     for col in zip(*u.rows):
         (f,) = {d for x in col for d, _ in x.terms}  # one radical per column
         radicals.append(f)
         w_cols.append([x.coefficient(f) for x in col])
+    w = Matrix(QQ, [[w_cols[j][i] for j in range(m)] for i in range(m)])
     right = Matrix(QQ, [[w_cols[j][i] * radicals[j] for j in range(m)] for i in range(m)])
     block = SURD_C if field.is_complex else SURD
-    scales = []
-    for fi in radicals:
+    scales, by_radical = [], {}
+    for i, fi in enumerate(radicals):
         row = []
-        for fj in radicals:
+        for j, fj in enumerate(radicals):
             s, g = squarefree_split(fi * fj)
             row.append(block.coerce(SurdReal({g: RAT(s, fj)})))
+            by_radical.setdefault(g, []).append((i * m + j, s))
         scales.append(tuple(row))
+    # the diagonal gives g = 1, so M_1 always exists and sorts first
+    pieces = tuple((g, tuple(by_radical[g])) for g in sorted(by_radical))
     u = u.widen(block)
-    return Frame(
-        Matrix(QQ, w_cols).widen(field),
-        right.widen(field),
-        tuple(radicals),
-        u,
-        u.transpose(),
-        tuple(scales),
-    )
+    return Frame(field, w.transpose(), right, w, tuple(radicals), pieces, u, u.transpose(), tuple(scales))
 
 
 def _frame(spec: MatrixClassSpec, via: str | None) -> Frame:
@@ -462,7 +535,7 @@ def evaluate_theorem_case(spec: MatrixClassSpec, via: str, inputs: dict) -> tupl
         wide = frame.block_field
         return False, _detail("inverse conjugation roundtrip", a.widen(wide), back.widen(wide))
 
-    if not contains(spec, frame.pull_back(z)):
+    if not frame.pulls_back_into(spec, z):
         return False, _detail("surjectivity pullback membership", True, False)
     return True, {}
 

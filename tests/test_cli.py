@@ -303,6 +303,28 @@ class TestReplay:
         assert code == 1
         assert json.loads(out)["passed"] is True
 
+    def test_replay_with_a_missing_input_is_usage_error(self, capsys):
+        wire = json.loads(json.dumps(self._failing_report().to_wire()))
+        del wire["counterexample"]["inputs"]["x"]
+        code, out, err = run_cli(capsys, "replay", json.dumps(wire))
+        assert (code, out) == (2, "")
+        assert err == "error: MalformedWire: closure counterexample lacks input 'x'\n"
+
+    def test_replay_of_theorem_and_corollary_with_missing_inputs(self, capsys):
+        cls = {"kind": "gna", "n": 1, "field": "Q"}
+        a = matrix_to_wire(Matrix.identity(QQ, 2))
+        for check, inputs, want in [
+            ("theorem-iso", {"a": a, "b": a, "c": a}, "lacks inputs 'alpha', 'z'"),
+            ("corollary-retract", {"a": a}, "lacks input 'b'"),
+            ("corollary-retract", [a], "inputs must be a JSON object"),
+        ]:
+            doc = {"check": check, "passed": False, "trials": 1,
+                   "counterexample": {"class": cls, "via": "P", "inputs": inputs}}
+            code, out, err = run_cli(capsys, "replay", json.dumps(doc))
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: MalformedWire: {check} counterexample")
+            assert want in err and err.count("\n") == 1
+
 
 class TestConsoleScript:
     @pytest.mark.skipif(shutil.which("affgebra") is None, reason="console script not installed")

@@ -14,7 +14,9 @@ print(json.dumps(t.golden_document(), indent=1))" > tests/golden/theorem_frame.j
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,7 @@ from affgebra.classes import ClassKind, MatrixClassSpec, contains, derive_rng, s
 from affgebra.cli import main
 from affgebra.errors import ClassViolation, FieldMismatch
 from affgebra.matrix import Matrix, matrix_to_wire
-from affgebra.scalars import GF, QI, QQ, SURD, SURD_C, widen_scalar
+from affgebra.scalars import GF, QI, QQ, SURD, SURD_C, GaussianRational, widen_scalar
 from affgebra.transforms import (
     VIA_P,
     VIA_U,
@@ -243,3 +245,98 @@ def test_inputs_over_a_wider_field_follow_the_oracle():
         evaluate_theorem_case(g, VIA_U, complex_a)
     with pytest.raises(FieldMismatch, match="cannot widen Qi into surd"):
         surd_evaluate_theorem_case(g, complex_a)
+
+
+# -- the per-radical pull-back against the surd pull-back ---------------------
+
+PULL_BACK_MOVES = ("none", "off-block", "pair-kept", "pair-broken", "corner")
+deltas = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+
+
+def moved_z(s, z, move, i, j, re, im):
+    """z with one entry off the top-left block moved, or one
+    (anti)symmetric pair moved so that the (anti)symmetry is kept or
+    broken, or the corner moved."""
+    n = s.n
+    delta = re if not s.field.is_complex else GaussianRational(re, im)
+    conj = s.field.conjugate
+    if move == "off-block":
+        k = j % (n + 1)
+        at = (n, k) if i % 2 else (k, n)
+        return z.with_entry(*at, z.entry(*at) + delta)
+    if move == "corner":
+        return z.with_entry(n, n, z.entry(n, n) + delta)
+    if move in ("pair-kept", "pair-broken"):
+        k, l = i % n, j % n
+        partner = -conj(delta) if move == "pair-kept" else delta
+        if k == l:
+            return z.with_entry(k, k, z.entry(k, k) + delta)
+        z = z.with_entry(k, l, z.entry(k, l) + delta)
+        return z.with_entry(l, k, z.entry(l, k) + partner)
+    return z
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(U_KINDS),
+    n=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**31),
+    move=st.sampled_from(PULL_BACK_MOVES),
+    i=st.integers(min_value=0, max_value=6),
+    j=st.integers(min_value=0, max_value=6),
+    re=deltas,
+    im=deltas,
+)
+def test_per_radical_pull_back_membership_matches_surd_pull_back(kind, n, seed, move, i, j, re, im):
+    s = spec(kind, n)
+    inputs = theorem_inputs(s, derive_rng("pull-back", s.describe(), seed))
+    z = moved_z(s, inputs["z"], move, i, j, re, im)
+    want = contains(s, surd_from_block(s, z.widen(surd_field(s))))
+    got = evaluate_theorem_case(s, VIA_U, dict(inputs, z=z))
+    if want:
+        assert got == (True, {})
+    else:
+        assert got == (False, {"property": "surjectivity pullback membership", "expected": True, "actual": False})
+    if move == "none":
+        assert want
+
+
+@pytest.mark.parametrize("kind", U_KINDS)
+def test_pull_back_catches_a_move_in_an_irrational_part_alone(kind):
+    # moving the (0, 1) pair symmetrically leaves M_1 a member: only the
+    # √g part with g = f_0·f_1 / s² ≠ 1 leaves the class
+    for n in (2, 3, 4):
+        s = spec(kind, n)
+        inputs = theorem_inputs(s, derive_rng("irrational", s.describe()))
+        z = moved_z(s, inputs["z"], "pair-broken", 0, 1, Fraction(1), Fraction(1))
+        assert not contains(s, surd_from_block(s, z.widen(surd_field(s))))
+        assert evaluate_theorem_case(s, VIA_U, dict(inputs, z=z))[1]["property"] == (
+            "surjectivity pullback membership"
+        )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    s=st.sampled_from(
+        [spec(k, n) for k in U_KINDS for n in (1, 2, 3, 4)]
+        + [spec(k, n, f) for k in (ClassKind.GNA, ClassKind.SNA) for n in (1, 2, 3) for f in (QQ, QI, GF(7))]
+    ),
+    seed=st.integers(min_value=0, max_value=2**31),
+    radicals=st.lists(st.sampled_from((1, 2, 3, 5, 6, 10)), min_size=5, max_size=5),
+    move=st.sampled_from(PULL_BACK_MOVES),
+    i=st.integers(min_value=0, max_value=4),
+    j=st.integers(min_value=0, max_value=4),
+    re=deltas,
+    im=deltas,
+)
+def test_block_membership_on_forms_matches_entrywise(s, seed, radicals, move, i, j, re, im):
+    target = block_target(s)
+    z = target.sample(derive_rng("block", s.describe(), seed))
+    if s.field.characteristic:
+        re, im = int(re * 4), 0
+    z = moved_z(s, z, move, i, j, re, im)
+    f = tuple(radicals[: z.size])
+    for rad in (None, f):
+        with mock.patch.object(s.field, "has_integer_form", False):
+            want = target.contains(z, rad)
+        assert target.contains(z, rad) is want

@@ -1,10 +1,12 @@
-"""The canonical integer form of matrices over Q and Q(i).
+"""The canonical integer form of matrices over Q, Q(i) and GF(p).
 
 Over Q and Q(i) every matrix carries one reduced integer form (a flat
-numerator tuple over one positive denominator), and heap, heap5, the
-action with a rational scalar, the affine commutator, the product and
-equality run on it.  The oracle here is the plain entrywise scalar path:
-the same formulas written with the field's own scalar arithmetic.
+numerator list over one positive denominator), over GF(p) its residues
+in [0, p) over denominator 1.  Heap, heap5, the action (with a rational
+scalar over Q(i)), the affine commutator, the sum, the difference, the
+product, equality and membership run on it.  The oracle here is the
+plain entrywise scalar path: the same formulas written with the field's
+own scalar arithmetic.
 
 ``tests/golden/integer_form.json`` holds the wire output of
 ``golden_document()`` as computed by the entrywise path; regenerate it
@@ -23,13 +25,13 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from affgebra import affine, classes
+from affgebra import affine
 from affgebra.affine import COMMUTATOR, Zeta, action, bracket, heap, heap5, lie_retract_bracket
 from affgebra.checks import replay, run_check
 from affgebra.classes import ClassKind, MatrixClassSpec, contains, sample
 from affgebra.cli import main
 from affgebra.matrix import Matrix, commutator_shift, matrix_to_wire
-from affgebra.scalars import QI, QQ, GaussianRational
+from affgebra.scalars import GF, QI, QQ, GaussianRational
 
 GOLDEN = Path(__file__).parent / "golden" / "integer_form.json"
 SEED = 20240601
@@ -65,6 +67,14 @@ def plain_heap5(a, b, c, d, e):
 def plain_action(alpha, base, b):
     alpha = base.field.coerce(alpha)
     return entrywise(base.field, lambda x, y: alpha * y - alpha * x + x, base, b)
+
+
+def plain_add(a, b):
+    return entrywise(a.field, lambda x, y: x + y, a, b)
+
+
+def plain_sub(a, b):
+    return entrywise(a.field, lambda x, y: x - y, a, b)
 
 
 def plain_matmul(a, b):
@@ -172,6 +182,9 @@ def assert_same(got, want):
     assert json.dumps(matrix_to_wire(got)) == json.dumps(matrix_to_wire(want))
     nums, den = got.integer_form()
     assert den > 0 and gcd(den, *nums) == 1
+    if got.field.characteristic:
+        # residues over denominator 1
+        assert den == 1 and all(0 <= x < got.field.p for x in nums)
     # equal matrices carry identical forms, however they were built
     assert got.integer_form() == Matrix(got.field, got.rows).integer_form() == want.integer_form()
 
@@ -207,6 +220,8 @@ def test_nonreal_action_takes_the_entrywise_path(m, data, re, im):
 @given(case=cases(2))
 def test_product_and_commutator_match_entrywise(case):
     field, (a, b) = case
+    assert_same(a + b, plain_add(a, b))
+    assert_same(a - b, plain_sub(a, b))
     assert_same(a @ b, plain_matmul(a, b))
     assert_same(commutator_shift(a, b), plain_commutator_shift(a, b))
     assert_same(bracket(COMMUTATOR, a, b), plain_commutator_shift(a, b))
@@ -241,7 +256,74 @@ def test_membership_matches_entrywise(kind, n, seed, i, j, delta, widen):
         m = m.widen(QI)
     candidates = [m, m.with_entry(i % m.size, j % m.size, m.entry(i % m.size, j % m.size) + delta)]
     for x in candidates:
-        with mock.patch.object(classes, "INTEGER_FORM_FIELDS", ()):
+        with mock.patch.object(QQ, "has_integer_form", False), mock.patch.object(QI, "has_integer_form", False):
+            want = contains(s, x)
+        assert contains(s, x) is want
+    assert contains(s, m)
+
+
+# -- GF(p): residues over denominator 1 ---------------------------------------
+
+
+@st.composite
+def gf_cases(draw, count):
+    field = draw(st.sampled_from((GF(7), GF(101))))
+    m = draw(st.integers(min_value=1, max_value=5))
+    # entries outside [0, p) exercise the reduction of the coerced scalars
+    entry = st.integers(min_value=-3 * field.p, max_value=3 * field.p)
+    mats = [Matrix(field, [[draw(entry) for _ in range(m)] for _ in range(m)]) for _ in range(count)]
+    return field, mats
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=gf_cases(5), alpha=st.integers(min_value=0, max_value=100))
+def test_prime_field_operations_match_entrywise(case, alpha):
+    field, (a, b, c, d, e) = case
+    assert_same(heap(a, b, c), plain_heap(a, b, c))
+    assert_same(heap5(a, b, c, d, e), plain_heap5(a, b, c, d, e))
+    for al in (alpha, 0, 1, field.p - 1):
+        assert_same(action(al, a, b), plain_action(al, a, b))
+    assert_same(a + b, plain_add(a, b))
+    assert_same(a - b, plain_sub(a, b))
+    assert_same(a @ b, plain_matmul(a, b))
+    assert_same(commutator_shift(a, b), plain_commutator_shift(a, b))
+    assert_same(bracket(COMMUTATOR, a, b), plain_commutator_shift(a, b))
+    assert_same(bracket(Zeta(alpha), a, b), plain_action(alpha, a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=gf_cases(2))
+def test_prime_field_equality_is_entrywise_equality(case):
+    field, (a, b) = case
+    assert (a == b) == (a.rows == b.rows)
+    twin = Matrix(field, [[x.residue + field.p for x in row] for row in a.rows])
+    assert twin == a and hash(twin) == hash(a)
+    assert twin.integer_form() == a.integer_form()
+    other = a.with_entry(0, 0, a.entry(0, 0) + 1)
+    assert other != a and other.integer_form() != a.integer_form()
+    assert Matrix.from_integer_form(field, a.size, [3 * x for x in a.integer_form()[0]], 3) == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from((ClassKind.GNA, ClassKind.SNA, ClassKind.GA_C)),
+    p=st.sampled_from((7, 101)),
+    n=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**31),
+    i=st.integers(min_value=0, max_value=4),
+    j=st.integers(min_value=0, max_value=4),
+    delta=st.integers(min_value=1, max_value=6),
+)
+def test_prime_field_membership_matches_entrywise(kind, p, n, seed, i, j, delta):
+    field = GF(p)
+    s = MatrixClassSpec(kind, n, field, c=3 if kind is ClassKind.GA_C else None)
+    m = sample(s, seed, 0)
+    k = m.size
+    bumped = m.with_entry(i % k, j % k, m.entry(i % k, j % k) + delta)
+    # a traceless move that keeps every row and column sum
+    moved = m.with_entry(0, 0, m.entry(0, 0) + delta).with_entry(0, k - 1, m.entry(0, k - 1) - delta)
+    for x in (m, bumped, moved):
+        with mock.patch.object(field, "has_integer_form", False):
             want = contains(s, x)
         assert contains(s, x) is want
     assert contains(s, m)

@@ -236,6 +236,29 @@ class TestParseFormat:
         assert SURD.format(x) == "1/2-1/3*sqrt(2)"
         assert SURD.parse("1/2*sqrt(2)") == SurdReal({2: Fraction(1, 2)})
 
+    def test_surd_radicands_are_canonicalised(self):
+        # sqrt(s*s*f) = s*sqrt(f); the canonical strings do not change
+        for text, want in [
+            ("sqrt(4)", "2"),
+            ("sqrt(8)", "2*sqrt(2)"),
+            ("3*sqrt(12)", "6*sqrt(3)"),
+            ("sqrt(0)", "0"),
+            ("-sqrt(8)+1", "1-2*sqrt(2)"),
+            ("1/2*sqrt(18)-sqrt(2)", "1/2*sqrt(2)"),
+            ("5*sqrt(0)+sqrt(9)", "3"),
+        ]:
+            assert SURD.format(SURD.parse(text)) == want
+        assert SURD_C.format(SURD_C.parse("(sqrt(8))+(sqrt(9))i")) == "(2*sqrt(2))+(3)i"
+        with pytest.raises(ValueError):
+            SURD.parse("sqrt(-2)")
+
+    @given(surds(), st.integers(min_value=1, max_value=12))
+    def test_scaled_radicands_parse_to_the_same_surd(self, x, s):
+        terms = [f"{q / s}*sqrt({d * s * s})" for d, q in x.terms]
+        text = "".join(t if t.startswith("-") else "+" + t for t in terms) or "0"
+        assert SURD.parse(text) == x
+        assert SURD.format(SURD.parse(SURD.format(x))) == SURD.format(x)
+
     @given(surds(), surds())
     def test_surd_complex_roundtrip(self, re, im):
         x = SurdComplex(re, im)

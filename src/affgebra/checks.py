@@ -628,8 +628,12 @@ def replay(report_doc: dict) -> CheckReport:
     ce = report_doc.get("counterexample")
     if not ce:
         raise ValueError("report has no counterexample to replay")
+    if not isinstance(ce, dict):
+        raise MalformedWire(f"{check} counterexample must be a JSON object")
     if ce.get("class") is None:
         raise ValueError("counterexample from a custom carrier cannot be replayed")
+    if not isinstance(ce["class"], dict):
+        raise MalformedWire(f"{check} counterexample: class must be a JSON object")
     spec = spec_from_wire(ce["class"])
     inputs_doc = ce.get("inputs")
     if check == "theorem-iso":

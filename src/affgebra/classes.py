@@ -262,8 +262,7 @@ def _check_solvable(spec: MatrixClassSpec) -> None:
         )
 
 
-@lru_cache(maxsize=None)
-def subspace(spec: MatrixClassSpec) -> AffineSubspace:
+def _solve(spec: MatrixClassSpec) -> AffineSubspace:
     # surface the characteristic obstruction before solving: sampling and
     # dimensions are only offered where the base point exists
     base_point(spec)
@@ -271,10 +270,17 @@ def subspace(spec: MatrixClassSpec) -> AffineSubspace:
     return solve_affine_system(constraints, spec.ambient, spec.field, realify=realify)
 
 
+@lru_cache(maxsize=None)
+def subspace(spec: MatrixClassSpec) -> AffineSubspace:
+    """The class as a particular solution plus direction matrices.
+    Sampling and ``dimension`` do not go through this cache."""
+    return _solve(spec)
+
+
 def dimension(spec: MatrixClassSpec) -> int:
     """Dimension of the direction space (real dimension for the
     realified hermitian-type classes)."""
-    return subspace(spec).dimension
+    return _sampling_data(spec)[0]
 
 
 def derive_rng(*parts) -> random.Random:
@@ -285,13 +291,14 @@ def derive_rng(*parts) -> random.Random:
 
 @lru_cache(maxsize=None)
 def _sampling_data(spec: MatrixClassSpec):
-    """Particular solution and direction generators as flat integer
-    vectors over one common denominator, laid out as in
-    ``Matrix.integer_form``, so each sample is a single integer
-    accumulation pass.  With complex coefficients each direction v
-    contributes the generators v and i*v, one per part of its
-    coefficient."""
-    space = subspace(spec)
+    """(dimension, realified, den, part, gens): the particular solution
+    and the direction generators as flat integer vectors over one
+    common denominator, laid out as in ``Matrix.integer_form``, so each
+    sample is a single integer accumulation pass.  With complex
+    coefficients each direction v contributes the generators v and i*v,
+    one per part of its coefficient.  Only these integers are kept; the
+    solver's matrices are dropped."""
+    space = _solve(spec)
     forms = [mat.integer_form() for mat in (space.particular, *space.directions)]
     den = lcm(*(d for _, d in forms))
     vecs = [[x * (den // d) for x in nums] for nums, d in forms]
@@ -300,15 +307,15 @@ def _sampling_data(spec: MatrixClassSpec):
         mm = spec.ambient ** 2
         dirs = [g for v in dirs for g in (v, [-x for x in v[mm:]] + v[:mm])]
     gens = tuple(tuple((k, x) for k, x in enumerate(v) if x) for v in dirs)
-    return space, den, tuple(part), gens
+    return space.dimension, space.realified, den, tuple(part), gens
 
 
 def draw_element(spec: MatrixClassSpec, rng: random.Random) -> Matrix:
     """Particular solution plus a random small-rational combination of
     the direction space."""
-    space, den, part, gens = _sampling_data(spec)
-    coeff_field = QQ if space.realified else spec.field
-    coeffs = [coeff_field.sample(rng) for _ in space.directions]
+    dim, realified, den, part, gens = _sampling_data(spec)
+    coeff_field = QQ if realified else spec.field
+    coeffs = [coeff_field.sample(rng) for _ in range(dim)]
     if coeff_field.characteristic:
         seen, ints = 1, [c.residue for c in coeffs]
     else:

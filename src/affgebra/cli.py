@@ -10,6 +10,7 @@ The default seed comes from the AFFGEBRA_SEED environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ import sys
 from .affine import COMMUTATOR, Zeta, bracket, lie_retract_bracket
 from .checks import CATALOGUE, all_passed, applicable_checks, replay, run_check, run_corollary
 from .classes import ClassKind, MatrixClassSpec, dimension, sample, spec_to_wire
-from .errors import AffgebraError
+from .errors import AffgebraError, MalformedWire
 from .matrix import common_field, matrix_from_wire, matrix_to_wire
 from .scalars import field_by_tag
 from .transforms import (
@@ -82,12 +83,18 @@ def _emit(doc: dict) -> None:
 
 
 def _load_json_arg(text: str) -> dict:
+    """A JSON object given inline, as a file path, or as - for stdin.
+    Text that starts with { or [ (after blanks) is inline."""
     if text == "-":
-        return json.load(sys.stdin)
-    if text.lstrip().startswith("{"):
-        return json.loads(text)
-    with open(text, encoding="utf-8") as handle:
-        return json.load(handle)
+        doc = json.load(sys.stdin)
+    elif text.lstrip().startswith(("{", "[")):
+        doc = json.loads(text)
+    else:
+        with open(text, encoding="utf-8") as handle:
+            doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise MalformedWire(f"the document must be a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _cmd_verify(args) -> int:
@@ -184,7 +191,12 @@ def _cmd_replay(args) -> int:
     return 0 if not report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later call in the process.  Callers must not mutate it.  No default
+    reads the environment: ``--seed`` falls back to AFFGEBRA_SEED when a
+    command runs, not when the parser is built."""
     parser = argparse.ArgumentParser(
         prog="affgebra",
         description="exact verification of normalised affine matrix classes, "
@@ -248,8 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except AffgebraError as exc:

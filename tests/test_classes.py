@@ -15,6 +15,7 @@ from affgebra.classes import (
     spec_from_wire,
     spec_to_wire,
     subspace,
+    _sampling_data,
 )
 from affgebra.errors import FieldMismatch, NonInvertibleScalar, SizeMismatch
 from affgebra.matrix import Matrix
@@ -153,6 +154,31 @@ class TestDimension:
     def test_over_prime_field(self):
         assert dimension(spec(ClassKind.GNA, 3, GF(7))) == 9
         assert dimension(spec(ClassKind.SNA, 3, GF(7))) == 8
+
+    def test_agrees_with_the_solved_subspace(self):
+        # gna/sna over Qi have complex coefficients, so the sampling data
+        # holds two generators per direction; the dimension must not double
+        fields = {
+            ClassKind.GNA: (QQ, QI, GF(7)),
+            ClassKind.SNA: (QQ, QI, GF(7)),
+            ClassKind.ONA: (QQ,),
+            ClassKind.UNA: (QI,),
+            ClassKind.SUNA: (QI,),
+            ClassKind.GA_C: (QQ, QI, GF(7)),
+        }
+        for kind, kind_fields in fields.items():
+            for field in kind_fields:
+                for n in range(1, 6):
+                    s = spec(kind, n, field, c=field.coerce(3) if kind is ClassKind.GA_C else None)
+                    assert dimension(s) == subspace(s).dimension, s.describe()
+
+    def test_sampling_and_dimension_leave_the_subspace_cache_empty(self):
+        subspace.cache_clear()
+        _sampling_data.cache_clear()  # so both calls solve afresh
+        for s in (spec(ClassKind.GNA, 3, QI), spec(ClassKind.UNA, 2), spec(ClassKind.SNA, 4, GF(7))):
+            dimension(s)
+            sample(s, 0, 0)
+        assert subspace.cache_info().currsize == 0
 
 
 class TestSampling:

@@ -1,3 +1,4 @@
+import io
 import json
 import shutil
 import subprocess
@@ -6,7 +7,7 @@ import pytest
 
 from affgebra.checks import run_check
 from affgebra.classes import ClassKind, MatrixClassSpec
-from affgebra.cli import main
+from affgebra.cli import build_parser, main
 from affgebra.affine import COMMUTATOR
 from affgebra.matrix import Matrix, matrix_from_wire, matrix_to_wire
 from affgebra.scalars import QQ
@@ -324,6 +325,68 @@ class TestReplay:
             assert (code, out) == (2, "")
             assert err.startswith(f"error: MalformedWire: {check} counterexample")
             assert want in err and err.count("\n") == 1
+
+    def test_replay_of_a_counterexample_that_is_not_an_object(self, capsys):
+        doc = {"check": "closure", "passed": False, "trials": 1, "counterexample": "x"}
+        code, out, err = run_cli(capsys, "replay", json.dumps(doc))
+        assert (code, out) == (2, "")
+        assert err == "error: MalformedWire: closure counterexample must be a JSON object\n"
+
+    def test_replay_of_a_class_that_is_not_an_object(self, capsys):
+        doc = {"check": "closure", "counterexample": {"class": 5, "inputs": {}}}
+        code, out, err = run_cli(capsys, "replay", json.dumps(doc))
+        assert (code, out) == (2, "")
+        assert err == "error: MalformedWire: closure counterexample: class must be a JSON object\n"
+
+    def test_inline_json_that_is_not_an_object(self, capsys):
+        for text in ("[1]", " [1, 2]", "[]"):
+            code, out, err = run_cli(capsys, "replay", text)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: MalformedWire: the document must be a JSON object, got ")
+            assert err.count("\n") == 1
+
+    def test_file_and_stdin_documents_that_are_not_objects(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        code, out, err = run_cli(capsys, "replay", str(path))
+        assert (code, out, err) == (2, "", "error: MalformedWire: the document must be a JSON object, got list\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO("3"))
+        code, out, err = run_cli(capsys, "replay", "-")
+        assert (code, out, err) == (2, "", "error: MalformedWire: the document must be a JSON object, got int\n")
+
+    def test_stdin_report(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(self._failing_report().to_wire())))
+        code, out, _ = run_cli(capsys, "replay", "-")
+        assert code == 0 and json.loads(out)["passed"] is False
+
+
+class TestParserReuse:
+    BRACKET = ("bracket", json.dumps(matrix_to_wire(CYCLE)), json.dumps(matrix_to_wire(SWAP)))
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_usage_error_leaves_the_parser_as_it_was(self, capsys):
+        build_parser.cache_clear()
+        first = run_cli(capsys, *self.BRACKET)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bracket", "--bracket"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
+        again = run_cli(capsys, *self.BRACKET)
+        assert first[0] == 0 and first[2] == ""
+        assert again == first
+
+    def test_default_seed_is_read_per_call(self, capsys, monkeypatch):
+        args = ("sample", "--class", "gna", "--n", "2", "--count", "2")
+        outs = {}
+        for seed in ("5", "6"):
+            monkeypatch.setenv("AFFGEBRA_SEED", seed)
+            code, outs[seed], _ = run_cli(capsys, *args)
+            assert code == 0
+        for seed, out in outs.items():
+            assert run_cli(capsys, *args, "--seed", seed)[1] == out
+        assert outs["5"] != outs["6"]
 
 
 class TestConsoleScript:

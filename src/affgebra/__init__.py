@@ -34,6 +34,7 @@ from .checks import (
     run_corollary,
 )
 from .classes import (
+    MAX_N,
     ClassKind,
     MatrixClassSpec,
     base_point,

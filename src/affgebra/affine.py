@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotIdempotent
+from .errors import MalformedWire, NotIdempotent, wire_field
 from .matrix import Matrix, combine, commutator_shift
 from .scalars import Field, QI, QQ
 
@@ -173,8 +173,11 @@ def kind_to_wire(kind: BracketKind, field: Field) -> dict:
 
 
 def kind_from_wire(doc: dict, field: Field) -> BracketKind:
-    if doc["kind"] == "commutator":
+    if not isinstance(doc, dict):
+        raise MalformedWire(f"a bracket must be a JSON object, got {type(doc).__name__}")
+    kind = wire_field(doc, "kind", str, "bracket")
+    if kind == "commutator":
         return COMMUTATOR
-    if doc["kind"] == "zeta":
-        return Zeta(field.parse(doc["zeta"]))
-    raise ValueError(f"unknown bracket kind {doc['kind']!r}")
+    if kind == "zeta":
+        return Zeta(field.parse(wire_field(doc, "zeta", str, "bracket")))
+    raise ValueError(f"unknown bracket kind {kind!r}")

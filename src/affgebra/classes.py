@@ -19,10 +19,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, reduce
-from math import lcm
+from functools import lru_cache
 
-from .errors import FieldMismatch, SizeMismatch
+from .errors import FieldMismatch, MalformedWire, SizeMismatch, wire_field
 from .matrix import Matrix
 from .scalars import (
     Field,
@@ -31,6 +30,7 @@ from .scalars import (
     SURD,
     SURD_C,
     can_widen,
+    common_denominator,
     field_by_tag,
     widen_scalar,
 )
@@ -50,6 +50,12 @@ _REAL_ONLY = (ClassKind.ONA,)
 _COMPLEX_ONLY = (ClassKind.UNA, ClassKind.SUNA)
 _TRACELESS = (ClassKind.SNA, ClassKind.SUNA)
 
+# The largest block size n of a class: above every size the tests, the
+# acceptance criteria and the benchmark use (n <= 9), and small enough
+# that solving una(MAX_N), the largest system, stays well under a
+# second.  A fixed bound, not an option.
+MAX_N = 16
+
 
 @dataclass(frozen=True)
 class MatrixClassSpec:
@@ -59,8 +65,10 @@ class MatrixClassSpec:
     c: object = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("block size n must be at least 1")
+        if type(self.n) is not int:
+            raise TypeError(f"block size n must be an int, got {type(self.n).__name__}")
+        if not 1 <= self.n <= MAX_N:
+            raise ValueError(f"block size n must be between 1 and {MAX_N}, got {self.n}")
         if self.kind in _REAL_ONLY:
             if self.field not in (QQ, SURD):
                 raise FieldMismatch(f"{self.kind.value} needs a real field")
@@ -272,8 +280,9 @@ def _solve(spec: MatrixClassSpec) -> AffineSubspace:
 
 @lru_cache(maxsize=None)
 def subspace(spec: MatrixClassSpec) -> AffineSubspace:
-    """The class as a particular solution plus direction matrices.
-    Sampling and ``dimension`` do not go through this cache."""
+    """The class as a particular solution plus direction matrices (built
+    from the solver's integer forms on first read).  Sampling and
+    ``dimension`` do not go through this cache."""
     return _solve(spec)
 
 
@@ -291,23 +300,19 @@ def derive_rng(*parts) -> random.Random:
 
 @lru_cache(maxsize=None)
 def _sampling_data(spec: MatrixClassSpec):
-    """(dimension, realified, den, part, gens): the particular solution
-    and the direction generators as flat integer vectors over one
-    common denominator, laid out as in ``Matrix.integer_form``, so each
+    """(dimension, realified, den, part, gens): the solver's particular
+    solution and direction generators, flat integer vectors over its one
+    common denominator laid out as in ``Matrix.integer_form``, so each
     sample is a single integer accumulation pass.  With complex
     coefficients each direction v contributes the generators v and i*v,
-    one per part of its coefficient.  Only these integers are kept; the
-    solver's matrices are dropped."""
+    one per part of its coefficient.  Only these integers are kept."""
     space = _solve(spec)
-    forms = [mat.integer_form() for mat in (space.particular, *space.directions)]
-    den = lcm(*(d for _, d in forms))
-    vecs = [[x * (den // d) for x in nums] for nums, d in forms]
-    part, dirs = vecs[0], vecs[1:]
+    dirs = space.direction_forms
     if spec.field is QI and not space.realified:
         mm = spec.ambient ** 2
-        dirs = [g for v in dirs for g in (v, [-x for x in v[mm:]] + v[:mm])]
+        dirs = [g for v in dirs for g in (v, (*(-x for x in v[mm:]), *v[:mm]))]
     gens = tuple(tuple((k, x) for k, x in enumerate(v) if x) for v in dirs)
-    return space.dimension, space.realified, den, tuple(part), gens
+    return space.dimension, space.realified, space.den, space.particular_form, gens
 
 
 def draw_element(spec: MatrixClassSpec, rng: random.Random) -> Matrix:
@@ -321,8 +326,7 @@ def draw_element(spec: MatrixClassSpec, rng: random.Random) -> Matrix:
     else:
         if coeff_field is QI:
             coeffs = [r for c in coeffs for r in (c.re, c.im)]
-        seen = reduce(lcm, (int(c.denominator) for c in coeffs), 1)
-        ints = [int(c.numerator) * (seen // int(c.denominator)) for c in coeffs]
+        ints, seen = common_denominator(coeffs)
     acc = [x * seen for x in part]
     for f, gen in zip(ints, gens):
         if f:
@@ -349,10 +353,13 @@ def spec_to_wire(spec: MatrixClassSpec) -> dict:
 
 
 def spec_from_wire(doc: dict) -> MatrixClassSpec:
-    field = field_by_tag(doc["field"], doc.get("p"))
+    if not isinstance(doc, dict):
+        raise MalformedWire(f"a class must be a JSON object, got {type(doc).__name__}")
+    kind, n, tag = (wire_field(doc, name, t, "class") for name, t in (("kind", str), ("n", int), ("field", str)))
+    field = field_by_tag(tag, doc.get("p"))
     return MatrixClassSpec(
-        kind=ClassKind(doc["kind"]),
-        n=doc["n"],
+        kind=ClassKind(kind),
+        n=n,
         field=field,
         c=field.parse(doc["c"]) if "c" in doc else None,
     )

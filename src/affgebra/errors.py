@@ -47,5 +47,17 @@ class MalformedWire(AffgebraError, ValueError):
     """A wire document or scalar has the wrong JSON type or shape."""
 
 
+def wire_field(doc: dict, name: str, kind: type, what: str):
+    """``doc[name]`` of the JSON type ``kind`` (``str`` or ``int``; a
+    bool is not an int); MalformedWire naming the field of the ``what``
+    document otherwise."""
+    if name not in doc:
+        raise MalformedWire(f"{what} lacks field {name!r}")
+    value = doc[name]
+    if type(value) is not kind:
+        raise MalformedWire(f"{what} field {name!r} must be {kind.__name__}, got {type(value).__name__} {value!r}")
+    return value
+
+
 class UnknownCheck(AffgebraError, KeyError):
     """Check identifier not present in the catalogue."""

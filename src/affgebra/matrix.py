@@ -10,7 +10,8 @@ equal to 1; over GF(p) it holds the residues in [0, p) over denominator
 1.  Equal matrices have equal forms, so equality is one list compare,
 and the heap, the action, the affine commutator, the sum, the difference
 and the product are integer loops with one normalisation per result
-(``combine``, ``commutator_shift``, ``sandwich``, ``@``).  Their results
+(``combine``, ``commutator_shift``, ``sandwich``, ``@``); the inverse
+is the integer elimination of ``solve.row_reduce``.  Their results
 carry the form and still hold canonical scalar entries.  Every other
 field, and the other operations here, go through the entry types.  The
 numerators are a list, never mutated, and gcd/lcm fold over them with
@@ -33,6 +34,7 @@ from .scalars import (
     QI,
     QQ,
     can_widen,
+    common_denominator,
     field_by_tag,
     widen_scalar,
 )
@@ -137,10 +139,8 @@ class Matrix:
             else:
                 if self.field is QI:
                     flat = [x.re for x in flat] + [x.im for x in flat]
-                dens = [int(x.denominator) for x in flat]
-                den = reduce(lcm, dens)
-                # den is the least common denominator, so the form is reduced
-                form = [int(x.numerator) * (den // d) for x, d in zip(flat, dens)], den
+                # over the least common denominator, so the form is reduced
+                form = common_denominator(flat)
             object.__setattr__(self, "_form", form)
         return form
 
@@ -234,23 +234,34 @@ class Matrix:
         return acc
 
     def inverse(self) -> Matrix:
-        """Exact Gauss-Jordan inverse, first-nonzero pivoting."""
-        m = self.size
-        field = self.field
-        aug = [list(row) + list(ident) for row, ident in zip(self.rows, Matrix.identity(field, m).rows)]
-        for col in range(m):
-            pivot = next((r for r in range(col, m) if aug[r][col]), None)
-            if pivot is None:
-                raise SingularMatrix(f"no pivot in column {col}")
-            if pivot != col:
-                aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = field.one() / aug[col][col]
-            aug[col] = [inv * x for x in aug[col]]
-            for r in range(m):
-                if r != col and aug[r][col]:
-                    factor = aug[r][col]
-                    aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-        return Matrix._wrap(field, tuple(tuple(row[m:]) for row in aug))
+        """Exact inverse over Q, GF(p) and Q(i): ``solve.row_reduce`` on
+        the integer rows of [A | I].  Over Q(i), A = X + iY is inverted
+        as the real block matrix [[X, -Y], [Y, X]], whose inverse is the
+        block matrix of A⁻¹.  SingularMatrix names the first column
+        without a pivot (over Q(i), a column of the block matrix);
+        FieldMismatch over the surd fields."""
+        from .solve import row_reduce  # solve builds on this module
+
+        field, m = self.field, self.size
+        if not field.has_integer_form:
+            raise FieldMismatch(f"no inverse over {field.describe()}")
+        nums, den = self.integer_form()
+        a = [nums[i : i + m] for i in range(0, m * m, m)]
+        if field is QI:
+            y = [nums[i : i + m] for i in range(m * m, 2 * m * m, m)]
+            a = [r + [-v for v in s] for r, s in zip(a, y)] + [s + r for r, s in zip(a, y)]
+        k = len(a)
+        # den * [A | I]; elimination leaves [diag(a_i) | diag(a_i) * A⁻¹]
+        rows = [row + [den if j == i else 0 for j in range(k)] for i, row in enumerate(a)]
+        pivots = row_reduce(rows, k, field.characteristic)
+        if len(pivots) < k:
+            col = next((c for c, q in enumerate(pivots) if c != q), len(pivots))
+            raise SingularMatrix(f"no pivot in column {col}")
+        d = reduce(lcm, (row[i] for i, row in enumerate(rows)), 1)
+        # over Q(i) the left column of blocks holds the real and then the
+        # imaginary part of A⁻¹
+        inv = [x * (d // row[i]) for i, row in enumerate(rows) for x in row[k : k + m]]
+        return Matrix.from_integer_form(field, m, inv, d)
 
     def widen(self, field: Field) -> Matrix:
         if field is self.field:

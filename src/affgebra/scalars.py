@@ -22,7 +22,8 @@ stdlib Fractions everywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import lcm
 
 from .errors import (
     DivisionByZero,
@@ -44,6 +45,14 @@ RATIONAL_TYPES = (int, Fraction, _RAT_T)
 def as_rational(x):
     """Canonical internal rational from int / Fraction / native rational."""
     return x if type(x) is _RAT_T else RAT(x)
+
+
+def common_denominator(values) -> tuple[list[int], int]:
+    """(numerators, den): the rationals ``values`` (ints allowed) as
+    integers over their least common denominator, 1 for no values."""
+    dens = [int(x.denominator) for x in values]
+    den = reduce(lcm, dens, 1)
+    return [int(x.numerator) * (den // d) for x, d in zip(values, dens)], den
 
 
 def _parse_rational(s: str):

@@ -7,70 +7,119 @@ anti-hermitianity) the unknowns are the rational real/imaginary parts of
 each entry and ``coeffs`` maps ``(i, j, part)`` with part 0 = re,
 part 1 = im; the carrier field must then be the Gaussian rationals.
 
-The result is an affine parameterisation: one particular solution plus
-an independent spanning set of the homogeneous solution space.
+Elimination runs on integer rows (``row_reduce``, which also carries
+``Matrix.inverse``): over Q, and over the rational parts of a realified
+system, each row is scaled to integers; over GF(p) the rows hold
+residues.  Over Q(i) without realification the coefficients must be
+rational (every system ``classes.constraint_system`` builds is), and
+the right-hand side is carried as two integer columns, its real and its
+imaginary part.  A non-real coefficient there, and the surd fields,
+raise FieldMismatch.
+
+The result is an affine parameterisation: the particular solution with
+every free unknown 0, and one direction per free unknown (that unknown
+1, the other free ones 0), in the order of the free unknowns.  These are
+read off the reduced row echelon form, which is unique, so they depend
+only on the solution space and the order of the unknowns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from math import gcd, lcm
 
 from .errors import FieldMismatch, Infeasible
 from .matrix import Matrix
-from .scalars import Field, GaussianRational, QI, QQ
+from .scalars import Field, QI, QQ, common_denominator
 
 
 @dataclass(frozen=True)
 class AffineSubspace:
-    particular: Matrix
-    directions: tuple[Matrix, ...]
+    """particular + span(directions).  The particular solution and each
+    direction are integer forms over the one positive denominator
+    ``den``, laid out as in ``Matrix.integer_form`` (over GF(p),
+    residues over 1) but not reduced; ``particular`` and ``directions``
+    build the matrices from them on first read."""
+
+    field: Field
+    size: int
+    den: int
+    particular_form: tuple[int, ...]
+    direction_forms: tuple[tuple[int, ...], ...]
     realified: bool
 
     @property
     def dimension(self) -> int:
-        return len(self.directions)
+        return len(self.direction_forms)
+
+    @cached_property
+    def particular(self) -> Matrix:
+        return Matrix.from_integer_form(self.field, self.size, self.particular_form, self.den)
+
+    @cached_property
+    def directions(self) -> tuple[Matrix, ...]:
+        return tuple(
+            Matrix.from_integer_form(self.field, self.size, v, self.den) for v in self.direction_forms
+        )
 
 
 def solve_affine_system(constraints, size: int, field: Field, realify: bool = False) -> AffineSubspace:
     if realify and field is not QI:
         raise FieldMismatch("realified systems are solved over the Gaussian rationals")
-    solve_field = QQ if realify else field
-    ncols = 2 * size * size if realify else size * size
+    if not field.has_integer_form:
+        raise FieldMismatch(f"linear systems are solved over Q, Q(i) and GF(p), not {field.describe()}")
+    p = field.characteristic
+    split = field is QI and not realify  # rational coefficients, complex right-hand side
+    scalar = QQ if realify else field
+    mm = size * size
+    ncols = 2 * mm if realify else mm
 
     rows = []
     for coeffs, rhs in constraints:
-        row = [solve_field.zero()] * ncols + [solve_field.coerce(rhs)]
+        row = [0] * ncols
         for pos, c in coeffs.items():
-            row[_flat_index(pos, size, realify)] = solve_field.coerce(c)
-        rows.append(row)
+            c = scalar.coerce(c)
+            if split:
+                if c.im:
+                    raise FieldMismatch("a system over Q(i) needs rational coefficients unless realified")
+                c = c.re
+            row[_flat_index(pos, size, realify)] = c.residue if p else c
+        rhs = scalar.coerce(rhs)
+        if split:
+            row += (rhs.re, rhs.im)
+        else:
+            row.append(rhs.residue if p else rhs)
+        rows.append(row if p else common_denominator(row)[0])
 
-    pivots = _rref(rows, ncols, solve_field)
+    pivots = row_reduce(rows, ncols, p)
     rank = len(pivots)
-    for row in rows[rank:]:
-        if row[-1]:
-            raise Infeasible("inconsistent constraint system")
+    if any(any(row[ncols:]) for row in rows[rank:]):
+        raise Infeasible("inconsistent constraint system")
 
-    zero = solve_field.zero()
-    particular = [zero] * ncols
-    for r, c in enumerate(pivots):
-        particular[c] = rows[r][-1]
+    # pivot row r stands for row / a_r; s_r = den / a_r scales it to den
+    den = reduce(lcm, (row[c] for c, row in zip(pivots, rows)), 1)
+    pivot_rows = [(c, row, den // row[c]) for c, row in zip(pivots, rows)]
+    # form index of each unknown: realified unknowns interleave re and im
+    where = [k % 2 * mm + k // 2 for k in range(ncols)] if realify else range(ncols)
+    width = 2 * mm if field is QI else mm
 
-    pivot_set = set(pivots)
+    particular = [0] * width
+    for c, row, s in pivot_rows:
+        particular[where[c]] = row[ncols] * s
+        if split:
+            particular[mm + c] = row[ncols + 1] * s
     directions = []
+    pivot_set = set(pivots)
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [zero] * ncols
-        vec[free] = solve_field.one()
-        for r, c in enumerate(pivots):
-            vec[c] = -rows[r][free]
-        directions.append(vec)
-
-    build = _vector_to_matrix_realified if realify else _vector_to_matrix
-    return AffineSubspace(
-        particular=build(particular, size, field),
-        directions=tuple(build(v, size, field) for v in directions),
-        realified=realify,
-    )
+        vec = [0] * width
+        vec[where[free]] = den
+        for c, row, s in pivot_rows:
+            if row[free]:
+                vec[where[c]] = -row[free] * s % p if p else -row[free] * s
+        directions.append(tuple(vec))
+    return AffineSubspace(field, size, den, tuple(particular), tuple(directions), realify)
 
 
 def _flat_index(pos, size: int, realify: bool) -> int:
@@ -81,38 +130,47 @@ def _flat_index(pos, size: int, realify: bool) -> int:
     return i * size + j
 
 
-def _rref(rows, ncols: int, field: Field) -> list[int]:
-    """In-place reduced row echelon form; returns pivot column indices."""
+def row_reduce(rows, ncols: int, p: int = 0) -> list[int]:
+    """Gauss-Jordan elimination in place on integer rows, returning the
+    pivot columns; rows[r] is the row of pivot r.  Pivots are taken in
+    the first ``ncols`` columns, in order, from the first row with a
+    nonzero entry; later columns are carried along.
+
+    Over GF(p) (p > 0) the entries are residues and every pivot is 1.
+    Over Q (p = 0) a row stands for itself divided by its pivot: rows
+    are updated fraction-free, row_k <- a*row_k - b*row_r with a the
+    pivot and b row_k's entry under it (Bareiss 1968), and each row is
+    kept primitive (the gcd of its entries is 1), which keeps the
+    integers small.
+    """
+    if not p:
+        rows[:] = [_primitive(row) for row in rows]
     pivots = []
     r = 0
     for c in range(ncols):
+        if r == len(rows):
+            break
         pivot = next((k for k in range(r, len(rows)) if rows[k][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.one() / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c]:
-                f = rows[k][c]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        prow = rows[r]
+        a = prow[c]
+        if p and a != 1:
+            inv = pow(a, -1, p)
+            prow = rows[r] = [x * inv % p for x in prow]
+        for k, row in enumerate(rows):
+            b = row[c]
+            if b and k != r:
+                if p:
+                    rows[k] = [(x - b * y) % p for x, y in zip(row, prow)]
+                else:
+                    rows[k] = _primitive([a * x - b * y for x, y in zip(row, prow)])
         pivots.append(c)
         r += 1
-        if r == len(rows):
-            break
     return pivots
 
 
-def _vector_to_matrix(vec, size: int, field: Field) -> Matrix:
-    return Matrix(field, [vec[i * size : (i + 1) * size] for i in range(size)])
-
-
-def _vector_to_matrix_realified(vec, size: int, field: Field) -> Matrix:
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            k = (i * size + j) * 2
-            row.append(GaussianRational(vec[k], vec[k + 1]))
-        rows.append(row)
-    return Matrix(field, rows)
+def _primitive(row: list[int]) -> list[int]:
+    g = reduce(gcd, row)
+    return [x // g for x in row] if g > 1 else row

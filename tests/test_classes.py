@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from affgebra.affine import COMMUTATOR, Zeta, action, bracket, heap
 from affgebra.classes import (
+    MAX_N,
     ClassKind,
     MatrixClassSpec,
     base_point,
@@ -36,6 +37,15 @@ class TestSpecValidation:
             MatrixClassSpec(ClassKind.UNA, 2, QQ)
         with pytest.raises(FieldMismatch):
             MatrixClassSpec(ClassKind.GNA, 2, SURD)
+
+    def test_block_size_is_an_int_from_1_to_max_n(self):
+        assert MatrixClassSpec(ClassKind.GNA, MAX_N, QQ).n == MAX_N
+        for n in (0, -1, MAX_N + 1):
+            with pytest.raises(ValueError):
+                MatrixClassSpec(ClassKind.GNA, n, QQ)
+        for n in (True, "2", 2.0):
+            with pytest.raises(TypeError):
+                MatrixClassSpec(ClassKind.GNA, n, QQ)
 
     def test_ga_c_scalar(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import subprocess
 import pytest
 
 from affgebra.checks import run_check
-from affgebra.classes import ClassKind, MatrixClassSpec
+from affgebra.classes import MAX_N, ClassKind, MatrixClassSpec
 from affgebra.cli import build_parser, main
 from affgebra.affine import COMMUTATOR
 from affgebra.matrix import Matrix, matrix_from_wire, matrix_to_wire
@@ -223,6 +223,12 @@ class TestDims:
             assert code == 0
             assert int(out.strip()) == expected
 
+    def test_block_size_above_the_bound_is_usage_error(self, capsys):
+        for command in (("dims",), ("sample", "--seed", "1")):
+            code, out, err = run_cli(capsys, *command, "--class", "una", "--n", str(MAX_N + 1))
+            assert (code, out) == (2, "")
+            assert err == f"error: block size n must be between 1 and {MAX_N}, got {MAX_N + 1}\n"
+
 
 class TestSample:
     def test_deterministic_stream(self, capsys):
@@ -337,6 +343,18 @@ class TestReplay:
         code, out, err = run_cli(capsys, "replay", json.dumps(doc))
         assert (code, out) == (2, "")
         assert err == "error: MalformedWire: closure counterexample: class must be a JSON object\n"
+
+    @pytest.mark.parametrize("where, value, message", [
+        ("class", {"kind": "gna", "n": "2", "field": "Q"}, "class field 'n' must be int, got str '2'"),
+        ("bracket", 5, "a bracket must be a JSON object, got int"),
+        ("class", {}, "class lacks field 'kind'"),
+    ], ids=["string n", "bracket not an object", "empty class"])
+    def test_replay_of_wrongly_typed_fields(self, capsys, where, value, message):
+        wire = json.loads(json.dumps(self._failing_report().to_wire()))
+        wire["counterexample"][where] = value
+        code, out, err = run_cli(capsys, "replay", json.dumps(wire))
+        assert (code, out) == (2, "")
+        assert err == f"error: MalformedWire: {message}\n"
 
     def test_inline_json_that_is_not_an_object(self, capsys):
         for text in ("[1]", " [1, 2]", "[]"):

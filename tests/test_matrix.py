@@ -134,6 +134,52 @@ class TestInverse:
             assume(False)
         assert inv @ a == Matrix.identity(GF(7), 3)
 
+    @pytest.mark.parametrize("field", [QQ, GF(7), QI], ids=str)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_entrywise_gauss_jordan(self, field, data):
+        m = data.draw(st.integers(1, 4))
+        entry = sparse_rationals.map(field.coerce)
+        if field is QI:
+            entry = st.builds(GaussianRational, sparse_rationals, sparse_rationals)
+        a = Matrix(field, data.draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m)))
+        try:
+            want = entrywise_inverse(a)
+        except SingularMatrix:
+            with pytest.raises(SingularMatrix):
+                a.inverse()
+            return
+        got = a.inverse()
+        assert got == want and matrix_to_wire(got) == matrix_to_wire(want)
+        assert got.rows == want.rows
+
+    def test_surd_fields_are_refused(self):
+        for field in (SURD, SURD_C):
+            with pytest.raises(FieldMismatch):
+                Matrix.identity(field, 2).inverse()
+
+
+# mostly zero, so that singular matrices come up too
+sparse_rationals = st.one_of(st.just(Fraction(0)), st.fractions(-4, 4, max_denominator=4))
+
+
+def entrywise_inverse(a):
+    """Gauss-Jordan on field scalars, first-nonzero pivoting (oracle)."""
+    m, field = a.size, a.field
+    aug = [list(row) + list(ident) for row, ident in zip(a.rows, Matrix.identity(field, m).rows)]
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if aug[r][col]), None)
+        if pivot is None:
+            raise SingularMatrix(f"no pivot in column {col}")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = field.one() / aug[col][col]
+        aug[col] = [inv * x for x in aug[col]]
+        for r in range(m):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return Matrix(field, [row[m:] for row in aug])
+
 
 class TestWireFormat:
     def test_shape(self):

@@ -1,13 +1,33 @@
+"""The exact solver.
+
+``oracle_solve`` is the Gauss-Jordan elimination on field scalars that
+the solver ran before it moved to integer rows; the integer solver must
+give the same particular solution and directions on random systems and
+on every class system.  ``tests/golden/solver.json`` holds the CLI
+output of ``golden_document()`` as computed by that field-scalar solver;
+regenerate it only for an intended change of output with
+
+    PYTHONPATH=src python -c "import json, tests.test_solve as t; \
+print(json.dumps(t.golden_document(), indent=1))" > tests/golden/solver.json
+"""
+import io
+import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affgebra.errors import Infeasible
-from affgebra.matrix import Matrix
-from affgebra.scalars import GF, QI, QQ, GaussianRational
+from affgebra.classes import ClassKind, MatrixClassSpec, constraint_system
+from affgebra.cli import main
+from affgebra.errors import FieldMismatch, Infeasible
+from affgebra.matrix import Matrix, matrix_to_wire
+from affgebra.scalars import GF, QI, QQ, SURD, GaussianRational
 from affgebra.solve import solve_affine_system
+
+GOLDEN = Path(__file__).parent / "golden" / "solver.json"
 
 
 def row_col_sum_constraints(m, value):
@@ -127,7 +147,223 @@ class TestRealified:
                 assert row == QI.imaginary_unit()
 
     def test_realify_requires_gaussian_field(self):
-        from affgebra.errors import FieldMismatch
-
         with pytest.raises(FieldMismatch):
             solve_affine_system([], 2, QQ, realify=True)
+
+
+class TestNarrowedContract:
+    def test_surd_fields_are_refused(self):
+        with pytest.raises(FieldMismatch):
+            solve_affine_system(row_col_sum_constraints(2, 1), 2, SURD)
+
+    def test_non_real_coefficient_over_gaussian_field_is_refused(self):
+        with pytest.raises(FieldMismatch):
+            solve_affine_system([({(0, 0): GaussianRational(1, 1)}, 0)], 2, QI)
+
+    def test_complex_right_hand_side_over_gaussian_field(self):
+        c = GaussianRational(Fraction(1, 2), -3)
+        space = solve_affine_system(row_col_sum_constraints(3, c), 3, QI)
+        assert space.dimension == 4
+        for coeffs, rhs in row_col_sum_constraints(3, c):
+            assert evaluate(coeffs, space.particular) == rhs
+            for d in space.directions:
+                assert evaluate(coeffs, d) == 0
+
+
+# -- the field-scalar solver (oracle) ---------------------------------------
+
+
+def oracle_solve(constraints, size, field, realify=False):
+    """(particular, directions, realified) by Gauss-Jordan elimination on
+    field scalars, with the same unknowns, pivots and free variables as
+    ``solve_affine_system``; Infeasible when inconsistent."""
+    solve_field = QQ if realify else field
+    ncols = 2 * size * size if realify else size * size
+
+    def flat(pos):
+        if realify:
+            i, j, part = pos
+            return (i * size + j) * 2 + part
+        i, j = pos
+        return i * size + j
+
+    rows = []
+    for coeffs, rhs in constraints:
+        row = [solve_field.zero()] * ncols + [solve_field.coerce(rhs)]
+        for pos, c in coeffs.items():
+            row[flat(pos)] = solve_field.coerce(c)
+        rows.append(row)
+
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = solve_field.one() / rows[r][c]
+        rows[r] = [inv * x for x in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][c]:
+                f = rows[k][c]
+                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    if any(row[-1] for row in rows[len(pivots):]):
+        raise Infeasible("inconsistent constraint system")
+
+    zero = solve_field.zero()
+    particular = [zero] * ncols
+    for r, c in enumerate(pivots):
+        particular[c] = rows[r][-1]
+    directions = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [zero] * ncols
+        vec[free] = solve_field.one()
+        for r, c in enumerate(pivots):
+            vec[c] = -rows[r][free]
+        directions.append(vec)
+
+    def build(vec):
+        if realify:
+            vec = [GaussianRational(vec[k], vec[k + 1]) for k in range(0, ncols, 2)]
+        return Matrix(field, [vec[i * size : (i + 1) * size] for i in range(size)])
+
+    return build(particular), tuple(build(v) for v in directions), realify
+
+
+def assert_matches_oracle(constraints, size, field, realify=False):
+    try:
+        want = oracle_solve(constraints, size, field, realify)
+    except Infeasible:
+        with pytest.raises(Infeasible):
+            solve_affine_system(constraints, size, field, realify)
+        return
+    space = solve_affine_system(constraints, size, field, realify)
+    got = (space.particular, space.directions, space.realified)
+    assert got[2] is want[2]
+    assert got[0] == want[0] and got[1] == want[1]
+    wire = lambda mats: [matrix_to_wire(m) for m in mats]  # noqa: E731
+    assert wire((got[0], *got[1])) == wire((want[0], *want[1]))
+    assert space.dimension == len(want[1])
+
+
+# (field, realify) of each system kind the oracle property covers
+SYSTEM_KINDS = {
+    "Q": (QQ, False),
+    "GF(7)": (GF(7), False),
+    "GF(101)": (GF(101), False),
+    "Qi realified": (QI, True),
+    "Qi, complex rhs": (QI, False),
+}
+
+
+@st.composite
+def sparse_systems(draw, field, realify):
+    """A random sparse system on size x size matrices (size 1..4); about
+    half the equations hold at a hidden point, the rest have a random
+    right-hand side."""
+    size = draw(st.integers(1, 4))
+    cells = [(i, j) for i in range(size) for j in range(size)]
+    unknowns = [(i, j, part) for i, j in cells for part in (0, 1)] if realify else cells
+    if field.characteristic:
+        value = st.integers(-12, 12)
+        nonzero = value.filter(lambda x: x % field.p)
+    else:
+        value = st.fractions(-3, 3, max_denominator=4)
+        nonzero = value.filter(bool)
+    scalar = QQ if realify else field
+    if scalar is QI:
+        entry = st.builds(GaussianRational, value, value)
+    else:
+        entry = value.map(scalar.coerce)
+    point = {u: draw(entry) for u in unknowns}
+    constraints = []
+    for _ in range(draw(st.integers(1, len(unknowns) + 2))):
+        keys = draw(st.lists(st.sampled_from(unknowns), min_size=1, max_size=3, unique=True))
+        coeffs = {k: draw(nonzero) for k in keys}
+        if draw(st.booleans()):
+            rhs = sum((scalar.coerce(c) * point[k] for k, c in coeffs.items()), scalar.zero())
+        else:
+            rhs = draw(entry)
+        constraints.append((coeffs, rhs))
+    return size, constraints
+
+
+class TestAgainstFieldScalarOracle:
+    @pytest.mark.parametrize("name", SYSTEM_KINDS)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_random_sparse_systems(self, name, data):
+        field, realify = SYSTEM_KINDS[name]
+        size, constraints = data.draw(sparse_systems(field, realify))
+        assert_matches_oracle(constraints, size, field, realify)
+
+    def test_dependent_and_inconsistent_rows(self):
+        rows = row_col_sum_constraints(3, 1)
+        for field in (QQ, GF(7), QI):
+            assert_matches_oracle(rows + rows[:2], 3, field)
+            assert_matches_oracle(rows + [(rows[0][0], 2)], 3, field)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_class_system(self, n):
+        for s in class_specs(n):
+            constraints, realify = constraint_system(s)
+            assert_matches_oracle(constraints, s.ambient, s.field, realify)
+
+
+def class_specs(n):
+    """Every class: gna/sna/ga_c over Q, Q(i) and GF(7); ona; una/suna."""
+    c = {QQ: Fraction(2, 3), QI: GaussianRational(1, 2), GF(7): 3}
+    for field in c:
+        for kind in (ClassKind.GNA, ClassKind.SNA, ClassKind.GA_C):
+            yield MatrixClassSpec(kind, n, field, c=c[field] if kind is ClassKind.GA_C else None)
+    yield MatrixClassSpec(ClassKind.ONA, n, QQ)
+    yield MatrixClassSpec(ClassKind.UNA, n, QI)
+    yield MatrixClassSpec(ClassKind.SUNA, n, QI)
+
+
+# -- golden CLI output ------------------------------------------------------
+
+
+# (class, field flags) of every class, then of the seven wire-workload specs
+GOLDEN_CLASSES = [
+    (kind, flags)
+    for flags in (("--field", "Q"), ("--field", "Qi"), ("--field", "GF", "--p", "7"))
+    for kind in ("gna", "sna", "ga_c")
+] + [("ona", ()), ("una", ()), ("suna", ())]
+GOLDEN_WIRE_SPECS = [
+    ("gna", ("--field", "Q")), ("sna", ("--field", "Q")), ("ona", ("--field", "Q")),
+    ("una", ("--field", "Qi")), ("suna", ("--field", "Qi")),
+    ("gna", ("--field", "GF", "--p", "7")), ("sna", ("--field", "GF", "--p", "101")),
+]
+GOLDEN_C = {"Q": "2/3", "Qi": "1+2i", "GF": "3"}
+
+
+def _cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": list(argv), "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def golden_document() -> list:
+    cases = [(kind, flags, n) for n in range(1, 6) for kind, flags in GOLDEN_CLASSES]
+    cases += [(kind, flags, 8) for kind, flags in GOLDEN_WIRE_SPECS]
+    out = []
+    for kind, flags, n in cases:
+        args = ["--class", kind, "--n", str(n), *flags]
+        if kind == "ga_c":
+            args += ["--c", GOLDEN_C[flags[1]]]
+        out.append(_cli("dims", *args))
+        out.append(_cli("sample", *args, "--seed", "3", "--count", "2"))
+    return out
+
+
+def test_golden_cli_output_byte_identical():
+    expected = GOLDEN.read_text(encoding="utf-8")
+    assert json.dumps(golden_document(), indent=1) + "\n" == expected

@@ -57,6 +57,14 @@ _TRACELESS = (ClassKind.SNA, ClassKind.SUNA)
 MAX_N = 16
 
 
+def check_block_size(n) -> None:
+    """TypeError unless n is an int, ValueError unless 1 <= n <= MAX_N."""
+    if type(n) is not int:
+        raise TypeError(f"block size n must be an int, got {type(n).__name__}")
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"block size n must be between 1 and {MAX_N}, got {n}")
+
+
 @dataclass(frozen=True)
 class MatrixClassSpec:
     kind: ClassKind
@@ -65,10 +73,7 @@ class MatrixClassSpec:
     c: object = None
 
     def __post_init__(self):
-        if type(self.n) is not int:
-            raise TypeError(f"block size n must be an int, got {type(self.n).__name__}")
-        if not 1 <= self.n <= MAX_N:
-            raise ValueError(f"block size n must be between 1 and {MAX_N}, got {self.n}")
+        check_block_size(self.n)
         if self.kind in _REAL_ONLY:
             if self.field not in (QQ, SURD):
                 raise FieldMismatch(f"{self.kind.value} needs a real field")

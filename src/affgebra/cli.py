@@ -17,9 +17,10 @@ import sys
 
 from .affine import COMMUTATOR, Zeta, bracket, lie_retract_bracket
 from .checks import CATALOGUE, all_passed, applicable_checks, replay, run_check, run_corollary
-from .classes import ClassKind, MatrixClassSpec, dimension, sample, spec_to_wire
+from .classes import ClassKind, MatrixClassSpec, check_block_size, dimension, sample, spec_to_wire
 from .errors import AffgebraError, MalformedWire
 from .matrix import common_field, matrix_from_wire, matrix_to_wire
+from .report import BRACKET
 from .scalars import field_by_tag
 from .transforms import (
     VIA_P,
@@ -103,8 +104,8 @@ def _cmd_verify(args) -> int:
     if args.checks:
         names = applicable_checks(kind, args.checks.split(","))
     else:
-        defaults = [n for n in CATALOGUE if n not in ("theorem-iso", "corollary-retract")]
-        names = applicable_checks(kind, defaults)
+        # the checks that run under a bracket; the conjugation checks have their own commands
+        names = applicable_checks(kind, [n for n, c in CATALOGUE.items() if c.context is BRACKET])
     seed = _seed_of(args)
     reports = []
     for name in names:
@@ -117,6 +118,7 @@ def _cmd_verify(args) -> int:
 def _cmd_iso_check(args) -> int:
     spec = _spec_from_args(args)
     target = block_target(spec)
+    report = verify_theorem(spec, _seed_of(args), args.trials, via=args.via)
     _emit(
         {
             "class": spec_to_wire(spec),
@@ -126,19 +128,19 @@ def _cmd_iso_check(args) -> int:
             "base_point_image": matrix_to_wire(base_point_image(spec, args.via)),
         }
     )
-    report = verify_theorem(spec, _seed_of(args), args.trials or 50, via=args.via)
     _emit(report.to_wire())
     return 0 if report.passed else 1
 
 
 def _cmd_corollary(args) -> int:
     spec = _spec_from_args(args)
-    report = run_corollary(spec, _seed_of(args), args.trials or 100)
+    report = run_corollary(spec, _seed_of(args), args.trials)
     _emit(report.to_wire())
     return 0 if report.passed else 1
 
 
 def _cmd_emit_matrix(args) -> int:
+    check_block_size(args.n)
     if args.which == "U":
         _emit(matrix_to_wire(orthonormal_change_of_basis(args.n)))
         return 0

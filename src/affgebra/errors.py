@@ -47,14 +47,14 @@ class MalformedWire(AffgebraError, ValueError):
     """A wire document or scalar has the wrong JSON type or shape."""
 
 
-def wire_field(doc: dict, name: str, kind: type, what: str):
+def wire_field(doc: dict, name: str, kind: type | None, what: str):
     """``doc[name]`` of the JSON type ``kind`` (``str`` or ``int``; a
-    bool is not an int); MalformedWire naming the field of the ``what``
-    document otherwise."""
+    bool is not an int; any type for None); MalformedWire naming the
+    field of the ``what`` document otherwise."""
     if name not in doc:
         raise MalformedWire(f"{what} lacks field {name!r}")
     value = doc[name]
-    if type(value) is not kind:
+    if kind is not None and type(value) is not kind:
         raise MalformedWire(f"{what} field {name!r} must be {kind.__name__}, got {type(value).__name__} {value!r}")
     return value
 

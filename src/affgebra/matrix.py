@@ -72,6 +72,8 @@ class Matrix:
     def from_integer_form(cls, field: Field, m: int, nums, den: int) -> Matrix:
         """The m x m matrix with entries nums / den (laid out as in
         ``integer_form``; den > 0), reduced to canonical form."""
+        if den <= 0:
+            raise ValueError(f"the denominator must be positive, got {den}")
         if field.characteristic:
             # residues over denominator 1: divide by den modulo p
             p = field.p

@@ -13,24 +13,24 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .affine import COMMUTATOR, action, bracket, heap
-from .classes import (
-    ClassKind,
-    MatrixClassSpec,
-    base_point,
-    contains,
-    contains_form,
-    derive_rng,
-    draw_element,
-    spec_to_wire,
-)
+from .affine import COMMUTATOR, AffineCommutator, action, bracket, heap
+from .classes import ClassKind, MatrixClassSpec, base_point, contains, contains_form
 from .errors import ClassViolation, FieldMismatch
-from .matrix import Matrix, matrix_to_wire, sandwich, sandwich_form
-from .report import CheckReport
+from .matrix import Matrix, sandwich, sandwich_form
+from .report import (
+    POINT,
+    SCALAR,
+    CheckDef,
+    CheckReport,
+    Context,
+    MatrixClassCarrier,
+    class_of,
+    failure,
+    run_trials,
+)
 from .scalars import (
     RAT,
     Field,
@@ -312,7 +312,9 @@ def required_via(spec: MatrixClassSpec) -> str:
     return VIA_P
 
 
-def _validate_via(spec: MatrixClassSpec, via: str) -> None:
+def _route(spec: MatrixClassSpec, via: str | None) -> str:
+    """``via``, or the class's required route for None, checked against the class."""
+    via = via or required_via(spec)
     if via not in (VIA_P, VIA_U):
         raise ValueError(f"unknown via {via!r}")
     if via == VIA_P and required_via(spec) == VIA_U:
@@ -322,6 +324,7 @@ def _validate_via(spec: MatrixClassSpec, via: str) -> None:
         )
     if via == VIA_U and spec.field.characteristic:
         raise FieldMismatch("the orthonormal route needs characteristic zero")
+    return via
 
 
 @dataclass(frozen=True)
@@ -461,9 +464,7 @@ def _conjugators(n: int, field: Field, via: str) -> Frame:
 
 
 def _frame(spec: MatrixClassSpec, via: str | None) -> Frame:
-    via = via or required_via(spec)
-    _validate_via(spec, via)
-    return _conjugators(spec.n, spec.field, via)
+    return _conjugators(spec.n, spec.field, _route(spec, via))
 
 
 def _class_image(spec: MatrixClassSpec, frame: Frame, m: Matrix) -> Matrix:
@@ -508,12 +509,12 @@ def evaluate_theorem_case(spec: MatrixClassSpec, via: str, inputs: dict) -> tupl
     frame = _frame(spec, via)
 
     def mismatch(label, lhs, rhs):
-        return False, _detail(label, frame.materialise(lhs), frame.materialise(rhs))
+        return failure(label, frame.materialise(lhs), frame.materialise(rhs))
 
     za, zb, zc = (_class_image(spec, frame, x) for x in (a, b, c))
     for name, img in (("a", za), ("b", zb), ("c", zc)):
         if not target.contains(img, frame.radicals):
-            return False, _detail(f"image of {name} not in block target", True, False)
+            return failure(f"image of {name} not in block target", True, False)
 
     lhs = _class_image(spec, frame, bracket(COMMUTATOR, a, b))
     rhs = bracket(COMMUTATOR, za, zb)
@@ -533,55 +534,47 @@ def evaluate_theorem_case(spec: MatrixClassSpec, via: str, inputs: dict) -> tupl
     back = frame.preimage(za)
     if back != a:
         wide = frame.block_field
-        return False, _detail("inverse conjugation roundtrip", a.widen(wide), back.widen(wide))
+        return failure("inverse conjugation roundtrip", a.widen(wide), back.widen(wide))
 
     if not frame.pulls_back_into(spec, z):
-        return False, _detail("surjectivity pullback membership", True, False)
+        return failure("surjectivity pullback membership", True, False)
     return True, {}
 
 
-def _detail(label: str, expected, actual) -> dict:
-    def render(v):
-        return matrix_to_wire(v) if isinstance(v, Matrix) else v
+class _Route(Context):
+    """The conjugation route, recorded under ``via``; the class's
+    required route when none is given."""
 
-    return {"property": label, "expected": render(expected), "actual": render(actual)}
+    def resolve(self, carrier, via):
+        return _route(class_of(carrier), via)
+
+    def label(self, via):
+        return (via,)
+
+    def to_wire(self, carrier, via):
+        return {"via": via}
+
+    def from_wire(self, ce, spec):
+        return ce.get("via"), super().from_wire(ce, spec)[1]
 
 
-def theorem_inputs(spec: MatrixClassSpec, rng: random.Random) -> dict:
-    target = block_target(spec)
-    return {
-        "a": draw_element(spec, rng),
-        "b": draw_element(spec, rng),
-        "c": draw_element(spec, rng),
-        "alpha": spec.scalar_field.sample(rng),
-        "z": target.sample(rng),
-    }
+# a point of the block target
+BLOCK = POINT._replace(sample=lambda cr, rng: block_target(class_of(cr)).sample(rng))
+
+THEOREM = CheckDef(
+    "theorem-iso",
+    (("a", POINT), ("b", POINT), ("c", POINT), ("alpha", SCALAR), ("z", BLOCK)),
+    lambda cr, via, inputs: evaluate_theorem_case(cr.spec, via, inputs),
+    context=_Route(),
+    trial_stream="theorem",
+    applies=lambda kind: isinstance(kind, AffineCommutator),
+    default_trials=50,
+)
 
 
-def verify_theorem(spec: MatrixClassSpec, seed: int, samples: int, via: str | None = None) -> CheckReport:
+def verify_theorem(
+    spec: MatrixClassSpec, seed: int, samples: int | None = None, via: str | None = None
+) -> CheckReport:
     """Sampled verification that conjugation is an isomorphism onto the
     block target; stops at the first counterexample."""
-    via = via or required_via(spec)
-    _validate_via(spec, via)
-    start = time.perf_counter()
-    for i in range(samples):
-        rng = derive_rng("theorem", spec.describe(), via, seed, i)
-        inputs = theorem_inputs(spec, rng)
-        passed, detail = evaluate_theorem_case(spec, via, inputs)
-        if not passed:
-            counterexample = {
-                "class": spec_to_wire(spec),
-                "via": via,
-                "inputs": {
-                    "a": matrix_to_wire(inputs["a"]),
-                    "b": matrix_to_wire(inputs["b"]),
-                    "c": matrix_to_wire(inputs["c"]),
-                    "alpha": spec.scalar_field.format(inputs["alpha"]),
-                    "z": matrix_to_wire(inputs["z"]),
-                },
-                **detail,
-            }
-            elapsed = (time.perf_counter() - start) * 1000
-            return CheckReport("theorem-iso", False, i + 1, counterexample, elapsed)
-    elapsed = (time.perf_counter() - start) * 1000
-    return CheckReport("theorem-iso", True, samples, None, elapsed)
+    return run_trials(THEOREM, MatrixClassCarrier(spec), seed, samples, via)

@@ -56,6 +56,11 @@ class TestCatalogue:
         with pytest.raises(UnknownCheck):
             applicable_checks(z, ["no-such-check"])
 
+    @pytest.mark.parametrize("name", ["malcev", "theorem-iso", "corollary-retract"])
+    def test_trials_below_one_rejected(self, name):
+        with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+            run_check(name, spec(ClassKind.GNA, 1), COMMUTATOR, 0, trials=0)
+
     def test_unknown_check(self):
         with pytest.raises(UnknownCheck):
             run_check("nope", spec(ClassKind.GNA, 1), COMMUTATOR, 0, 1)

@@ -124,6 +124,27 @@ class TestCorollary:
         assert json.loads(out.splitlines()[0])["check"] == "corollary-retract"
 
 
+class TestTrialCount:
+    COMMANDS = [
+        ("verify", "--class", "gna", "--n", "2", "--checks", "malcev"),
+        ("iso-check", "--class", "gna", "--n", "2"),
+        ("corollary", "--class", "gna", "--n", "2"),
+    ]
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_trials_below_one_are_a_usage_error(self, capsys, command, trials):
+        code, out, err = run_cli(capsys, *command, "--trials", trials)
+        assert (code, out) == (2, "")
+        assert err == f"error: trials must be at least 1, got {trials}\n"
+
+    def test_conjugation_commands_default_to_their_catalogue_trials(self, capsys):
+        for command, trials in (("iso-check", 50), ("corollary", 100)):
+            code, out, _ = run_cli(capsys, command, "--class", "gna", "--n", "1", "--seed", "2")
+            assert code == 0
+            assert json.loads(out.splitlines()[-1])["trials"] == trials
+
+
 class TestEmitMatrix:
     def test_integral_basis(self, capsys):
         code, out, _ = run_cli(capsys, "emit-matrix", "--which", "P", "--n", "2", "--field", "Q")
@@ -158,6 +179,14 @@ class TestEmitMatrix:
         )
         assert code == 2
         assert "NonInvertibleScalar" in err
+
+
+    @pytest.mark.parametrize("which", ["P", "Pinv", "U"])
+    @pytest.mark.parametrize("n", [0, -1, MAX_N + 1])
+    def test_n_out_of_bounds(self, capsys, which, n):
+        code, out, err = run_cli(capsys, "emit-matrix", "--which", which, "--n", str(n))
+        assert (code, out) == (2, "")
+        assert err == f"error: block size n must be between 1 and {MAX_N}, got {n}\n"
 
 
 class TestBracketAndRetract:
@@ -331,6 +360,27 @@ class TestReplay:
             assert (code, out) == (2, "")
             assert err.startswith(f"error: MalformedWire: {check} counterexample")
             assert want in err and err.count("\n") == 1
+
+    def test_replay_without_a_bracket_names_the_field(self, capsys):
+        wire = json.loads(json.dumps(self._failing_report().to_wire()))
+        del wire["counterexample"]["bracket"]
+        code, out, err = run_cli(capsys, "replay", json.dumps(wire))
+        assert (code, out) == (2, "")
+        assert err == "error: MalformedWire: counterexample lacks field 'bracket'\n"
+
+    def test_replay_reads_only_the_declared_inputs(self, capsys):
+        def move_a(i, inputs):
+            a = inputs["a"]
+            return dict(inputs, a=a.with_entry(2, 0, a.entry(2, 0) + 1))
+
+        spec = MatrixClassSpec(ClassKind.GNA, 2, QQ)
+        corollary = run_check("corollary-retract", spec, COMMUTATOR, seed=0, trials=2, mutate=move_a)
+        for report in (corollary, self._failing_report()):
+            wire = json.loads(json.dumps(report.to_wire()))
+            wire["counterexample"]["inputs"]["junk"] = 5
+            code, out, err = run_cli(capsys, "replay", json.dumps(wire))
+            assert (code, err) == (0, "")  # the failure reproduces
+            assert json.loads(out)["counterexample"]["property"] == report.counterexample["property"]
 
     def test_replay_of_a_counterexample_that_is_not_an_object(self, capsys):
         doc = {"check": "closure", "passed": False, "trials": 1, "counterexample": "x"}

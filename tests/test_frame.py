@@ -27,6 +27,7 @@ from affgebra.classes import ClassKind, MatrixClassSpec, contains, derive_rng, s
 from affgebra.cli import main
 from affgebra.errors import ClassViolation, FieldMismatch
 from affgebra.matrix import Matrix, matrix_to_wire
+from affgebra.report import MatrixClassCarrier
 from affgebra.scalars import GF, QI, QQ, SURD, SURD_C, GaussianRational, widen_scalar
 from affgebra.transforms import (
     VIA_P,
@@ -34,13 +35,19 @@ from affgebra.transforms import (
     base_point_image,
     block_target,
     evaluate_theorem_case,
+    THEOREM,
     orthonormal_change_of_basis,
-    theorem_inputs,
     to_block,
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "theorem_frame.json"
 U_KINDS = (ClassKind.ONA, ClassKind.UNA, ClassKind.SUNA)
+
+
+def theorem_inputs(s, rng):
+    """The inputs of one theorem-iso trial on s."""
+    carrier = MatrixClassCarrier(s)
+    return {name: codec.sample(carrier, rng) for name, codec in THEOREM.inputs}
 
 
 def spec(kind, n, field=None):

@@ -206,6 +206,15 @@ class TestWireFormat:
             matrix_from_wire({"field": "Q", "n": 3, "entries": [["1"]]})
 
 
+class TestIntegerFormConstructor:
+    def test_non_positive_denominator_rejected(self):
+        # a negative denominator used to give a matrix unequal to its value
+        for den in (-1, 0):
+            with pytest.raises(ValueError, match="denominator must be positive"):
+                Matrix.from_integer_form(QQ, 1, [1], den)
+        assert Matrix.from_integer_form(QQ, 1, [-1], 1) == Matrix(QQ, [[-1]])
+
+
 class TestCommonField:
     def test_widens_rational_into_gaussian(self):
         a = Matrix(QQ, [[1, 0], [0, 1]])

@@ -11,8 +11,10 @@ commutator-style bracket:
 * ``suna`` -- una plus zero trace,
 * ``ga_c`` -- row/column sums equal to an arbitrary fixed scalar c.
 
-Membership is tested entrywise; sampling parameterises a class through
-the exact linear solver and draws small rational coefficients.
+Membership is tested on the integer form of a matrix over Q, Q(i) and
+GF(p), entrywise over the surd fields.  Sampling parameterises a class
+through the exact linear solver and draws small rational coefficients
+as integers straight into the integer form.
 """
 from __future__ import annotations
 
@@ -24,14 +26,15 @@ from functools import lru_cache
 from .errors import FieldMismatch, MalformedWire, SizeMismatch, wire_field
 from .matrix import Matrix
 from .scalars import (
+    SAMPLE_DEN,
     Field,
     QI,
     QQ,
     SURD,
     SURD_C,
     can_widen,
-    common_denominator,
     field_by_tag,
+    sample_numerators,
     widen_scalar,
 )
 from .solve import AffineSubspace, solve_affine_system
@@ -305,39 +308,39 @@ def derive_rng(*parts) -> random.Random:
 
 @lru_cache(maxsize=None)
 def _sampling_data(spec: MatrixClassSpec):
-    """(dimension, realified, den, part, gens): the solver's particular
-    solution and direction generators, flat integer vectors over its one
-    common denominator laid out as in ``Matrix.integer_form``, so each
-    sample is a single integer accumulation pass.  With complex
-    coefficients each direction v contributes the generators v and i*v,
-    one per part of its coefficient.  Only these integers are kept."""
+    """(dimension, den, part, gens): the solver's particular solution
+    and direction generators, flat integer vectors over its one common
+    denominator laid out as in ``Matrix.integer_form``, so each sample
+    is a single integer accumulation pass.  With complex coefficients
+    each direction v contributes the generators v and i*v, one per part
+    of its coefficient.  Only these integers are kept."""
     space = _solve(spec)
     dirs = space.direction_forms
     if spec.field is QI and not space.realified:
         mm = spec.ambient ** 2
         dirs = [g for v in dirs for g in (v, (*(-x for x in v[mm:]), *v[:mm]))]
     gens = tuple(tuple((k, x) for k, x in enumerate(v) if x) for v in dirs)
-    return space.dimension, space.realified, space.den, space.particular_form, gens
+    return space.dimension, space.den, space.particular_form, gens
 
 
 def draw_element(spec: MatrixClassSpec, rng: random.Random) -> Matrix:
     """Particular solution plus a random small-rational combination of
-    the direction space."""
-    dim, realified, den, part, gens = _sampling_data(spec)
-    coeff_field = QQ if realified else spec.field
-    coeffs = [coeff_field.sample(rng) for _ in range(dim)]
-    if coeff_field.characteristic:
-        seen, ints = 1, [c.residue for c in coeffs]
+    the direction space, drawn as integers: one coefficient per
+    generator, a residue over GF(p) and otherwise a rational over
+    SAMPLE_DEN, with the draws ``Field.sample`` of the coefficient field
+    makes (Q(i): the real and then the imaginary part)."""
+    _, den, part, gens = _sampling_data(spec)
+    field = spec.field
+    if field.characteristic:
+        seen, ints = 1, [rng.randrange(field.p) for _ in gens]
     else:
-        if coeff_field is QI:
-            coeffs = [r for c in coeffs for r in (c.re, c.im)]
-        ints, seen = common_denominator(coeffs)
+        seen, ints = SAMPLE_DEN, sample_numerators(rng, len(gens))
     acc = [x * seen for x in part]
     for f, gen in zip(ints, gens):
         if f:
             for k, v in gen:
                 acc[k] += f * v
-    return Matrix.from_integer_form(spec.field, spec.ambient, acc, den * seen)
+    return Matrix.from_integer_form(field, spec.ambient, acc, den * seen)
 
 
 def sample(spec: MatrixClassSpec, seed: int, index: int) -> Matrix:

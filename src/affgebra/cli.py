@@ -103,6 +103,8 @@ def _cmd_verify(args) -> int:
     kind = _kind_from_args(args, spec.scalar_field)
     if args.checks:
         names = applicable_checks(kind, args.checks.split(","))
+        if not names:
+            raise ValueError(f"none of the checks {args.checks} runs under the bracket {args.bracket}")
     else:
         # the checks that run under a bracket; the conjugation checks have their own commands
         names = applicable_checks(kind, [n for n, c in CATALOGUE.items() if c.context is BRACKET])
@@ -179,6 +181,8 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"count must be at least 1, got {args.count}")
     spec = _spec_from_args(args)
     seed = _seed_of(args)
     for index in range(args.count):

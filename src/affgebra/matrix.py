@@ -25,7 +25,7 @@ from functools import reduce
 from math import gcd, lcm
 from operator import mul
 
-from .errors import FieldMismatch, MalformedWire, SingularMatrix, SizeMismatch
+from .errors import FieldMismatch, MalformedWire, SingularMatrix, SizeMismatch, wire_field
 from .scalars import (
     RAT,
     Field,
@@ -370,10 +370,12 @@ def matrix_to_wire(m: Matrix) -> dict:
 def matrix_from_wire(doc: dict) -> Matrix:
     if not isinstance(doc, dict):
         raise MalformedWire("a matrix document must be a JSON object")
-    field = field_by_tag(doc["field"], doc.get("p"))
-    entries = doc["entries"]
+    tag = wire_field(doc, "field", str, "matrix")
+    field = field_by_tag(tag, wire_field(doc, "p", int, "matrix") if tag == "GF" else None)
+    n = wire_field(doc, "n", int, "matrix")
+    entries = wire_field(doc, "entries", None, "matrix")
     if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
         raise MalformedWire("entries must be a list of rows")
-    if len(entries) != doc["n"]:
+    if len(entries) != n:
         raise SizeMismatch("entry rows do not match declared size")
     return Matrix(field, [[field.parse(s) for s in row] for row in entries])

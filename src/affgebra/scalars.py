@@ -13,11 +13,16 @@ All values are immutable and kept in canonical form, so ``==`` is exact
 mathematical equality.  Surd fields only support division by single-term
 divisors; nothing in this package needs more.
 
-Rationals are gmpy2.mpq when gmpy2 is installed (an order of magnitude
-faster), with fractions.Fraction as the drop-in fallback; both expose the
-same canonical numerator/denominator, string form, hash and comparisons,
-so results are bit-identical either way.  Public entry points accept
-stdlib Fractions everywhere.
+Rationals are gmpy2.mpq when gmpy2 is installed, with
+fractions.Fraction as the drop-in fallback (the only backend measured
+here); both expose the same canonical numerator/denominator, string
+form, hash and comparisons, so results are bit-identical either way.
+Public entry points accept stdlib Fractions everywhere.
+
+Random elements are small rationals num/den with |num| <= SAMPLE_BOUND
+and 1 <= den <= SAMPLE_BOUND, drawn numerator first with
+``rng.randint``; the samplers of the matrix classes draw the same
+integers straight into integer forms (``sample_numerators``).
 """
 from __future__ import annotations
 
@@ -94,6 +99,28 @@ def squarefree_split(m: int) -> tuple[int, int]:
 def surd_basis_product(d: int, e: int) -> tuple[int, int]:
     """sqrt(d)*sqrt(e) = s*sqrt(f): return (s, f) with d*e = s*s*f, f squarefree."""
     return squarefree_split(d * e)
+
+
+SAMPLE_BOUND = 9
+# a common denominator of every sampled rational: lcm(1, ..., SAMPLE_BOUND)
+SAMPLE_DEN = reduce(lcm, range(1, SAMPLE_BOUND + 1))
+
+
+def sample_numerators(rng, count: int) -> list[int]:
+    """``count`` random small rationals as numerators over SAMPLE_DEN,
+    with the draws of ``count`` calls of ``RationalField.sample``."""
+    randint = rng.randint
+    return [
+        randint(-SAMPLE_BOUND, SAMPLE_BOUND) * (SAMPLE_DEN // randint(1, SAMPLE_BOUND))
+        for _ in range(count)
+    ]
+
+
+# The largest prime p of a field GF(p): above every prime the tests and
+# the benchmark use (p <= 101), and small enough that the trial-division
+# primality test (about sqrt(p) steps) takes milliseconds.  A fixed
+# bound, not an option.
+MAX_P = 2**31 - 1
 
 
 def _is_prime(p: int) -> bool:
@@ -711,7 +738,7 @@ class Field:
     def format(self, x) -> str:
         raise NotImplementedError
 
-    def sample(self, rng, num_bound: int = 9, den_bound: int = 9):
+    def sample(self, rng):
         """Small random element; drives deterministic test data."""
         raise NotImplementedError
 
@@ -745,8 +772,8 @@ class RationalField(Field):
     def format(self, x):
         return str(x)
 
-    def sample(self, rng, num_bound=9, den_bound=9):
-        return RAT(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
+    def sample(self, rng):
+        return RAT(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND), rng.randint(1, SAMPLE_BOUND))
 
 
 class GaussianField(Field):
@@ -784,14 +811,16 @@ class GaussianField(Field):
         sep = "+" if x.im > 0 else "-"
         return f"{x.re}{sep}{abs(x.im)}i"
 
-    def sample(self, rng, num_bound=9, den_bound=9):
-        re = RAT(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
-        im = RAT(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
+    def sample(self, rng):
+        re = RAT(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND), rng.randint(1, SAMPLE_BOUND))
+        im = RAT(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND), rng.randint(1, SAMPLE_BOUND))
         return GaussianRational(re, im)
 
 
 class PrimeField(Field):
     def __init__(self, p: int):
+        if p > MAX_P:
+            raise ValueError(f"the prime p must be at most {MAX_P}, got {p}")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -822,7 +851,7 @@ class PrimeField(Field):
     def format(self, x):
         return str(x.residue)
 
-    def sample(self, rng, num_bound=9, den_bound=9):
+    def sample(self, rng):
         return PrimeFieldElement(rng.randrange(self.p), self.p)
 
     def describe(self):
@@ -849,9 +878,6 @@ class SurdRealField(Field):
 
     def format(self, x):
         return _format_surd_real(x)
-
-    def sample(self, rng, num_bound=9, den_bound=9):
-        return SurdReal(RAT(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound)))
 
 
 class SurdComplexField(Field):
@@ -895,11 +921,6 @@ class SurdComplexField(Field):
 
     def format(self, x):
         return f"({_format_surd_real(x.re)})+({_format_surd_real(x.im)})i"
-
-    def sample(self, rng, num_bound=9, den_bound=9):
-        re = RAT(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
-        im = RAT(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
-        return SurdComplex(SurdReal(re), SurdReal(im))
 
 
 QQ = RationalField()

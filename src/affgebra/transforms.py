@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .affine import COMMUTATOR, AffineCommutator, action, bracket, heap
 from .classes import ClassKind, MatrixClassSpec, base_point, contains, contains_form
-from .errors import ClassViolation, FieldMismatch
+from .errors import ClassViolation, FieldMismatch, SizeMismatch
 from .matrix import Matrix, sandwich, sandwich_form
 from .report import (
     POINT,
@@ -33,12 +33,16 @@ from .report import (
 )
 from .scalars import (
     RAT,
+    SAMPLE_DEN,
     Field,
+    GaussianRational,
+    QI,
     QQ,
     SURD,
     SURD_C,
     SurdReal,
     can_widen,
+    sample_numerators,
     squarefree_split,
     widen_scalar,
 )
@@ -162,25 +166,82 @@ class BlockTarget:
         D = diag(√f_k): the zero pattern and the trace carry over, and
         (anti)symmetry reads f_l·d_lk = -f_k·d_kl."""
         base = self.base_block.widen(m.field) if m.field is not self.field else self.base_block
-        d = m - base
-        size = m.size
-        radicals = radicals or (1,) * size
+        if m.size != base.size:
+            raise SizeMismatch(f"{base.size} vs {m.size}")
+        radicals = radicals or (1,) * m.size
         if m.field.has_integer_form:
-            return _block_member_form(self.block_kind, d, self.n, radicals)
+            # every condition is homogeneous: the numerators of m - base
+            # over da·db decide it
+            (a, da), (b, db) = m.integer_form(), base.integer_form()
+            nums = [x * db - y * da for x, y in zip(a, b)]
+            return _block_member_form(self.block_kind, nums, self.n, radicals, m.field.characteristic)
+        d = m - base
         zero = m.field.zero()
-        for k in range(size):
+        for k in range(m.size):
             if d.entry(self.n, k) != zero or d.entry(k, self.n) != zero:
                 return False
         return _block_member(self.block_kind, d, self.n, m.field, radicals)
 
     def sample(self, rng: random.Random) -> Matrix:
-        """base plus a random element of the block algebra, embedded."""
-        block = _sample_block(self.block_kind, self.n, self.field, rng)
-        rows = [list(row) for row in self.base_block.rows]
-        for i in range(self.n):
-            for j in range(self.n):
-                rows[i][j] = rows[i][j] + block[i][j]
-        return Matrix(self.field, rows)
+        """The base plus a random element of the block algebra, drawn as
+        integers into the integer form with the draws ``Field.sample``
+        makes entry by entry: gl and sl every block entry (Q(i): real
+        then imaginary part), o the entries above the diagonal, u and su
+        the imaginary diagonal and then the entries above it; sl and su
+        replace the last diagonal entry, still drawn, by minus the trace
+        of the others.  The surd targets (o, u, su) have a rational base
+        and draw over Q or Q(i)."""
+        field, n, kind = self.field, self.n, self.block_kind
+        if not field.has_integer_form:
+            rational = BlockTarget(kind, _rational_base(self.base_block), n)
+            return rational.sample(rng).widen(field)
+        m = n + 1
+        mm = m * m
+        base, bden = self.base_block.integer_form()
+        p = field.characteristic
+        scale = 1 if p else SAMPLE_DEN
+
+        def draw(count):
+            # residues over GF(p), numerators over SAMPLE_DEN otherwise
+            return iter([rng.randrange(p) for _ in range(count)] if p else sample_numerators(rng, count))
+
+        block = [0] * len(base)
+        if kind in ("gl", "sl"):
+            draws = draw(n * n * (len(base) // mm))
+            for i in range(n):
+                for j in range(n):
+                    for at in range(i * m + j, len(base), mm):
+                        block[at] = next(draws)
+        elif kind == "o":
+            draws = draw(n * (n - 1) // 2)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    x = next(draws)
+                    block[i * m + j], block[j * m + i] = x, -x
+        else:  # u, su: anti-hermitian over Q(i)
+            draws = draw(n * n)
+            for k in range(n):
+                block[mm + k * (m + 1)] = next(draws)
+            for k in range(n):
+                for l in range(k + 1, n):
+                    re, im = next(draws), next(draws)
+                    block[k * m + l], block[mm + k * m + l] = re, im
+                    block[l * m + k], block[mm + l * m + k] = -re, im
+        if kind in ("sl", "su"):
+            last = (n - 1) * (m + 1)
+            for part in range(0, len(base), mm):
+                block[part + last] = -sum(block[part + k * (m + 1)] for k in range(n - 1))
+        nums = [x * scale + y * bden for x, y in zip(base, block)]
+        return Matrix.from_integer_form(field, m, nums, bden * scale)
+
+
+def _rational_base(base: Matrix) -> Matrix:
+    """A surd matrix with rational entries, over Q or Q(i)."""
+    if base.field is SURD:
+        return Matrix(QQ, [[x.coefficient(1) for x in row] for row in base.rows])
+    return Matrix(
+        QI, [[GaussianRational(x.re.coefficient(1), x.im.coefficient(1)) for x in row] for row in base.rows]
+    )
 
 
 def _block_member(kind: str, d: Matrix, n: int, field: Field, f) -> bool:
@@ -205,20 +266,22 @@ def _block_member(kind: str, d: Matrix, n: int, field: Field, f) -> bool:
     return True
 
 
-def _block_member_form(kind: str, d: Matrix, n: int, f) -> bool:
-    """The zero last row and column plus ``_block_member`` on the integer
-    form of d.  Every condition is homogeneous, so the denominator drops
-    out; (anti)symmetry reads f_l·d_lk = -f_k·d_kl on the real part and
+def _block_member_form(kind: str, nums, n: int, f, p: int) -> bool:
+    """The zero last row and column plus ``_block_member`` on the
+    numerators of an integer form of d (any positive denominator; over
+    GF(p), residues up to multiples of p, p the characteristic).  Every
+    condition is homogeneous, so the denominator drops out;
+    (anti)symmetry reads f_l·d_lk = -f_k·d_kl on the real part and
     f_l·d_lk = f_k·d_kl on the imaginary part."""
-    nums, _ = d.integer_form()
-    size = d.size
+    size = n + 1
     last = n * size
     parts = [nums[i : i + size * size] for i in range(0, len(nums), size * size)]
+    if p:
+        parts = [[x % p for x in part] for part in parts]
     for part in parts:
         if any(part[last + k] or part[k * size + n] for k in range(size)):
             return False
     if kind in ("sl", "su"):
-        p = d.field.characteristic
         for part in parts:
             tr = sum(part[k * size + k] for k in range(n))
             if tr % p if p else tr:
@@ -230,43 +293,6 @@ def _block_member_form(kind: str, d: Matrix, n: int, f) -> bool:
                     if f[l] * part[l * size + k] != sign * f[k] * part[k * size + l]:
                         return False
     return True
-
-
-def _sample_block(kind: str, n: int, field: Field, rng: random.Random):
-    zero = field.zero()
-    block = [[zero] * n for _ in range(n)]
-    if kind in ("gl", "sl"):
-        for i in range(n):
-            for j in range(n):
-                block[i][j] = field.sample(rng)
-        if kind == "sl":
-            tr = zero
-            for k in range(n - 1):
-                tr = tr + block[k][k]
-            block[n - 1][n - 1] = -tr
-        return block
-    if kind == "o":
-        for i in range(n):
-            for j in range(i + 1, n):
-                x = field.sample(rng)
-                block[i][j] = x
-                block[j][i] = -x
-        return block
-    # u / su: anti-hermitian over the Gaussian rationals
-    i_unit = field.imaginary_unit()
-    for k in range(n):
-        block[k][k] = i_unit * QQ.sample(rng)
-    for k in range(n):
-        for l in range(k + 1, n):
-            x = field.sample(rng)
-            block[k][l] = x
-            block[l][k] = -field.conjugate(x)
-    if kind == "su":
-        tr = zero
-        for k in range(n - 1):
-            tr = tr + block[k][k]
-        block[n - 1][n - 1] = -tr
-    return block
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,7 @@ import io
 import json
 import shutil
 import subprocess
+import time
 
 import pytest
 
@@ -10,7 +11,7 @@ from affgebra.classes import MAX_N, ClassKind, MatrixClassSpec
 from affgebra.cli import build_parser, main
 from affgebra.affine import COMMUTATOR
 from affgebra.matrix import Matrix, matrix_from_wire, matrix_to_wire
-from affgebra.scalars import QQ
+from affgebra.scalars import MAX_P, QQ
 
 CYCLE = Matrix(QQ, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 SWAP = Matrix(QQ, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
@@ -82,6 +83,13 @@ class TestVerify:
             capsys, "verify", "--class", "gna", "--n", "1", "--bracket", "poisson", "--trials", "1"
         )
         assert code == 2
+
+    def test_no_listed_check_under_the_bracket_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--class", "ona", "--n", "2", "--checks", "bullet-assoc", "--bracket", "zeta:1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: none of the checks bullet-assoc runs under the bracket zeta:1\n"
 
 
 class TestIsoCheck:
@@ -239,6 +247,25 @@ class TestBracketAndRetract:
             assert code == 2
             assert err == "error: MalformedWire: entries must be a list of rows\n"
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ('{"field":"Q","n":true,"entries":[["1"]]}', "matrix field 'n' must be int, got bool True"),
+            ('{"field":"Q","n":"1","entries":[["1"]]}', "matrix field 'n' must be int, got str '1'"),
+            ('{"field":"Q","entries":[["1"]]}', "matrix lacks field 'n'"),
+            ('{"n":1,"entries":[["1"]]}', "matrix lacks field 'field'"),
+            ('{"field":5,"n":1,"entries":[["1"]]}', "matrix field 'field' must be str, got int 5"),
+            ('{"field":"GF","n":1,"entries":[["1"]]}', "matrix lacks field 'p'"),
+            ('{"field":"GF","p":"7","n":1,"entries":[["1"]]}', "matrix field 'p' must be int, got str '7'"),
+            ('{"field":"Q","n":1}', "matrix lacks field 'entries'"),
+        ],
+    )
+    def test_header_fields_are_read_as_typed_wire_fields(self, capsys, bad, message):
+        good = json.dumps(matrix_to_wire(Matrix.identity(QQ, 1)))
+        code, out, err = run_cli(capsys, "bracket", bad, good)
+        assert (code, out) == (2, "")
+        assert err == f"error: MalformedWire: {message}\n"
+
 
 class TestDims:
     def test_table_values(self, capsys):
@@ -258,6 +285,19 @@ class TestDims:
             assert (code, out) == (2, "")
             assert err == f"error: block size n must be between 1 and {MAX_N}, got {MAX_N + 1}\n"
 
+    def test_prime_above_the_bound_is_rejected_before_the_primality_test(self, capsys):
+        # a 20-digit prime: trial division up to its square root would take hours
+        p = 10**19 + 51
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "dims", "--class", "gna", "--n", "2", "--field", "GF", "--p", str(p))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == f"error: the prime p must be at most {MAX_P}, got {p}\n"
+
+    def test_prime_at_the_bound_is_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "dims", "--class", "gna", "--n", "2", "--field", "GF", "--p", str(MAX_P))
+        assert (code, out) == (0, "4\n")
+
 
 class TestSample:
     def test_deterministic_stream(self, capsys):
@@ -267,6 +307,12 @@ class TestSample:
         assert code1 == code2 == 0
         assert out1 == out2
         assert len(out1.splitlines()) == 3
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_is_a_usage_error(self, capsys, count):
+        code, out, err = run_cli(capsys, "sample", "--class", "sna", "--n", "2", "--count", count)
+        assert (code, out) == (2, "")
+        assert err == f"error: count must be at least 1, got {count}\n"
 
     def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv("AFFGEBRA_SEED", "42")

@@ -12,20 +12,14 @@ from dataclasses import dataclass
 
 from .errors import MalformedWire, NotIdempotent, wire_field
 from .matrix import Matrix, combine, commutator_shift
-from .scalars import Field, QI, QQ
+from .scalars import Field, rational_value
 
 
 def heap(a: Matrix, b: Matrix, c: Matrix) -> Matrix:
     """<a, b, c> = a - b + c."""
     a._guard(b)
     a._guard(c)
-    if a.field.has_integer_form:
-        return combine(((1, a), (-1, b), (1, c)))
-    rows = tuple(
-        tuple(x - y + z for x, y, z in zip(ra, rb, rc))
-        for ra, rb, rc in zip(a.rows, b.rows, c.rows)
-    )
-    return Matrix._wrap(a.field, rows)
+    return combine(((1, a), (-1, b), (1, c)))
 
 
 def heap5(a: Matrix, b: Matrix, c: Matrix, d: Matrix, e: Matrix) -> Matrix:
@@ -35,13 +29,7 @@ def heap5(a: Matrix, b: Matrix, c: Matrix, d: Matrix, e: Matrix) -> Matrix:
     a._guard(c)
     a._guard(d)
     a._guard(e)
-    if a.field.has_integer_form:
-        return combine(((1, a), (-1, b), (1, c), (-1, d), (1, e)))
-    rows = tuple(
-        tuple(v - w + x - y + z for v, w, x, y, z in zip(ra, rb, rc, rd, re))
-        for ra, rb, rc, rd, re in zip(a.rows, b.rows, c.rows, d.rows, e.rows)
-    )
-    return Matrix._wrap(a.field, rows)
+    return combine(((1, a), (-1, b), (1, c), (-1, d), (1, e)))
 
 
 def action(alpha, base: Matrix, b: Matrix) -> Matrix:
@@ -53,16 +41,13 @@ def action(alpha, base: Matrix, b: Matrix) -> Matrix:
         # alpha a residue: alpha*b + (1 - alpha)*base
         a = alpha.residue
         return combine(((a, b), (1 - a, base)))
-    if field is QQ or (field is QI and not alpha.im):
+    r = rational_value(alpha)
+    if r is not None:
         # alpha = p/q: (p*b + (q - p)*base) / q
-        r = alpha if field is QQ else alpha.re
         p, q = int(r.numerator), int(r.denominator)
         return combine(((p, b), (q - p, base)), q)
-    rows = tuple(
-        tuple((y - x) * alpha + x for x, y in zip(rx, ry))
-        for rx, ry in zip(base.rows, b.rows)
-    )
-    return Matrix._wrap(base.field, rows)
+    # a non-real or irrational alpha: (alpha·I)·(b - base) + base
+    return Matrix.identity(field, base.size).scale(alpha) @ (b - base) + base
 
 
 @dataclass(frozen=True)

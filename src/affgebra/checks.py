@@ -20,7 +20,7 @@ from typing import Callable
 from . import affine
 from .affine import COMMUTATOR, AffineCommutator, BracketKind, Zeta
 from .classes import MatrixClassSpec, contains as class_contains, spec_from_wire  # noqa: F401  (public alias)
-from .errors import MalformedWire, UnknownCheck
+from .errors import MalformedWire, UnknownCheck, wire_field
 from .report import (
     BRACKET,
     POINT,
@@ -394,7 +394,7 @@ def all_passed(reports, include_advisory: bool = False) -> bool:
 def replay(report_doc: dict) -> CheckReport:
     """Re-evaluate a serialised counterexample from its own inputs; no
     seed involved.  Returns a fresh single-trial report."""
-    check = report_doc["check"]
+    check = wire_field(report_doc, "check", str, "report")
     if check not in CATALOGUE:
         raise UnknownCheck(check)
     cdef = CATALOGUE[check]

@@ -12,9 +12,10 @@ commutator-style bracket:
 * ``ga_c`` -- row/column sums equal to an arbitrary fixed scalar c.
 
 Membership is tested on the integer form of a matrix over Q, Q(i) and
-GF(p), entrywise over the surd fields.  Sampling parameterises a class
-through the exact linear solver and draws small rational coefficients
-as integers straight into the integer form.
+GF(p), and on the integer form of each rational part over the surd
+fields.  Sampling parameterises a class through the exact linear solver
+and draws small rational coefficients as integers straight into the
+integer form.
 """
 from __future__ import annotations
 
@@ -130,39 +131,22 @@ def contains(spec: MatrixClassSpec, m: Matrix) -> bool:
         raise FieldMismatch(
             f"{spec.describe()} cannot contain a matrix over {m.field.describe()}"
         )
-    if m.field.has_integer_form:
-        nums, den = m.integer_form()
-        return contains_form(spec, m.field, m.size, nums, den)
-    target = spec.normalisation(m.field)
-    rows = m.rows
-    zero = m.field.zero()
-    col_sums = [zero] * m.size
-    for row in rows:
-        acc = zero
-        for j, x in enumerate(row):
-            acc = acc + x
-            col_sums[j] = col_sums[j] + x
-        if acc != target:
-            return False
-    if any(s != target for s in col_sums):
+    parts = m.rational_parts()
+    return contains_parts(spec, parts[0][1].field, m.size, [x.integer_form() for _, x in parts])
+
+
+def contains_parts(spec: MatrixClassSpec, field: Field, k: int, forms) -> bool:
+    """``contains`` for the k x k matrix sum_g sqrt(g)*M_g from the integer
+    forms (nums, den) of its parts M_g over ``field``, M_1 first.  The
+    conditions are rational-linear, affine only in their constants, and the
+    sqrt(g) are linearly independent over Q(i) (Besicovitch 1940): they hold
+    exactly when M_1 and every M_1 + M_g are members."""
+    (one, d1), *rest = forms
+    if not contains_form(spec, field, k, one, d1):
         return False
-    if spec.kind in _TRACELESS and m.trace() != zero:
-        return False
-    if spec.kind is ClassKind.ONA:
-        one = m.field.one()
-        for k, row in enumerate(rows):
-            if row[k] != one:
-                return False
-            for l in range(k + 1, m.size):
-                if row[l] != -rows[l][k]:
-                    return False
-    if spec.kind in _COMPLEX_ONLY:
-        conj = m.field.conjugate
-        for k, row in enumerate(rows):
-            for l in range(k, m.size):
-                if rows[l][k] != -conj(row[l]):
-                    return False
-    return True
+    # M_1 + M_g over d1·d
+    return all(contains_form(spec, field, k, [x * d + y * d1 for x, y in zip(one, nums)], d1 * d)
+               for nums, d in rest)
 
 
 def contains_form(spec: MatrixClassSpec, field: Field, k: int, nums, den: int) -> bool:

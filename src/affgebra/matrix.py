@@ -1,23 +1,25 @@
 """Dense square matrices over the exact scalar fields.
 
-Matrices are immutable.  Over Q, Q(i) and GF(p) (the fields with
-``Field.has_integer_form``) every matrix also has one canonical integer
-form, built at most once and cached in a slot: a flat list of integers
-over one positive common denominator.  Over Q the list holds the
-numerators row by row, over Q(i) the real parts row by row and then the
-imaginary parts, with the gcd of all numerators and the denominator
-equal to 1; over GF(p) it holds the residues in [0, p) over denominator
-1.  Equal matrices have equal forms, so equality is one list compare,
-and the heap, the action, the affine commutator, the sum, the difference
-and the product are integer loops with one normalisation per result
-(``combine``, ``commutator_shift``, ``sandwich``, ``@``); the inverse
-is the integer elimination of ``solve.row_reduce``.  Their results
-carry the form and still hold canonical scalar entries.  Every other
-field, and the other operations here, go through the entry types.  The
-numerators are a list, never mutated, and gcd/lcm fold over them with
-``reduce``: CPython keeps freed tuples of up to 19 items in per-size
-free lists, so short-lived tuples of those sizes would raise the peak
-memory of a long run.
+Matrices are immutable.  Over Q, Q(i) and GF(p) every matrix also has
+one canonical integer form, built at most once and cached in a slot: a
+flat list of integers over one positive common denominator.  Over Q the
+list holds the numerators row by row, over Q(i) the real parts row by
+row and then the imaginary parts, with the gcd of all numerators and the
+denominator equal to 1; over GF(p) it holds the residues in [0, p) over
+denominator 1.  A matrix over a surd field is sum_g sqrt(g)*M_g, with
+rational parts M_g over Q or Q(i) (``rational_parts``), unique because
+the square roots of distinct squarefree g are linearly independent over
+Q(i) (Besicovitch 1940).  Equal matrices have equal forms (parts), so
+equality is one list compare per part, and the heap, the action, the
+affine commutator, the sum, the difference and the product are integer
+loops with one normalisation per result (``combine``,
+``commutator_shift``, ``sandwich``, ``@``), run on each part over the
+surd fields; the inverse is the integer elimination of
+``solve.row_reduce``.  Their results carry the form and still hold
+canonical scalar entries.  The numerators are a list, never mutated,
+and gcd/lcm fold over them with ``reduce``: CPython keeps freed tuples
+of up to 19 items in per-size free lists, so short-lived tuples of those
+sizes would raise the peak memory of a long run.
 """
 from __future__ import annotations
 
@@ -27,21 +29,26 @@ from operator import mul
 
 from .errors import FieldMismatch, MalformedWire, SingularMatrix, SizeMismatch, wire_field
 from .scalars import (
+    PART_FIELDS,
     RAT,
     Field,
     GaussianRational,
     PrimeFieldElement,
     QI,
     QQ,
+    SurdComplex,
+    SurdReal,
     can_widen,
     common_denominator,
     field_by_tag,
+    surd_basis_product,
     widen_scalar,
 )
 
 
 class Matrix:
-    __slots__ = ("field", "size", "rows", "_form")
+    # _parts is set only on surd matrices, by ``rational_parts``
+    __slots__ = ("field", "size", "rows", "_form", "_parts")
 
     def __init__(self, field: Field, rows):
         coerced = tuple(tuple(field.coerce(x) for x in row) for row in rows)
@@ -133,8 +140,8 @@ class Matrix:
         see the module docstring."""
         form = self._form
         if form is None:
-            if not self.field.has_integer_form:
-                raise FieldMismatch(f"{self.field.describe()} has no integer form")
+            if self.field in PART_FIELDS:
+                raise FieldMismatch(f"{self.field.describe()} has no integer form; see rational_parts")
             flat = [x for row in self.rows for x in row]
             if self.field.characteristic:
                 form = [x.residue for x in flat], 1
@@ -145,6 +152,27 @@ class Matrix:
                 form = common_denominator(flat)
             object.__setattr__(self, "_form", form)
         return form
+
+    def rational_parts(self) -> tuple:
+        """((g, M_g), ...) with self = sum_g sqrt(g)*M_g, g increasing, M_g over
+        ``PART_FIELDS[field]``, M_1 always there and no other M_g zero;
+        ((1, self),) over Q, Q(i) and GF(p)."""
+        part_field = PART_FIELDS.get(self.field)
+        if part_field is None:
+            return ((1, self),)
+        if hasattr(self, "_parts"):
+            return self._parts
+        flat = [x for row in self.rows for x in row]
+        if part_field is QI:
+            flat = [x.re for x in flat] + [x.im for x in flat]
+        coeffs = {1: [0] * len(flat)}  # and the radicals with a nonzero coefficient
+        for k, x in enumerate(flat):
+            for g, q in x.terms:
+                coeffs.setdefault(g, [0] * len(flat))[k] = q
+        parts = tuple((g, Matrix.from_integer_form(part_field, self.size, *common_denominator(v)))
+                      for g, v in sorted(coeffs.items()))
+        object.__setattr__(self, "_parts", parts)
+        return parts
 
     def entry(self, i: int, j: int):
         return self.rows[i][j]
@@ -160,9 +188,9 @@ class Matrix:
             return NotImplemented
         if self.field is not other.field or self.size != other.size:
             return False
-        if self.field.has_integer_form:
-            return self.integer_form() == other.integer_form()
-        return self.rows == other.rows
+        if self.field in PART_FIELDS:
+            return self.rational_parts() == other.rational_parts()
+        return self.integer_form() == other.integer_form()
 
     def __hash__(self):
         return hash((self.field, self.rows))
@@ -170,28 +198,15 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.field.describe()}, {[list(r) for r in self.rows]!r})"
 
-    def is_zero(self) -> bool:
-        return not any(any(x for x in row) for row in self.rows)
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
         self._guard(other)
-        if self.field.has_integer_form:
-            return combine(((1, self), (1, other)))
-        return Matrix._wrap(
-            self.field,
-            tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(self.rows, other.rows)),
-        )
+        return combine(((1, self), (1, other)))
 
     def __sub__(self, other):
         self._guard(other)
-        if self.field.has_integer_form:
-            return combine(((1, self), (-1, other)))
-        return Matrix._wrap(
-            self.field,
-            tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(self.rows, other.rows)),
-        )
+        return combine(((1, self), (-1, other)))
 
     def __neg__(self):
         return Matrix._wrap(self.field, tuple(tuple(-x for x in row) for row in self.rows))
@@ -202,22 +217,11 @@ class Matrix:
 
     def __matmul__(self, other):
         self._guard(other)
-        if self.field.has_integer_form:
-            (a, da), (b, db) = self.integer_form(), other.integer_form()
-            nums = _product(self.field, self.size, a, b)
-            return Matrix.from_integer_form(self.field, self.size, nums, da * db)
-        cols = list(zip(*other.rows))
-        z = self.field.zero()
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = z
-                for x, y in zip(row, col):
-                    acc = acc + x * y
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return Matrix._wrap(self.field, tuple(out))
+        if self.field in PART_FIELDS:
+            return _graded(self.field, self.size, _part_products(self, other))
+        (a, da), (b, db) = self.integer_form(), other.integer_form()
+        nums = _product(self.field, self.size, a, b)
+        return Matrix.from_integer_form(self.field, self.size, nums, da * db)
 
     def transpose(self) -> Matrix:
         return Matrix._wrap(self.field, tuple(zip(*self.rows)))
@@ -245,7 +249,7 @@ class Matrix:
         from .solve import row_reduce  # solve builds on this module
 
         field, m = self.field, self.size
-        if not field.has_integer_form:
+        if field in PART_FIELDS:
             raise FieldMismatch(f"no inverse over {field.describe()}")
         nums, den = self.integer_form()
         a = [nums[i : i + m] for i in range(0, m * m, m)]
@@ -268,6 +272,12 @@ class Matrix:
     def widen(self, field: Field) -> Matrix:
         if field is self.field:
             return self
+        part_field = PART_FIELDS.get(field)
+        if part_field is not None:
+            if not can_widen(self.field, field):
+                raise FieldMismatch(f"cannot widen {self.field.describe()} into {field.describe()}")
+            parts = [(g, 1, x.widen(part_field).integer_form()) for g, x in self.rational_parts()]
+            return _graded(field, self.size, parts)
         return Matrix._wrap(
             field,
             tuple(
@@ -279,15 +289,58 @@ class Matrix:
 
 def combine(terms, q: int = 1) -> Matrix:
     """(c_1*M_1 + ... + c_k*M_k) / q for integer c_i, q > 0 and matrices
-    M_i over the same field with an integer form, on the forms."""
-    forms = [(c, x.integer_form()) for c, x in terms]
+    M_i over the same field, on the forms (of each rational part)."""
+    first = terms[0][1]
+    if first.field in PART_FIELDS:
+        parts = [(g, c, x.integer_form()) for c, y in terms for g, x in y.rational_parts()]
+        return _graded(first.field, first.size, parts, q)
+    return _combine_forms(first.field, first.size, [(c, x.integer_form()) for c, x in terms], q)
+
+
+def _combine_forms(field: Field, m: int, forms, q: int = 1) -> Matrix:
+    # (sum of c * nums / d over the forms) / q, normalised once
     den = lcm(*(d for _, (_, d) in forms))
     acc = None
     for c, (nums, d) in forms:
         f = c * (den // d)
         acc = [f * x for x in nums] if acc is None else [y + f * x for y, x in zip(acc, nums)]
-    first = terms[0][1]
-    return Matrix.from_integer_form(first.field, first.size, acc, den * q)
+    return Matrix.from_integer_form(field, m, acc, den * q)
+
+
+def _graded(field: Field, m: int, terms, q: int = 1) -> Matrix:
+    """The surd matrix sum_k sqrt(k)*M_k / q, M_k the sum of c * nums / d
+    over the terms (k, c, (nums, d)) of part k (k = 1 among them): one
+    ``_combine_forms`` per part, zero parts other than M_1 dropped."""
+    by_part: dict = {}
+    for k, c, form in terms:
+        by_part.setdefault(k, []).append((c, form))
+    part_field = PART_FIELDS[field]
+    parts = ((k, _combine_forms(part_field, m, by_part[k], q)) for k in sorted(by_part))
+    parts = tuple((k, x) for k, x in parts if k == 1 or any(x.integer_form()[0]))
+    keys, flats = [k for k, _ in parts], [[v for row in x.rows for v in row] for _, x in parts]
+
+    def surd(values):
+        return SurdReal._raw([(k, v) for k, v in zip(keys, values) if v])
+
+    if part_field is QI:
+        flat = [SurdComplex(surd([v.re for v in vs]), surd([v.im for v in vs])) for vs in zip(*flats)]
+    else:
+        flat = [surd(vs) for vs in zip(*flats)]
+    out = Matrix._wrap(field, tuple(tuple(flat[i : i + m]) for i in range(0, m * m, m)))
+    object.__setattr__(out, "_parts", parts)
+    return out
+
+
+def _part_products(a: Matrix, b: Matrix, sign: int = 1):
+    """The terms (k, sign * s, form of A_g·B_h) of a·b for every pair of
+    rational parts, sqrt(g)*sqrt(h) = s*sqrt(k)."""
+    part_field, m = PART_FIELDS[a.field], a.size
+    for g, x in a.rational_parts():
+        nx, dx = x.integer_form()
+        for h, y in b.rational_parts():
+            ny, dy = y.integer_form()
+            s, k = surd_basis_product(g, h)
+            yield k, sign * s, (_product(part_field, m, nx, ny), dx * dy)
 
 
 def _product(field: Field, m: int, a, b) -> list[int]:
@@ -331,10 +384,11 @@ def sandwich(left, x: Matrix, right) -> Matrix:
 def commutator_shift(a: Matrix, b: Matrix) -> Matrix:
     """a@b - b@a + b.  On integer forms this is one integer pass
     (numerators of ab - ba + b over da*db) with one normalisation for
-    the whole result."""
+    the whole result (for each rational part over the surd fields)."""
     a._guard(b)
-    if not a.field.has_integer_form:
-        return a @ b - b @ a + b
+    if a.field in PART_FIELDS:
+        b_parts = ((g, 1, y.integer_form()) for g, y in b.rational_parts())
+        return _graded(a.field, a.size, [*_part_products(a, b), *_part_products(b, a, -1), *b_parts])
     (x, da), (y, db) = a.integer_form(), b.integer_form()
     m = a.size
     ab, ba = _product(a.field, m, x, y), _product(a.field, m, y, x)

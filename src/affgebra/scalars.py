@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     DivisionByZero,
@@ -97,8 +97,17 @@ def squarefree_split(m: int) -> tuple[int, int]:
 
 
 def surd_basis_product(d: int, e: int) -> tuple[int, int]:
-    """sqrt(d)*sqrt(e) = s*sqrt(f): return (s, f) with d*e = s*s*f, f squarefree."""
-    return squarefree_split(d * e)
+    """sqrt(d)*sqrt(e) = s*sqrt(f) for squarefree d and e, without factoring:
+    s = gcd(d, e) and f = (d/s)*(e/s), squarefree as d/s and e/s are coprime."""
+    s = gcd(d, e)
+    return s, (d // s) * (e // s)
+
+
+# The largest radicand d of a parsed sqrt(d): above every radicand the tests
+# and the benchmark use, and small enough that splitting off its square
+# factor (about sqrt(d) trial divisions) takes milliseconds.  A fixed bound,
+# not an option.  A product of radicands in a result may exceed it.
+MAX_RADICAND = 2**31 - 1
 
 
 SAMPLE_BOUND = 9
@@ -603,6 +612,15 @@ def conjugate(x):
     return x.conjugate()
 
 
+def rational_value(x):
+    """x as a rational when it is one, else None (x in Q, Q(i) or a surd field)."""
+    if type(x) is _RAT_T:
+        return x
+    if isinstance(x, (GaussianRational, SurdComplex)):
+        return None if x.im else rational_value(x.re)
+    return x.coefficient(1) if all(d == 1 for d, _ in x.terms) else None
+
+
 def field_arith(x, y, op: str):
     """Apply one of add | sub | mul | div to two scalars of the same field."""
     if op == "add":
@@ -669,6 +687,8 @@ def _parse_surd_real(s: str) -> SurdReal:
         else:
             d = 1
             coef = _parse_rational(part)
+        if d > MAX_RADICAND:
+            raise ValueError(f"a radicand must be at most {MAX_RADICAND}, got {d}")
         if d > 0:
             # sqrt(s*s*f) = s*sqrt(f) with f squarefree
             s, d = squarefree_split(d)
@@ -701,8 +721,6 @@ class Field:
     tag: str = ""
     characteristic: int = 0
     is_complex: bool = False
-    # matrices over this field carry ``Matrix.integer_form``
-    has_integer_form: bool = False
 
     def zero(self):
         return self.from_int(0)
@@ -754,7 +772,6 @@ class Field:
 
 class RationalField(Field):
     tag = "Q"
-    has_integer_form = True
 
     def from_int(self, k):
         return RAT(k)
@@ -779,7 +796,6 @@ class RationalField(Field):
 class GaussianField(Field):
     tag = "Qi"
     is_complex = True
-    has_integer_form = True
 
     def from_int(self, k):
         return GaussianRational(k)
@@ -827,7 +843,6 @@ class PrimeField(Field):
         self.characteristic = p
 
     tag = "GF"
-    has_integer_form = True
 
     def from_int(self, k):
         return PrimeFieldElement(k, self.p)
@@ -906,18 +921,14 @@ class SurdComplexField(Field):
             return SurdComplex(_parse_surd_real(s))
         depth = 0
         for idx, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    re_part = s[1:idx]
-                    rest = s[idx + 1 :]
-                    break
+            depth += (ch == "(") - (ch == ")")
+            if depth == 0:
+                break
+        # with unbalanced parentheses idx is the last index: nothing is left
+        re_part, rest = s[1:idx], s[idx + 1 :]
         if not rest.startswith("+(") or not rest.endswith(")i"):
             raise ValueError(f"malformed complex surd string {s!r}")
-        im_part = rest[2:-2]
-        return SurdComplex(_parse_surd_real(re_part), _parse_surd_real(im_part))
+        return SurdComplex(_parse_surd_real(re_part), _parse_surd_real(rest[2:-2]))
 
     def format(self, x):
         return f"({_format_surd_real(x.re)})+({_format_surd_real(x.im)})i"
@@ -927,6 +938,9 @@ QQ = RationalField()
 QI = GaussianField()
 SURD = SurdRealField()
 SURD_C = SurdComplexField()
+
+# the field of the rational parts of a surd matrix (``Matrix.rational_parts``)
+PART_FIELDS = {SURD: QQ, SURD_C: QI}
 
 _prime_fields: dict[int, PrimeField] = {}
 

@@ -30,7 +30,7 @@ from math import gcd, lcm
 
 from .errors import FieldMismatch, Infeasible
 from .matrix import Matrix
-from .scalars import Field, QI, QQ, common_denominator
+from .scalars import PART_FIELDS, Field, QI, QQ, common_denominator
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class AffineSubspace:
 def solve_affine_system(constraints, size: int, field: Field, realify: bool = False) -> AffineSubspace:
     if realify and field is not QI:
         raise FieldMismatch("realified systems are solved over the Gaussian rationals")
-    if not field.has_integer_form:
+    if field in PART_FIELDS:
         raise FieldMismatch(f"linear systems are solved over Q, Q(i) and GF(p), not {field.describe()}")
     p = field.characteristic
     split = field is QI and not realify  # rational coefficients, complex right-hand side

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .affine import COMMUTATOR, AffineCommutator, action, bracket, heap
-from .classes import ClassKind, MatrixClassSpec, base_point, contains, contains_form
+from .classes import ClassKind, MatrixClassSpec, base_point, contains, contains_parts
 from .errors import ClassViolation, FieldMismatch, SizeMismatch
 from .matrix import Matrix, sandwich, sandwich_form
 from .report import (
@@ -32,11 +32,10 @@ from .report import (
     run_trials,
 )
 from .scalars import (
+    PART_FIELDS,
     RAT,
     SAMPLE_DEN,
     Field,
-    GaussianRational,
-    QI,
     QQ,
     SURD,
     SURD_C,
@@ -44,6 +43,7 @@ from .scalars import (
     can_widen,
     sample_numerators,
     squarefree_split,
+    surd_basis_product,
     widen_scalar,
 )
 
@@ -165,22 +165,20 @@ class BlockTarget:
         matrix of the U route and the tested block matrix is D·m·D⁻¹ for
         D = diag(√f_k): the zero pattern and the trace carry over, and
         (anti)symmetry reads f_l·d_lk = -f_k·d_kl."""
-        base = self.base_block.widen(m.field) if m.field is not self.field else self.base_block
+        base = self.base_block.widen(m.field)
         if m.size != base.size:
             raise SizeMismatch(f"{base.size} vs {m.size}")
         radicals = radicals or (1,) * m.size
-        if m.field.has_integer_form:
-            # every condition is homogeneous: the numerators of m - base
-            # over da·db decide it
-            (a, da), (b, db) = m.integer_form(), base.integer_form()
-            nums = [x * db - y * da for x, y in zip(a, b)]
-            return _block_member_form(self.block_kind, nums, self.n, radicals, m.field.characteristic)
-        d = m - base
-        zero = m.field.zero()
-        for k in range(m.size):
-            if d.entry(self.n, k) != zero or d.entry(k, self.n) != zero:
+        # every condition is homogeneous, so each rational part of m - base
+        # decides it (M_1 - base on the numerators over da·db; base is rational)
+        ((_, rational),) = base.rational_parts()
+        b, db = rational.integer_form()
+        for g, x in m.rational_parts():
+            a, da = x.integer_form()
+            nums = [u * db - v * da for u, v in zip(a, b)] if g == 1 else a
+            if not _block_member_form(self.block_kind, nums, self.n, radicals, m.field.characteristic):
                 return False
-        return _block_member(self.block_kind, d, self.n, m.field, radicals)
+        return True
 
     def sample(self, rng: random.Random) -> Matrix:
         """The base plus a random element of the block algebra, drawn as
@@ -189,15 +187,13 @@ class BlockTarget:
         then imaginary part), o the entries above the diagonal, u and su
         the imaginary diagonal and then the entries above it; sl and su
         replace the last diagonal entry, still drawn, by minus the trace
-        of the others.  The surd targets (o, u, su) have a rational base
-        and draw over Q or Q(i)."""
+        of the others.  The base is rational, so the surd targets (o, u,
+        su) draw into the form of its rational part, over Q or Q(i)."""
         field, n, kind = self.field, self.n, self.block_kind
-        if not field.has_integer_form:
-            rational = BlockTarget(kind, _rational_base(self.base_block), n)
-            return rational.sample(rng).widen(field)
         m = n + 1
         mm = m * m
-        base, bden = self.base_block.integer_form()
+        ((_, rational),) = self.base_block.rational_parts()
+        base, bden = rational.integer_form()
         p = field.characteristic
         scale = 1 if p else SAMPLE_DEN
 
@@ -232,45 +228,15 @@ class BlockTarget:
             for part in range(0, len(base), mm):
                 block[part + last] = -sum(block[part + k * (m + 1)] for k in range(n - 1))
         nums = [x * scale + y * bden for x, y in zip(base, block)]
-        return Matrix.from_integer_form(field, m, nums, bden * scale)
-
-
-def _rational_base(base: Matrix) -> Matrix:
-    """A surd matrix with rational entries, over Q or Q(i)."""
-    if base.field is SURD:
-        return Matrix(QQ, [[x.coefficient(1) for x in row] for row in base.rows])
-    return Matrix(
-        QI, [[GaussianRational(x.re.coefficient(1), x.im.coefficient(1)) for x in row] for row in base.rows]
-    )
-
-
-def _block_member(kind: str, d: Matrix, n: int, field: Field, f) -> bool:
-    zero = field.zero()
-    if kind in ("sl", "su"):
-        tr = zero
-        for k in range(n):
-            tr = tr + d.entry(k, k)
-        if tr != zero:
-            return False
-    if kind == "o":
-        for k in range(n):
-            for l in range(k, n):
-                if f[l] * d.entry(l, k) != -(f[k] * d.entry(k, l)):
-                    return False
-    if kind in ("u", "su"):
-        conj = field.conjugate
-        for k in range(n):
-            for l in range(k, n):
-                if f[l] * d.entry(l, k) != -(f[k] * conj(d.entry(k, l))):
-                    return False
-    return True
+        return Matrix.from_integer_form(rational.field, m, nums, bden * scale).widen(field)
 
 
 def _block_member_form(kind: str, nums, n: int, f, p: int) -> bool:
-    """The zero last row and column plus ``_block_member`` on the
-    numerators of an integer form of d (any positive denominator; over
-    GF(p), residues up to multiples of p, p the characteristic).  Every
-    condition is homogeneous, so the denominator drops out;
+    """Whether d, from the numerators of an integer form (any positive
+    denominator; over GF(p), residues up to multiples of p, p the
+    characteristic), has a zero last row and column and its top block in
+    ``kind``: zero trace for sl and su, f_l·d_lk = -f_k·conj(d_kl) for o, u
+    and su.  Every condition is homogeneous, so the denominator drops out;
     (anti)symmetry reads f_l·d_lk = -f_k·d_kl on the real part and
     f_l·d_lk = f_k·d_kl on the imaginary part."""
     size = n + 1
@@ -388,8 +354,8 @@ class Frame:
         return self.basis.field
 
     def _fused(self, x: Matrix) -> bool:
-        # class-field matrices of the right size take the integer path
-        return x.field is self.field and x.field.has_integer_form and x.size == self.left.size
+        # class-field matrices of the right size with a form take the integer path
+        return x.field is self.field and x.field not in PART_FIELDS and x.size == self.left.size
 
     def _over(self, field: Field) -> tuple[Matrix, Matrix]:
         # (R⁻¹, R) over ``field``, which must embed in the block field
@@ -431,31 +397,23 @@ class Frame:
         return self.basis @ y.widen(self.block_field) @ self.basis_inverse
 
     def pulls_back_into(self, spec: MatrixClassSpec, z: Matrix) -> bool:
-        """Whether T·z·T⁻¹ = Σ_g √g·M_g is a member of the class.  The
-        class conditions are rational-linear (affine only in their
-        constants) and the √g are linearly independent over Q(i), so they
-        hold exactly when M_1 is a member and every M_g with g ≠ 1 is a
-        direction, that is when M_1 and every M_1 + M_g are members."""
+        """Whether T·z·T⁻¹ = Σ_g √g·M_g is a member of the class, decided
+        on the parts M_g by ``classes.contains_parts``."""
         if not self._fused(z):
             return contains(spec, self.pull_back(z))
         nums, den = z.integer_form()
         (w, dw), (wt, dwt) = self.outer.integer_form(), self.left.integer_form()
         m, mm = z.size, z.size * z.size
         den *= dw * dwt
-        one = None
-        for _, entries in self.pieces:
+
+        def part(entries):
             zg = [0] * len(nums)
             for k, s in entries:
                 for at in range(k, len(nums), mm):  # each part of the form
                     zg[at] = s * nums[at]
-            part = sandwich_form(w, zg, wt, m)
-            if one is None:  # g = 1
-                one = part
-            else:
-                part = [x + y for x, y in zip(one, part)]
-            if not contains_form(spec, z.field, m, part, den):
-                return False
-        return True
+            return sandwich_form(w, zg, wt, m), den
+
+        return contains_parts(spec, z.field, m, [part(entries) for _, entries in self.pieces])
 
 
 @lru_cache(maxsize=None)
@@ -479,7 +437,7 @@ def _conjugators(n: int, field: Field, via: str) -> Frame:
     for i, fi in enumerate(radicals):
         row = []
         for j, fj in enumerate(radicals):
-            s, g = squarefree_split(fi * fj)
+            s, g = surd_basis_product(fi, fj)
             row.append(block.coerce(SurdReal({g: RAT(s, fj)})))
             by_radical.setdefault(g, []).append((i * m + j, s))
         scales.append(tuple(row))

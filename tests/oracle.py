@@ -1,0 +1,121 @@
+"""The plain entrywise scalar path: the reference the matrix operations
+are tested against.
+
+Every formula here uses only the scalar arithmetic of the field (the
+entry types ``RAT``, ``GaussianRational``, ``PrimeFieldElement``,
+``SurdReal`` and ``SurdComplex``) and builds results with the public
+``Matrix`` constructor, so none of it goes through integer forms or
+rational parts.  It is imported by the test modules, from the tests
+directory.
+"""
+from affgebra.classes import ClassKind
+from affgebra.matrix import Matrix
+
+_TRACELESS = (ClassKind.SNA, ClassKind.SUNA)
+_COMPLEX_ONLY = (ClassKind.UNA, ClassKind.SUNA)
+
+
+def entrywise(field, f, *mats):
+    return Matrix(field, [[f(*xs) for xs in zip(*rows)] for rows in zip(*(m.rows for m in mats))])
+
+
+def plain_heap(a, b, c):
+    return entrywise(a.field, lambda x, y, z: x - y + z, a, b, c)
+
+
+def plain_heap5(a, b, c, d, e):
+    return entrywise(a.field, lambda v, w, x, y, z: v - w + x - y + z, a, b, c, d, e)
+
+
+def plain_action(alpha, base, b):
+    alpha = base.field.coerce(alpha)
+    return entrywise(base.field, lambda x, y: alpha * y - alpha * x + x, base, b)
+
+
+def plain_add(a, b):
+    return entrywise(a.field, lambda x, y: x + y, a, b)
+
+
+def plain_sub(a, b):
+    return entrywise(a.field, lambda x, y: x - y, a, b)
+
+
+def plain_matmul(a, b):
+    m = a.size
+    z = a.field.zero()
+    rows = []
+    for i in range(m):
+        row = []
+        for j in range(m):
+            acc = z
+            for k in range(m):
+                acc = acc + a.rows[i][k] * b.rows[k][j]
+            row.append(acc)
+        rows.append(row)
+    return Matrix(a.field, rows)
+
+
+def plain_commutator_shift(a, b):
+    return plain_heap(plain_matmul(a, b), plain_matmul(b, a), b)
+
+
+def plain_contains(spec, m):
+    """Class membership entry by entry: every row and column sum is the
+    normalisation, plus the trace, unit diagonal, antisymmetry and
+    anti-hermitian conditions of the class."""
+    target = spec.normalisation(m.field)
+    rows, size = m.rows, m.size
+    zero = m.field.zero()
+    if any(sum(row, zero) != target for row in rows):
+        return False
+    if any(sum(col, zero) != target for col in zip(*rows)):
+        return False
+    if spec.kind in _TRACELESS and sum((rows[k][k] for k in range(size)), zero) != zero:
+        return False
+    if spec.kind is ClassKind.ONA:
+        one = m.field.one()
+        for k in range(size):
+            if rows[k][k] != one:
+                return False
+            for l in range(k + 1, size):
+                if rows[k][l] != -rows[l][k]:
+                    return False
+    if spec.kind in _COMPLEX_ONLY:
+        conj = m.field.conjugate
+        for k in range(size):
+            for l in range(k, size):
+                if rows[l][k] != -conj(rows[k][l]):
+                    return False
+    return True
+
+
+def plain_block_member(kind, d, n, field, f):
+    """Whether the top-left n x n block of d lies in the algebra ``kind``,
+    (anti)symmetry read as f_l·d_lk = -f_k·conj(d_kl)."""
+    zero = field.zero()
+    if kind in ("sl", "su"):
+        if sum((d.entry(k, k) for k in range(n)), zero) != zero:
+            return False
+    if kind == "o":
+        for k in range(n):
+            for l in range(k, n):
+                if f[l] * d.entry(l, k) != -(f[k] * d.entry(k, l)):
+                    return False
+    if kind in ("u", "su"):
+        conj = field.conjugate
+        for k in range(n):
+            for l in range(k, n):
+                if f[l] * d.entry(l, k) != -(f[k] * conj(d.entry(k, l))):
+                    return False
+    return True
+
+
+def plain_block_contains(target, m, radicals=None):
+    """Block membership entry by entry on the scalar difference m - base:
+    a zero last row and column, then ``plain_block_member``."""
+    base, n = Matrix(m.field, target.base_block.rows), target.n
+    radicals = radicals or (1,) * m.size
+    d = Matrix(m.field, [[x - y for x, y in zip(r, s)] for r, s in zip(m.rows, base.rows)])
+    if any(d.entry(n, k) or d.entry(k, n) for k in range(m.size)):
+        return False
+    return plain_block_member(target.block_kind, d, n, m.field, radicals)

@@ -11,7 +11,7 @@ from affgebra.classes import MAX_N, ClassKind, MatrixClassSpec
 from affgebra.cli import build_parser, main
 from affgebra.affine import COMMUTATOR
 from affgebra.matrix import Matrix, matrix_from_wire, matrix_to_wire
-from affgebra.scalars import MAX_P, QQ
+from affgebra.scalars import MAX_P, MAX_RADICAND, QQ
 
 CYCLE = Matrix(QQ, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 SWAP = Matrix(QQ, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
@@ -266,6 +266,38 @@ class TestBracketAndRetract:
         assert (code, out) == (2, "")
         assert err == f"error: MalformedWire: {message}\n"
 
+    def test_surd_products_of_large_radicands_do_not_factor(self, capsys):
+        # sqrt(9999991)*sqrt(9999973): two primes, so the product's radicand
+        # is about 1e14, which trial division takes seconds to split
+        a, b = ('{"field":"surd","n":1,"entries":[["sqrt(%d)"]]}' % d for d in (9999991, 9999973))
+        for kind, want in [
+            ("commutator", "1*sqrt(9999973)"),  # ab - ba + b = b
+            ("zeta:sqrt(2)", "1*sqrt(9999991)+1*sqrt(19999946)-1*sqrt(19999982)"),
+        ]:
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "bracket", "--bracket", kind, a, b)
+            assert time.perf_counter() - start < 0.5
+            assert (code, err) == (0, "")
+            assert json.loads(out)["entries"] == [[want]]
+
+    def test_radicand_above_the_bound_is_usage_error(self, capsys):
+        # a 20-digit radicand: trial division up to its square root would take hours
+        d = 10**19 + 51
+        good = '{"field":"surd","n":1,"entries":[["1"]]}'
+        bad = '{"field":"surd","n":1,"entries":[["1+sqrt(%d)"]]}' % d
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "bracket", bad, good)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == f"error: a radicand must be at most {MAX_RADICAND}, got {d}\n"
+
+    def test_unbalanced_complex_surd_is_usage_error(self, capsys):
+        good = '{"field":"surd_c","n":1,"entries":[["(1)+(0)i"]]}'
+        bad = '{"field":"surd_c","n":1,"entries":[["((1)+(2)i"]]}'
+        code, out, err = run_cli(capsys, "bracket", bad, good)
+        assert (code, out) == (2, "")
+        assert err == "error: malformed complex surd string '((1)+(2)i'\n"
+
 
 class TestDims:
     def test_table_values(self, capsys):
@@ -449,6 +481,15 @@ class TestReplay:
         wire = json.loads(json.dumps(self._failing_report().to_wire()))
         wire["counterexample"][where] = value
         code, out, err = run_cli(capsys, "replay", json.dumps(wire))
+        assert (code, out) == (2, "")
+        assert err == f"error: MalformedWire: {message}\n"
+
+    @pytest.mark.parametrize("doc, message", [
+        ({}, "report lacks field 'check'"),
+        ({"check": ["a"]}, "report field 'check' must be str, got list ['a']"),
+    ], ids=["no check", "check a list"])
+    def test_replay_reads_the_check_as_a_typed_wire_field(self, capsys, doc, message):
+        code, out, err = run_cli(capsys, "replay", json.dumps(doc))
         assert (code, out) == (2, "")
         assert err == f"error: MalformedWire: {message}\n"
 

@@ -8,7 +8,7 @@ the samplers as they were before: every coefficient or block entry a
 must give equal matrices with equal wire forms and leave the random
 stream in the same state after every draw.  Block membership on the
 numerators of m - base is checked against the entrywise
-``_block_member``.
+``plain_block_contains`` of ``tests/oracle.py``.
 """
 import random
 from fractions import Fraction
@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from affgebra.classes import ClassKind, MatrixClassSpec, draw_element, subspace
 from affgebra.matrix import Matrix, matrix_to_wire
 from affgebra.scalars import GF, QI, QQ, SURD, SURD_C, GaussianRational, PrimeFieldElement
-from affgebra.transforms import _block_member, block_target
+from affgebra.transforms import block_target
+from oracle import plain_block_contains
 
 SIZES = range(1, 6)
 SPECS = (
@@ -89,15 +90,6 @@ def fraction_block_sample(target, rng):
     return Matrix(field, rows)
 
 
-def entrywise_contains(target, m, radicals):
-    """Block membership entry by entry on the scalar difference m - base."""
-    base, n = target.base_block, target.n
-    d = Matrix(m.field, [[x - y for x, y in zip(r, s)] for r, s in zip(m.rows, base.rows)])
-    if any(d.entry(n, k) or d.entry(k, n) for k in range(m.size)):
-        return False
-    return _block_member(target.block_kind, d, n, m.field, radicals)
-
-
 def assert_same_draws(draw, oracle, seed, count=2):
     """``count`` draws in a row from one stream: equal matrices, equal
     wire forms and equal stream states after each."""
@@ -165,6 +157,6 @@ def test_block_membership_on_the_difference_form_matches_entrywise(s, seed, move
         delta = re
     z = _move(target, z, move, i % size, j % size, delta)
     for rad in ((1,) * size, tuple(radicals[:size])):
-        assert target.contains(z, rad) is entrywise_contains(target, z, rad)
+        assert target.contains(z, rad) is plain_block_contains(target, z, rad)
     if move == "none":
         assert target.contains(z)

@@ -218,7 +218,7 @@ class Matrix:
     def __matmul__(self, other):
         self._guard(other)
         if self.field in PART_FIELDS:
-            return _graded(self.field, self.size, _part_products(self, other))
+            return graded(self.field, self.size, _part_products(self, other))
         (a, da), (b, db) = self.integer_form(), other.integer_form()
         nums = _product(self.field, self.size, a, b)
         return Matrix.from_integer_form(self.field, self.size, nums, da * db)
@@ -277,7 +277,7 @@ class Matrix:
             if not can_widen(self.field, field):
                 raise FieldMismatch(f"cannot widen {self.field.describe()} into {field.describe()}")
             parts = [(g, 1, x.widen(part_field).integer_form()) for g, x in self.rational_parts()]
-            return _graded(field, self.size, parts)
+            return graded(field, self.size, parts)
         return Matrix._wrap(
             field,
             tuple(
@@ -293,7 +293,7 @@ def combine(terms, q: int = 1) -> Matrix:
     first = terms[0][1]
     if first.field in PART_FIELDS:
         parts = [(g, c, x.integer_form()) for c, y in terms for g, x in y.rational_parts()]
-        return _graded(first.field, first.size, parts, q)
+        return graded(first.field, first.size, parts, q)
     return _combine_forms(first.field, first.size, [(c, x.integer_form()) for c, x in terms], q)
 
 
@@ -307,14 +307,17 @@ def _combine_forms(field: Field, m: int, forms, q: int = 1) -> Matrix:
     return Matrix.from_integer_form(field, m, acc, den * q)
 
 
-def _graded(field: Field, m: int, terms, q: int = 1) -> Matrix:
-    """The surd matrix sum_k sqrt(k)*M_k / q, M_k the sum of c * nums / d
-    over the terms (k, c, (nums, d)) of part k (k = 1 among them): one
-    ``_combine_forms`` per part, zero parts other than M_1 dropped."""
+def graded(field: Field, m: int, terms, q: int = 1) -> Matrix:
+    """The matrix sum_k sqrt(k)*M_k / q, M_k the sum of c * nums / d over
+    the terms (k, c, (nums, d)) of part k (k = 1 among them; the only k
+    over a field without parts): one ``_combine_forms`` per part, zero
+    parts other than M_1 dropped."""
+    part_field = PART_FIELDS.get(field)
+    if part_field is None:
+        return _combine_forms(field, m, [(c, form) for _, c, form in terms], q)
     by_part: dict = {}
     for k, c, form in terms:
         by_part.setdefault(k, []).append((c, form))
-    part_field = PART_FIELDS[field]
     parts = ((k, _combine_forms(part_field, m, by_part[k], q)) for k in sorted(by_part))
     parts = tuple((k, x) for k, x in parts if k == 1 or any(x.integer_form()[0]))
     keys, flats = [k for k, _ in parts], [[v for row in x.rows for v in row] for _, x in parts]
@@ -373,12 +376,16 @@ def sandwich_form(left, nums, right, m: int) -> list[int]:
 
 
 def sandwich(left, x: Matrix, right) -> Matrix:
-    """L·x·R for x with an integer form and the integer forms
-    (numerators, denominator) of two real matrices L and R as in
-    ``sandwich_form``: one integer triple product and one normalisation,
+    """L·x·R for the integer forms (numerators, denominator) of two real
+    matrices L and R as in ``sandwich_form``: one integer triple product
+    and one normalisation (for each rational part over the surd fields),
     with no intermediate matrix."""
-    (a, da), (nums, d), (b, db) = left, x.integer_form(), right
-    return Matrix.from_integer_form(x.field, x.size, sandwich_form(a, nums, b, x.size), da * d * db)
+    (a, da), (b, db), m = left, right, x.size
+    if x.field in PART_FIELDS:
+        forms = ((g, y.integer_form()) for g, y in x.rational_parts())
+        return graded(x.field, m, [(g, 1, (sandwich_form(a, nums, b, m), da * d * db)) for g, (nums, d) in forms])
+    nums, d = x.integer_form()
+    return Matrix.from_integer_form(x.field, m, sandwich_form(a, nums, b, m), da * d * db)
 
 
 def commutator_shift(a: Matrix, b: Matrix) -> Matrix:
@@ -388,7 +395,7 @@ def commutator_shift(a: Matrix, b: Matrix) -> Matrix:
     a._guard(b)
     if a.field in PART_FIELDS:
         b_parts = ((g, 1, y.integer_form()) for g, y in b.rational_parts())
-        return _graded(a.field, a.size, [*_part_products(a, b), *_part_products(b, a, -1), *b_parts])
+        return graded(a.field, a.size, [*_part_products(a, b), *_part_products(b, a, -1), *b_parts])
     (x, da), (y, db) = a.integer_form(), b.integer_form()
     m = a.size
     ab, ba = _product(a.field, m, x, y), _product(a.field, m, y, x)

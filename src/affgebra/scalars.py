@@ -672,8 +672,6 @@ def _split_surd_terms(s: str) -> list[str]:
 
 def _parse_surd_real(s: str) -> SurdReal:
     s = s.strip().replace(" ", "")
-    if s in ("", "0"):
-        return SurdReal()
     acc = {}
     for part in _split_surd_terms(s):
         if "*sqrt(" in part:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from .affine import COMMUTATOR, AffineCommutator, action, bracket, heap
 from .classes import ClassKind, MatrixClassSpec, base_point, contains, contains_parts
 from .errors import ClassViolation, FieldMismatch, SizeMismatch
-from .matrix import Matrix, sandwich, sandwich_form
+from .matrix import Matrix, graded, sandwich, sandwich_form
 from .report import (
     POINT,
     SCALAR,
@@ -39,7 +39,6 @@ from .scalars import (
     QQ,
     SURD,
     SURD_C,
-    SurdReal,
     can_widen,
     sample_numerators,
     squarefree_split,
@@ -84,33 +83,39 @@ def change_of_basis_inverse(n: int, field: Field) -> Matrix:
     return Matrix(field, rows).scale(scale)
 
 
-def _inv_sqrt(k: int) -> SurdReal:
-    # 1/sqrt(k) = sqrt(f)/(s*f) for k = s^2 * f
-    s, f = squarefree_split(k)
-    return SurdReal({f: RAT(1, s * f)})
-
-
-def _neg_sqrt_ratio(p: int, q: int) -> SurdReal:
-    # -sqrt(p/q) = -sqrt(p*q)/q
-    s, f = squarefree_split(p * q)
-    return SurdReal({f: RAT(-s, q)})
+@lru_cache(maxsize=None)
+def _orthonormal_frame(n: int) -> tuple[Matrix, tuple]:
+    """(W, f) with U = W·diag(√f_0, ..., √f_n), W rational, f_j squarefree.
+    For j = 1..n, with top = n+2-j, drop = n+1-j and top·drop = s²·f_j,
+    column j of U is 1/√(top·drop) in its first drop rows and -√(drop/top)
+    in the next, so column j of W is 1/(s·f_j) there and -s/top; the last
+    column of U is 1/√(n+1), so that of W is 1/(s·f_n) for n+1 = s²·f_n."""
+    m = n + 1
+    cols, radicals = [], []
+    for j in range(1, n + 1):
+        top, drop = n + 2 - j, n + 1 - j
+        s, f = squarefree_split(top * drop)
+        cols.append([RAT(1, s * f)] * drop + [RAT(-s, top)] + [RAT(0)] * (m - drop - 1))
+        radicals.append(f)
+    s, f = squarefree_split(m)
+    cols.append([RAT(1, s * f)] * m)
+    radicals.append(f)
+    return Matrix(QQ, list(zip(*cols))), tuple(radicals)
 
 
 @lru_cache(maxsize=None)
 def orthonormal_change_of_basis(n: int) -> Matrix:
     """The orthonormal counterpart of ``change_of_basis`` over the real
-    surd field; its transpose is its exact inverse."""
+    surd field, built from its rational frame: the part of √g of U = W·D
+    keeps the columns j of W with f_j = g.  Its transpose is its exact
+    inverse."""
+    w, radicals = _orthonormal_frame(n)
+    nums, den = w.integer_form()
     m = n + 1
-    zero = SURD.zero()
-    cols = []
-    for j in range(1, n + 1):
-        top, drop = n + 2 - j, n + 1 - j
-        col = [_inv_sqrt(top * drop)] * drop
-        col.append(_neg_sqrt_ratio(drop, top))
-        col.extend([zero] * (m - drop - 1))
-        cols.append(col)
-    cols.append([_inv_sqrt(m)] * m)
-    return Matrix(SURD, list(zip(*cols)))
+    return graded(SURD, m, [
+        (g, 1, ([x if radicals[k % m] == g else 0 for k, x in enumerate(nums)], den))
+        for g in sorted({1, *radicals})
+    ])
 
 
 def float_gram_schmidt(n: int) -> list[list[float]]:
@@ -321,130 +326,116 @@ def _route(spec: MatrixClassSpec, via: str | None) -> str:
 
 @dataclass(frozen=True)
 class Frame:
-    """Conjugation by a basis T = R·D⁻¹ with R rational (over GF(p) for
-    P over GF(p)) and D = diag(√f_0, ..., √f_n), f_k squarefree.
+    """Conjugation by a basis T = W·D = R·D⁻¹ with W and R = W·D² rational
+    (over GF(p) for P over GF(p)) and D = diag(√f_0, ..., √f_n), f_k
+    squarefree: for P, W = R = P and D = I; for U, (W, f) is
+    ``_orthonormal_frame`` and R⁻¹ = Wᵀ.
 
     The image T⁻¹·m·T is D·Z·D⁻¹ with Z = R⁻¹·m·R, so every identity
     the theorem asserts between images (heap, action, the commutator
     bracket, the inverse) holds for the Z matrices over the class field.
-    For P, R = T and D = I; for U, R = W·diag(f) and R⁻¹ = Wᵀ, where
-    U = W·D with W rational, since every column of U carries a single
-    radical.  On the class field, ``image``, ``preimage`` and each part
-    of ``pulls_back_into`` are one integer triple product on the forms.
+    ``image`` and ``preimage`` are one integer triple product per
+    rational part (``matrix.sandwich``).
 
-    The pull-back T·z·T⁻¹ = W·(D·z·D)·Wᵀ splits by radical: with
-    f_i·f_j = s_ij²·g_ij, g_ij squarefree, it is Σ_g √g·M_g where
-    M_g = W·Z_g·Wᵀ and Z_g keeps the entries s_ij·z_ij with g_ij = g.
-    Surds appear only when ``materialise`` builds D·Z·D⁻¹ and in
-    ``pull_back``.
+    Every map into or out of the block field goes through D·x·D, split by
+    radical in ``_split``: with f_i·f_j = s_ij²·g_ij, g_ij squarefree, its
+    part of √g keeps the entries s_ij·x_ij with g_ij = g (for each part of
+    x).  ``materialise`` builds D·Z·D⁻¹ = D·(Z·D⁻²)·D, ``pull_back`` builds
+    T·y·T⁻¹ = W·(D·y·D)·R⁻¹ with one triple product per part, and
+    ``pulls_back_into`` tests those parts for a class-field z on their
+    integer forms, with no matrix built.
     """
 
     field: Field  # the class field
+    block_field: Field  # the field of T and of the block target
     left: Matrix  # R⁻¹, rational or over GF(p)
     right: Matrix  # R
-    outer: Matrix  # W = T·D⁻¹
+    outer: Matrix  # W
     radicals: tuple  # f_0..f_n
     pieces: tuple  # (g, ((k, s_ij), ...)) for k = i*(n+1) + j, g = 1 first
-    basis: Matrix  # T over the block field
-    basis_inverse: Matrix  # T⁻¹ over the block field
-    scales: tuple | None  # rows of √f_i/√f_j over the block field; None when D = I
 
-    @property
-    def block_field(self) -> Field:
-        return self.basis.field
-
-    def _fused(self, x: Matrix) -> bool:
-        # class-field matrices of the right size with a form take the integer path
-        return x.field is self.field and x.field not in PART_FIELDS and x.size == self.left.size
-
-    def _over(self, field: Field) -> tuple[Matrix, Matrix]:
-        # (R⁻¹, R) over ``field``, which must embed in the block field
-        if field is not self.field and not can_widen(field, self.block_field):
-            raise FieldMismatch(
-                f"cannot widen {field.describe()} into {self.block_field.describe()}"
-            )
-        return self.left.widen(field), self.right.widen(field)
+    def _admit(self, x: Matrix) -> Matrix:
+        # x must widen into the block field and have the size of T
+        if x.field is not self.field and not can_widen(x.field, self.block_field):
+            raise FieldMismatch(f"cannot widen {x.field.describe()} into {self.block_field.describe()}")
+        if x.size != self.left.size:
+            raise SizeMismatch(f"{self.left.size} vs {x.size}")
+        return x
 
     def image(self, m: Matrix) -> Matrix:
         """Z = R⁻¹·m·R."""
-        if self._fused(m):
-            return sandwich(self.left.integer_form(), m, self.right.integer_form())
-        left, right = self._over(m.field)
-        return left @ m @ right
+        return sandwich(self.left.integer_form(), self._admit(m), self.right.integer_form())
 
     def preimage(self, z: Matrix) -> Matrix:
         """m = R·Z·R⁻¹."""
-        if self._fused(z):
-            return sandwich(self.right.integer_form(), z, self.left.integer_form())
-        left, right = self._over(z.field)
-        return right @ z @ left
+        return sandwich(self.right.integer_form(), self._admit(z), self.left.integer_form())
+
+    def _split(self, x: Matrix, inverse: bool = False):
+        """The terms (k, c, (nums, den)) of D·x·D = sum_k √k·X_k, or of
+        D·x·D⁻¹ = D·(x·D⁻²)·D with ``inverse``, for x over the block field
+        or the class field: the part of √h of x gives, for each piece g,
+        the entries s_ij·x_ij with g_ij = g, and √g·√h = c·√k."""
+        f, m = self.radicals, x.size
+        for h, part in x.rational_parts():
+            nums, den = part.integer_form()
+            if inverse:  # column j over f_j, on the denominator times lcm(f)
+                top = math.lcm(*f)
+                nums = [v * (top // f[at % m]) for at, v in enumerate(nums)]
+                den *= top
+            for g, entries in self.pieces:
+                c, k = surd_basis_product(g, h)
+                xg = [0] * len(nums)
+                for at, s in entries:
+                    for a in range(at, len(nums), m * m):  # each part of the form
+                        xg[a] = s * nums[a]
+                yield k, c, (xg, den)
+
+    def _pulled(self, x: Matrix):
+        # the terms of T·x·T⁻¹ = W·(D·x·D)·R⁻¹
+        (w, dw), (r, dr) = self.outer.integer_form(), self.left.integer_form()
+        for k, c, (nums, den) in self._split(x):
+            yield k, c, (sandwich_form(w, nums, r, x.size), den * dw * dr)
 
     def materialise(self, z: Matrix) -> Matrix:
         """The block matrix D·Z·D⁻¹; each entry is z_ij·√(f_i f_j)/f_j."""
-        if self.scales is None:
-            return z
         z = z.widen(self.block_field)
-        return Matrix._wrap(
-            self.block_field,
-            tuple(
-                tuple(x * s for x, s in zip(row, srow))
-                for row, srow in zip(z.rows, self.scales)
-            ),
-        )
+        return graded(self.block_field, z.size, list(self._split(z, inverse=True)))
 
     def pull_back(self, y: Matrix) -> Matrix:
         """T·y·T⁻¹ for a block-field matrix y (surd-valued for U)."""
-        return self.basis @ y.widen(self.block_field) @ self.basis_inverse
+        y = self._admit(y).widen(self.block_field)
+        return graded(self.block_field, y.size, list(self._pulled(y)))
 
     def pulls_back_into(self, spec: MatrixClassSpec, z: Matrix) -> bool:
         """Whether T·z·T⁻¹ = Σ_g √g·M_g is a member of the class, decided
-        on the parts M_g by ``classes.contains_parts``."""
-        if not self._fused(z):
+        on the parts M_g by ``classes.contains_parts``; for z over the
+        class field (with an integer form) each M_g is the pulled-back
+        piece g, and no matrix is built."""
+        if z.field is not self.field or z.field in PART_FIELDS:
             return contains(spec, self.pull_back(z))
-        nums, den = z.integer_form()
-        (w, dw), (wt, dwt) = self.outer.integer_form(), self.left.integer_form()
-        m, mm = z.size, z.size * z.size
-        den *= dw * dwt
-
-        def part(entries):
-            zg = [0] * len(nums)
-            for k, s in entries:
-                for at in range(k, len(nums), mm):  # each part of the form
-                    zg[at] = s * nums[at]
-            return sandwich_form(w, zg, wt, m), den
-
-        return contains_parts(spec, z.field, m, [part(entries) for _, entries in self.pieces])
+        return contains_parts(spec, z.field, z.size, [form for _, _, form in self._pulled(self._admit(z))])
 
 
 @lru_cache(maxsize=None)
 def _conjugators(n: int, field: Field, via: str) -> Frame:
     m = n + 1
-    base = field if field.characteristic else QQ
     if via == VIA_P:
-        p, pinv = change_of_basis(n, base), change_of_basis_inverse(n, base)
-        pieces = ((1, tuple((k, 1) for k in range(m * m))),)
-        return Frame(field, pinv, p, p, (1,) * m, pieces, p.widen(field), pinv.widen(field), None)
-    u = orthonormal_change_of_basis(n)
-    w_cols, radicals = [], []
-    for col in zip(*u.rows):
-        (f,) = {d for x in col for d, _ in x.terms}  # one radical per column
-        radicals.append(f)
-        w_cols.append([x.coefficient(f) for x in col])
-    w = Matrix(QQ, [[w_cols[j][i] for j in range(m)] for i in range(m)])
-    right = Matrix(QQ, [[w_cols[j][i] * radicals[j] for j in range(m)] for i in range(m)])
-    block = SURD_C if field.is_complex else SURD
-    scales, by_radical = [], {}
+        base = field if field.characteristic else QQ
+        outer = right = change_of_basis(n, base)
+        left, radicals, block = change_of_basis_inverse(n, base), (1,) * m, field
+    else:
+        outer, radicals = _orthonormal_frame(n)
+        nums, den = outer.integer_form()
+        right = Matrix.from_integer_form(QQ, m, [x * radicals[k % m] for k, x in enumerate(nums)], den)
+        left, block = outer.transpose(), SURD_C if field.is_complex else SURD
+    by_radical: dict = {}
     for i, fi in enumerate(radicals):
-        row = []
         for j, fj in enumerate(radicals):
             s, g = surd_basis_product(fi, fj)
-            row.append(block.coerce(SurdReal({g: RAT(s, fj)})))
             by_radical.setdefault(g, []).append((i * m + j, s))
-        scales.append(tuple(row))
     # the diagonal gives g = 1, so M_1 always exists and sorts first
     pieces = tuple((g, tuple(by_radical[g])) for g in sorted(by_radical))
-    u = u.widen(block)
-    return Frame(field, w.transpose(), right, w, tuple(radicals), pieces, u, u.transpose(), tuple(scales))
+    return Frame(field, block, left, right, outer, radicals, pieces)
 
 
 def _frame(spec: MatrixClassSpec, via: str | None) -> Frame:

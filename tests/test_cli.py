@@ -298,6 +298,22 @@ class TestBracketAndRetract:
         assert (code, out) == (2, "")
         assert err == "error: malformed complex surd string '((1)+(2)i'\n"
 
+    @pytest.mark.parametrize(
+        "field, entry",
+        [("surd", ""), ("surd", "  "), ("surd_c", ""), ("surd_c", "()+()i"), ("surd_c", "(1)+()i"), ("surd_c", "()+(1)i")],
+    )
+    def test_blank_surd_is_usage_error(self, capsys, field, entry):
+        # a blank scalar is not zero, and fails as it does over Q; "0" is zero
+        blank_q = '{"field":"Q","n":1,"entries":[[""]]}'
+        _, _, q_err = run_cli(capsys, "bracket", blank_q, '{"field":"Q","n":1,"entries":[["1"]]}')
+        good = json.dumps({"field": field, "n": 1, "entries": [["1"]]})
+        bad = json.dumps({"field": field, "n": 1, "entries": [[entry]]})
+        code, out, err = run_cli(capsys, "bracket", bad, good)
+        assert (code, out) == (2, "")
+        assert err == q_err and err.count("\n") == 1
+        code, out, err = run_cli(capsys, "bracket", bad.replace(json.dumps(entry), '"0"'), good)
+        assert (code, err) == (0, "")
+
 
 class TestDims:
     def test_table_values(self, capsys):

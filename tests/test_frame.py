@@ -1,10 +1,12 @@
 """The U route's rational frame against the direct surd computation.
 
-``to_block`` and ``evaluate_theorem_case`` work in U's rational frame and
-build surd values only at the boundary.  The oracle here is the direct
-computation over the surd fields, with the orthonormal basis itself:
+``to_block``, ``from_block`` and ``evaluate_theorem_case`` work in U's
+rational frame and build surd values only at the boundary.  The oracle
+here is the direct computation over the surd fields, with the orthonormal
+basis itself (its wire form pinned by ``tests/golden/orthonormal.json``):
 images U^T m U, brackets, heaps and actions of surd matrices, and the
-inverse U y U^T.  ``tests/golden/theorem_frame.json`` holds the wire
+inverse U y U^T; for the P route, P⁻¹ m P and P y P⁻¹ as plain matrix
+products.  ``tests/golden/theorem_frame.json`` holds the wire
 output of ``golden_document()`` as computed by that direct surd
 evaluation; regenerate it only for an intended change of output with
 
@@ -22,12 +24,12 @@ from hypothesis import given, settings, strategies as st
 
 from affgebra.affine import COMMUTATOR, action, bracket, heap
 from affgebra.checks import replay
-from affgebra.classes import ClassKind, MatrixClassSpec, contains, derive_rng, sample, spec_to_wire
+from affgebra.classes import MAX_N, ClassKind, MatrixClassSpec, contains, derive_rng, sample, spec_to_wire
 from affgebra.cli import main
-from affgebra.errors import ClassViolation, FieldMismatch
+from affgebra.errors import AffgebraError, ClassViolation, FieldMismatch, SizeMismatch
 from affgebra.matrix import Matrix, matrix_to_wire
 from affgebra.report import MatrixClassCarrier
-from affgebra.scalars import GF, QI, QQ, SURD, SURD_C, GaussianRational, widen_scalar
+from affgebra.scalars import GF, QI, QQ, SURD, SURD_C, GaussianRational, SurdReal, widen_scalar
 from affgebra.transforms import (
     VIA_P,
     VIA_U,
@@ -35,6 +37,9 @@ from affgebra.transforms import (
     block_target,
     evaluate_theorem_case,
     THEOREM,
+    change_of_basis,
+    change_of_basis_inverse,
+    from_block,
     orthonormal_change_of_basis,
     to_block,
 )
@@ -63,17 +68,28 @@ def surd_field(s):
     return SURD_C if s.field.is_complex else SURD
 
 
-def surd_to_block(s, m):
-    """U^T m U over the surd field."""
+def oracle_basis(s, via=VIA_U):
+    """(T, T⁻¹) over the block field: U and U^T over the surd field, or P
+    and P⁻¹ over the class field."""
+    if via == VIA_U:
+        u = orthonormal_change_of_basis(s.n).widen(surd_field(s))
+        return u, u.transpose()
+    base = s.field if s.field.characteristic else QQ
+    return change_of_basis(s.n, base).widen(s.field), change_of_basis_inverse(s.n, base).widen(s.field)
+
+
+def surd_to_block(s, m, via=VIA_U):
+    """T⁻¹ m T over the block field (U^T m U over the surd field)."""
     if not contains(s, m):
         raise ClassViolation(f"input is not in {s.describe()}")
-    u = orthonormal_change_of_basis(s.n).widen(surd_field(s))
-    return u.transpose() @ m.widen(u.field) @ u
+    t, t_inv = oracle_basis(s, via)
+    return t_inv @ m.widen(t.field) @ t
 
 
-def surd_from_block(s, y):
-    u = orthonormal_change_of_basis(s.n).widen(surd_field(s))
-    return u @ y.widen(u.field) @ u.transpose()
+def surd_from_block(s, y, via=VIA_U):
+    """T y T⁻¹ over the block field (U y U^T over the surd field)."""
+    t, t_inv = oracle_basis(s, via)
+    return t @ y.widen(t.field) @ t_inv
 
 
 def surd_evaluate_theorem_case(s, inputs):
@@ -197,6 +213,23 @@ def test_golden_wire_output_byte_identical():
     assert json.dumps(golden_document(), indent=1) + "\n" == expected
 
 
+def orthonormal_document() -> list:
+    return [_cli("emit-matrix", "--which", "U", "--n", str(n)) for n in range(1, MAX_N + 1)]
+
+
+def test_emit_matrix_U_byte_identical_for_every_size():
+    """``tests/golden/orthonormal.json`` holds the CLI output of
+    ``emit-matrix --which U`` for n = 1..MAX_N, captured from the entry
+    by entry surd construction of U.  Regenerate it only for an intended
+    change of output with
+
+        PYTHONPATH=src:tests python -c "import json, test_frame as t; \
+print(json.dumps(t.orthonormal_document(), indent=1))" > tests/golden/orthonormal.json
+    """
+    expected = (GOLDEN.parent / "orthonormal.json").read_text(encoding="utf-8")
+    assert json.dumps(orthonormal_document(), indent=1) + "\n" == expected
+
+
 def test_tampered_z_fails_in_frame_and_in_oracle_alike():
     for s, via in GOLDEN_REPLAY_CASES:
         if via != VIA_U:
@@ -252,6 +285,83 @@ def test_inputs_over_a_wider_field_follow_the_oracle():
         evaluate_theorem_case(g, VIA_U, complex_a)
     with pytest.raises(FieldMismatch, match="cannot widen Qi into surd"):
         surd_evaluate_theorem_case(g, complex_a)
+
+
+# -- the frame maps against the direct conjugation ----------------------------
+
+FRAME_CASES = (
+    [(spec(k, n), VIA_U) for k in U_KINDS for n in (1, 2, 3, 4)]
+    + [(spec(ClassKind.GNA, n), VIA_U) for n in (1, 2, 3)]
+    + [(spec(k, n, f), VIA_P) for k in (ClassKind.GNA, ClassKind.SNA) for n in (1, 2, 3) for f in (QQ, QI, GF(7))]
+)
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except AffgebraError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_same(got, want):
+    assert got == want
+    if isinstance(want, Matrix):
+        assert json.dumps(matrix_to_wire(got)) == json.dumps(matrix_to_wire(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(FRAME_CASES),
+    seed=st.integers(min_value=0, max_value=2**31),
+    wide=st.booleans(),
+    at=st.integers(min_value=0, max_value=24),
+    radical=st.sampled_from((1, 2, 3, 5, 6)),
+    delta=st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+)
+def test_frame_maps_match_direct_conjugation(case, seed, wide, at, radical, delta):
+    # members widened into the surd field reach the frame's wider-field
+    # path on U (P refuses them, in the frame and in the oracle alike);
+    # the images, and the images with one entry moved by delta·√radical,
+    # reach the surd pull-back
+    s, via = case
+    m = sample(s, seed, 0)
+    wide = wide and not s.field.characteristic
+    if wide:
+        m = m.widen(surd_field(s))
+    want = outcome(surd_to_block, s, m, via)
+    assert_same(outcome(to_block, s, m, via), want)
+    if not isinstance(want, Matrix):
+        assert via == VIA_P and wide
+        return
+    i, j = divmod(at % (want.size * want.size), want.size)
+    shift = SurdReal({radical: delta}) if want.field in (SURD, SURD_C) else delta
+    moved = want.with_entry(i, j, want.entry(i, j) + want.field.coerce(shift))
+    for y in (want, moved):
+        assert_same(outcome(from_block, s, y, via), outcome(surd_from_block, s, y, via))
+
+
+def test_from_block_of_the_wrong_size_is_a_size_mismatch():
+    for s, via in ((spec(ClassKind.ONA, 2), VIA_U), (spec(ClassKind.GNA, 2), VIA_P)):
+        with pytest.raises(SizeMismatch, match="3 vs 4"):
+            from_block(s, Matrix.identity(s.field, 4), via)
+
+
+def test_a_complex_matrix_cannot_enter_the_real_orthonormal_route():
+    g = spec(ClassKind.GNA, 2)
+    m = sample(g, 3, 0).widen(QI)
+    with pytest.raises(FieldMismatch, match="^cannot widen Qi into surd$"):
+        to_block(g, m, VIA_U)
+    with pytest.raises(FieldMismatch, match="^cannot widen Qi into surd$"):
+        from_block(g, m, VIA_U)
+
+
+def test_from_block_on_the_p_route_returns_the_block_field():
+    g = spec(ClassKind.GNA, 2, QI)
+    y = to_block(spec(ClassKind.GNA, 2), sample(spec(ClassKind.GNA, 2), 3, 0), VIA_P)
+    back = from_block(g, y, VIA_P)
+    assert back.field is QI
+    assert back == sample(spec(ClassKind.GNA, 2), 3, 0).widen(QI)
 
 
 # -- the per-radical pull-back against the surd pull-back ---------------------

@@ -47,7 +47,7 @@ def action(alpha, base: Matrix, b: Matrix) -> Matrix:
         p, q = int(r.numerator), int(r.denominator)
         return combine(((p, b), (q - p, base)), q)
     # a non-real or irrational alpha: (alpha·I)·(b - base) + base
-    return Matrix.identity(field, base.size).scale(alpha) @ (b - base) + base
+    return Matrix.diagonal(field, [alpha] * base.size) @ (b - base) + base
 
 
 @dataclass(frozen=True)

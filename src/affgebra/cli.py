@@ -86,13 +86,16 @@ def _emit(doc: dict) -> None:
 def _load_json_arg(text: str) -> dict:
     """A JSON object given inline, as a file path, or as - for stdin.
     Text that starts with { or [ (after blanks) is inline."""
-    if text == "-":
-        doc = json.load(sys.stdin)
-    elif text.lstrip().startswith(("{", "[")):
-        doc = json.loads(text)
-    else:
-        with open(text, encoding="utf-8") as handle:
-            doc = json.load(handle)
+    try:
+        if text == "-":
+            doc = json.load(sys.stdin)
+        elif text.lstrip().startswith(("{", "[")):
+            doc = json.loads(text)
+        else:
+            with open(text, encoding="utf-8") as handle:
+                doc = json.load(handle)
+    except RecursionError:
+        raise MalformedWire("the document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise MalformedWire(f"the document must be a JSON object, got {type(doc).__name__}")
     return doc

@@ -10,16 +10,24 @@ denominator 1.  A matrix over a surd field is sum_g sqrt(g)*M_g, with
 rational parts M_g over Q or Q(i) (``rational_parts``), unique because
 the square roots of distinct squarefree g are linearly independent over
 Q(i) (Besicovitch 1940).  Equal matrices have equal forms (parts), so
-equality is one list compare per part, and the heap, the action, the
-affine commutator, the sum, the difference and the product are integer
-loops with one normalisation per result (``combine``,
-``commutator_shift``, ``sandwich``, ``@``), run on each part over the
-surd fields; the inverse is the integer elimination of
+equality is one list compare per part and the hash hashes the form
+(parts).  Every matrix-valued method runs on the forms, on each part
+over the surd fields: the heap, the action, the affine commutator, the
+sum, the difference, the negation and the product are integer loops
+with one normalisation per result (``combine``, ``commutator_shift``,
+``sandwich``, ``@``); ``scale`` is the product with alpha*I; the
+transpose and ``dagger`` permute the form (and negate its imaginary
+half); ``widen`` rebuilds the form (with a zero imaginary half from Q
+into Q(i)); the inverse is the integer elimination of
 ``solve.row_reduce``.  Their results carry the form and still hold
-canonical scalar entries.  The numerators are a list, never mutated,
-and gcd/lcm fold over them with ``reduce``: CPython keeps freed tuples
-of up to 19 items in per-size free lists, so short-lived tuples of those
-sizes would raise the peak memory of a long run.
+canonical scalar entries.  Entries are read only at the boundary: by
+``integer_form`` and ``rational_parts`` of a matrix built from entries,
+by ``graded`` (which assembles surd entries from the parts), ``entry``,
+``with_entry``, ``trace`` (a scalar), ``repr`` and the wire.  The
+numerators are a list, never mutated, and gcd/lcm fold over them with
+``reduce``: CPython keeps freed tuples of up to 19 items in per-size
+free lists, so short-lived tuples of those sizes would raise the peak
+memory of a long run.
 """
 from __future__ import annotations
 
@@ -42,7 +50,6 @@ from .scalars import (
     common_denominator,
     field_by_tag,
     surd_basis_product,
-    widen_scalar,
 )
 
 
@@ -193,7 +200,11 @@ class Matrix:
         return self.integer_form() == other.integer_form()
 
     def __hash__(self):
-        return hash((self.field, self.rows))
+        # equal matrices have equal reduced forms (parts), as in ``==``
+        if self.field in PART_FIELDS:
+            return hash((self.field, self.rational_parts()))
+        nums, den = self.integer_form()
+        return hash((self.field, tuple(nums), den))
 
     def __repr__(self):
         return f"Matrix({self.field.describe()}, {[list(r) for r in self.rows]!r})"
@@ -209,11 +220,10 @@ class Matrix:
         return combine(((1, self), (-1, other)))
 
     def __neg__(self):
-        return Matrix._wrap(self.field, tuple(tuple(-x for x in row) for row in self.rows))
+        return combine(((-1, self),))
 
     def scale(self, alpha) -> Matrix:
-        alpha = self.field.coerce(alpha)
-        return Matrix._wrap(self.field, tuple(tuple(alpha * x for x in row) for row in self.rows))
+        return Matrix.diagonal(self.field, [alpha] * self.size) @ self
 
     def __matmul__(self, other):
         self._guard(other)
@@ -224,14 +234,26 @@ class Matrix:
         return Matrix.from_integer_form(self.field, self.size, nums, da * db)
 
     def transpose(self) -> Matrix:
-        return Matrix._wrap(self.field, tuple(zip(*self.rows)))
+        return self._flipped(conjugate=False)
 
     def dagger(self) -> Matrix:
         """Conjugate transpose (plain transpose over real fields)."""
-        conj = self.field.conjugate
-        return Matrix._wrap(
-            self.field, tuple(tuple(conj(x) for x in col) for col in zip(*self.rows))
-        )
+        return self._flipped(conjugate=True)
+
+    def _flipped(self, conjugate: bool) -> Matrix:
+        # each part's form transposed (over Q(i) each half), with the
+        # imaginary half negated for the conjugate transpose
+        m = self.size
+        mm = m * m
+        order = [j * m + i for i in range(m) for j in range(m)]
+        terms = []
+        for g, x in self.rational_parts():
+            nums, den = x.integer_form()
+            nums = [nums[k + i] for k in range(0, len(nums), mm) for i in order]
+            if conjugate and x.field is QI:
+                nums[mm:] = [-v for v in nums[mm:]]
+            terms.append((g, 1, (nums, den)))
+        return graded(self.field, m, terms)
 
     def trace(self):
         acc = self.field.zero()
@@ -272,19 +294,17 @@ class Matrix:
     def widen(self, field: Field) -> Matrix:
         if field is self.field:
             return self
-        part_field = PART_FIELDS.get(field)
-        if part_field is not None:
-            if not can_widen(self.field, field):
-                raise FieldMismatch(f"cannot widen {self.field.describe()} into {field.describe()}")
-            parts = [(g, 1, x.widen(part_field).integer_form()) for g, x in self.rational_parts()]
-            return graded(field, self.size, parts)
-        return Matrix._wrap(
-            field,
-            tuple(
-                tuple(widen_scalar(x, self.field, field) for x in row)
-                for row in self.rows
-            ),
-        )
+        if not can_widen(self.field, field):
+            raise FieldMismatch(f"cannot widen {self.field.describe()} into {field.describe()}")
+        # each part's form, with a zero imaginary half from Q into Q(i)
+        pad = PART_FIELDS.get(field, field) is QI
+        terms = []
+        for g, x in self.rational_parts():
+            nums, den = x.integer_form()
+            if pad and x.field is QQ:
+                nums = nums + [0] * len(nums)
+            terms.append((g, 1, (nums, den)))
+        return graded(field, self.size, terms)
 
 
 def combine(terms, q: int = 1) -> Matrix:

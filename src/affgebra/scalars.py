@@ -13,11 +13,10 @@ All values are immutable and kept in canonical form, so ``==`` is exact
 mathematical equality.  Surd fields only support division by single-term
 divisors; nothing in this package needs more.
 
-Rationals are gmpy2.mpq when gmpy2 is installed, with
-fractions.Fraction as the drop-in fallback (the only backend measured
-here); both expose the same canonical numerator/denominator, string
-form, hash and comparisons, so results are bit-identical either way.
-Public entry points accept stdlib Fractions everywhere.
+Rationals are stdlib ``fractions.Fraction``, the one rational type
+(``RAT`` names it).  ``GaussianRational`` and ``SurdComplex`` share their
+arithmetic through the private base ``_ComplexPair``: a value is a pair
+(re, im), and only construction, coercion and division differ.
 
 Random elements are small rationals num/den with |num| <= SAMPLE_BOUND
 and 1 <= den <= SAMPLE_BOUND, drawn numerator first with
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import (
     DivisionByZero,
@@ -38,18 +37,8 @@ from .errors import (
     NonInvertibleSurd,
 )
 
-try:
-    from gmpy2 import mpq as RAT
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    RAT = Fraction
-
-_RAT_T = type(RAT(0))
-RATIONAL_TYPES = (int, Fraction, _RAT_T)
-
-
-def as_rational(x):
-    """Canonical internal rational from int / Fraction / native rational."""
-    return x if type(x) is _RAT_T else RAT(x)
+RAT = Fraction
+RATIONAL_TYPES = (int, Fraction)
 
 
 def common_denominator(values) -> tuple[list[int], int]:
@@ -79,12 +68,14 @@ def _text(s) -> str:
 
 @lru_cache(maxsize=None)
 def squarefree_split(m: int) -> tuple[int, int]:
-    """Factor m > 0 as s*s*f with f squarefree, by trial division."""
+    """Factor m > 0 as s*s*f with f squarefree, by trial division up to
+    the cube root: the cofactor left has no prime factor below d and is
+    below d**3, so it is 1, p, p*p or p*q, and only p*p is a square."""
     if m <= 0:
         raise ValueError(f"squarefree_split needs a positive integer, got {m}")
     s, f = 1, 1
     d = 2
-    while d * d <= m:
+    while d * d * d <= m:
         e = 0
         while m % d == 0:
             m //= d
@@ -93,6 +84,9 @@ def squarefree_split(m: int) -> tuple[int, int]:
         if e % 2:
             f *= d
         d += 1
+    r = isqrt(m)
+    if r * r == m:
+        return s * r, f
     return s, f * m
 
 
@@ -103,11 +97,12 @@ def surd_basis_product(d: int, e: int) -> tuple[int, int]:
     return s, (d // s) * (e // s)
 
 
-# The largest radicand d of a parsed sqrt(d): above every radicand the tests
-# and the benchmark use, and small enough that splitting off its square
-# factor (about sqrt(d) trial divisions) takes milliseconds.  A fixed bound,
-# not an option.  A product of radicands in a result may exceed it.
-MAX_RADICAND = 2**31 - 1
+# The largest radicand d of a parsed sqrt(d): above every product of two
+# radicands up to about 2**23.5, and small enough that splitting off its
+# square factor (about d**(1/3) trial divisions) takes milliseconds.  A
+# fixed bound, not an option.  A product of larger radicands in a result
+# may exceed it.
+MAX_RADICAND = 2**47 - 1
 
 
 SAMPLE_BOUND = 9
@@ -143,31 +138,20 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class GaussianRational:
-    """a + bi with rational a, b."""
+class _ComplexPair:
+    """re + i*im over a real field; a subclass gives ``__init__`` (which
+    makes re and im canonical), ``_coerce`` and ``__truediv__``."""
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re, im=0):
-        object.__setattr__(self, "re", re if type(re) is _RAT_T else RAT(re))
-        object.__setattr__(self, "im", im if type(im) is _RAT_T else RAT(im))
-
     def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, RATIONAL_TYPES):
-            return GaussianRational(x)
-        return None
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return type(self)(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
@@ -175,7 +159,7 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return type(self)(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -184,22 +168,67 @@ class GaussianRational:
         return o - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return type(self)(-self.re, -self.im)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if not o.im:
-            return GaussianRational(self.re * o.re, self.im * o.re)
+            return type(self)(self.re * o.re, self.im * o.re)
         if not self.im:
-            return GaussianRational(self.re * o.re, self.re * o.im)
-        return GaussianRational(
+            return type(self)(self.re * o.re, self.re * o.im)
+        return type(self)(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
         )
 
     __rmul__ = __mul__
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o / self
+
+    def conjugate(self):
+        return type(self)(self.re, -self.im)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.re == o.re and self.im == o.im
+
+    def __hash__(self):
+        # a real value hashes like its real part; SurdReal parts hash like
+        # the rationals they equal, so a GaussianRational and a SurdComplex
+        # of the same value hash alike
+        return hash((self.re, self.im)) if self.im else hash(self.re)
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.re!r}, {self.im!r})"
+
+
+class GaussianRational(_ComplexPair):
+    """a + bi with rational a, b."""
+
+    __slots__ = ()
+
+    def __init__(self, re, im=0):
+        object.__setattr__(self, "re", re if type(re) is RAT else RAT(re))
+        object.__setattr__(self, "im", im if type(im) is RAT else RAT(im))
+
+    @staticmethod
+    def _coerce(x):
+        if isinstance(x, GaussianRational):
+            return x
+        if isinstance(x, RATIONAL_TYPES):
+            return GaussianRational(x)
+        return None
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -212,31 +241,6 @@ class GaussianRational:
             (self.re * o.re + self.im * o.im) / norm,
             (self.im * o.re - self.re * o.im) / norm,
         )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def conjugate(self) -> GaussianRational:
-        return GaussianRational(self.re, -self.im)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        # a real value hashes like the rational it equals
-        return hash((self.re, self.im)) if self.im else hash(self.re)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
 I_GAUSS = GaussianRational(0, 1)
@@ -344,10 +348,11 @@ class SurdReal:
         if terms is None:
             terms = {}
         elif isinstance(terms, RATIONAL_TYPES):
-            terms = {1: as_rational(terms)}
+            terms = {1: terms}
         clean = []
         for d in sorted(terms):
-            q = as_rational(terms[d])
+            q = terms[d]
+            q = q if type(q) is RAT else RAT(q)
             if not q:
                 continue
             if d < 1 or squarefree_split(d)[0] != 1:
@@ -502,17 +507,14 @@ class SurdReal:
         return f"SurdReal({dict(self._terms)!r})"
 
 
-class SurdComplex:
+class SurdComplex(_ComplexPair):
     """Complex number with surd real and imaginary parts."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ()
 
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", re if isinstance(re, SurdReal) else SurdReal(re))
         object.__setattr__(self, "im", im if isinstance(im, SurdReal) else SurdReal(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SurdComplex is immutable")
 
     @staticmethod
     def _coerce(x):
@@ -523,44 +525,6 @@ class SurdComplex:
         if isinstance(x, GaussianRational):
             return SurdComplex(SurdReal(x.re), SurdReal(x.im))
         return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return SurdComplex(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return SurdComplex(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return SurdComplex(-self.re, -self.im)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o.im:
-            return SurdComplex(self.re * o.re, self.im * o.re)
-        if not self.im:
-            return SurdComplex(self.re * o.re, self.re * o.im)
-        return SurdComplex(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -577,32 +541,6 @@ class SurdComplex:
         r = o.im._reciprocal()
         return SurdComplex(self.im * r, -(self.re * r))
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def conjugate(self) -> SurdComplex:
-        return SurdComplex(self.re, -self.im)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        # the same rule as GaussianRational, whose values this field
-        # contains: SurdReal parts hash like the rationals they equal
-        return hash((self.re, self.im)) if self.im else hash(self.re)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __repr__(self):
-        return f"SurdComplex({self.re!r}, {self.im!r})"
-
 
 def conjugate(x):
     """Field conjugation: identity on real fields, negated imaginary part
@@ -614,7 +552,7 @@ def conjugate(x):
 
 def rational_value(x):
     """x as a rational when it is one, else None (x in Q, Q(i) or a surd field)."""
-    if type(x) is _RAT_T:
+    if type(x) is RAT:
         return x
     if isinstance(x, (GaussianRational, SurdComplex)):
         return None if x.im else rational_value(x.re)
@@ -744,10 +682,6 @@ class Field:
     def coerce(self, x):
         raise NotImplementedError
 
-    def widen(self, x):
-        """Embed a scalar from a smaller field into this one."""
-        return self.coerce(x)
-
     def parse(self, s: str):
         raise NotImplementedError
 
@@ -776,7 +710,7 @@ class RationalField(Field):
 
     def coerce(self, x):
         if isinstance(x, RATIONAL_TYPES):
-            return as_rational(x)
+            return x if type(x) is RAT else RAT(x)
         if isinstance(x, str):
             return self.parse(x)
         raise FieldMismatch(f"cannot take {type(x).__name__} as a rational")
@@ -990,4 +924,4 @@ def widen_scalar(x, src: Field, dst: Field):
         return x
     if not can_widen(src, dst):
         raise FieldMismatch(f"cannot widen {src.describe()} into {dst.describe()}")
-    return dst.widen(x)
+    return dst.coerce(x)

@@ -10,6 +10,7 @@ directory.
 """
 from affgebra.classes import ClassKind
 from affgebra.matrix import Matrix
+from affgebra.scalars import widen_scalar
 
 _TRACELESS = (ClassKind.SNA, ClassKind.SUNA)
 _COMPLEX_ONLY = (ClassKind.UNA, ClassKind.SUNA)
@@ -38,6 +39,28 @@ def plain_add(a, b):
 
 def plain_sub(a, b):
     return entrywise(a.field, lambda x, y: x - y, a, b)
+
+
+def plain_neg(a):
+    return entrywise(a.field, lambda x: -x, a)
+
+
+def plain_scale(alpha, a):
+    alpha = a.field.coerce(alpha)
+    return entrywise(a.field, lambda x: alpha * x, a)
+
+
+def plain_transpose(a):
+    return Matrix(a.field, list(zip(*a.rows)))
+
+
+def plain_dagger(a):
+    conj = a.field.conjugate
+    return Matrix(a.field, [[conj(x) for x in col] for col in zip(*a.rows)])
+
+
+def plain_widen(a, field):
+    return Matrix(field, [[widen_scalar(x, a.field, field) for x in row] for row in a.rows])
 
 
 def plain_matmul(a, b):
@@ -119,3 +142,19 @@ def plain_block_contains(target, m, radicals=None):
     if any(d.entry(n, k) or d.entry(k, n) for k in range(m.size)):
         return False
     return plain_block_member(target.block_kind, d, n, m.field, radicals)
+
+
+def plain_squarefree_split(m):
+    """(s, f) with m = s*s*f and f squarefree, by trial division up to
+    the square root of what is left."""
+    s, f, d = 1, 1, 2
+    while d * d <= m:
+        e = 0
+        while m % d == 0:
+            m //= d
+            e += 1
+        s *= d ** (e // 2)
+        if e % 2:
+            f *= d
+        d += 1
+    return s, f * m

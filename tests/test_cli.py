@@ -280,6 +280,17 @@ class TestBracketAndRetract:
             assert (code, err) == (0, "")
             assert json.loads(out)["entries"] == [[want]]
 
+    def test_surd_output_round_trips(self, capsys):
+        # the output radicand 9999991*9999973 is above 2**46
+        zero, b = ('{"field":"surd","n":1,"entries":[["%s"]]}' % e for e in ("0", "sqrt(9999973)"))
+        outputs = []
+        for _ in range(2):
+            code, out, err = run_cli(capsys, "bracket", "--bracket", "zeta:sqrt(9999991)", zero, b)
+            assert (code, err) == (0, "")
+            outputs.append(json.loads(out)["entries"])
+            b = out
+        assert outputs == [[["1*sqrt(99999640000243)"]], [["9999991*sqrt(9999973)"]]]
+
     def test_radicand_above_the_bound_is_usage_error(self, capsys):
         # a 20-digit radicand: trial division up to its square root would take hours
         d = 10**19 + 51
@@ -524,6 +535,17 @@ class TestReplay:
         monkeypatch.setattr("sys.stdin", io.StringIO("3"))
         code, out, err = run_cli(capsys, "replay", "-")
         assert (code, out, err) == (2, "", "error: MalformedWire: the document must be a JSON object, got int\n")
+
+    def test_deeply_nested_documents_are_usage_errors(self, capsys, tmp_path, monkeypatch):
+        nested = "[" * 100000
+        path = tmp_path / "nested.json"
+        path.write_text(nested)
+        monkeypatch.setattr("sys.stdin", io.StringIO(nested))
+        for text in (nested, str(path), "-"):
+            code, out, err = run_cli(capsys, "replay", text)
+            assert (code, out, err) == (2, "", "error: MalformedWire: the document is nested too deeply\n")
+        code, out, err = run_cli(capsys, "bracket", nested, "{}")
+        assert (code, out, err) == (2, "", "error: MalformedWire: the document is nested too deeply\n")
 
     def test_stdin_report(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(self._failing_report().to_wire())))

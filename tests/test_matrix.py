@@ -12,7 +12,8 @@ from affgebra.matrix import (
     matrix_from_wire,
     matrix_to_wire,
 )
-from affgebra.scalars import GF, QI, QQ, SURD, SURD_C, GaussianRational, SurdReal
+from affgebra.scalars import GF, QI, QQ, SURD, SURD_C, GaussianRational, SurdComplex, SurdReal
+from oracle import plain_dagger, plain_neg, plain_scale, plain_transpose, plain_widen
 
 CYCLE = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
 SWAP = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
@@ -225,3 +226,64 @@ class TestCommonField:
     def test_incompatible(self):
         with pytest.raises(FieldMismatch):
             common_field(Matrix(GF(5), [[1]]), Matrix(QQ, [[1]]))
+
+
+# -- the methods on forms and parts against the entrywise oracle ---------------
+
+FIELDS = (QQ, QI, GF(7), SURD, SURD_C)
+small = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+gaussians = st.builds(GaussianRational, small, small)
+
+
+@st.composite
+def surd_reals(draw):
+    keys = draw(st.sets(st.sampled_from((1, 2, 3, 5, 6)), max_size=3))
+    return SurdReal({d: draw(small) for d in sorted(keys)})
+
+
+def entries(field):
+    return {
+        QQ: small,
+        QI: gaussians,
+        SURD: surd_reals(),
+        SURD_C: st.builds(SurdComplex, surd_reals(), surd_reals()),
+    }.get(field, st.integers(0, 6))
+
+
+def alphas(field):
+    """Scalars a matrix over ``field`` can be scaled by: GF residues,
+    rationals, Gaussian values and multi-term surds."""
+    return {
+        QI: st.one_of(small, gaussians),
+        SURD_C: st.one_of(small, gaussians, surd_reals(), entries(SURD_C)),
+    }.get(field, st.one_of(small, entries(field)))
+
+
+def assert_same(got, want):
+    # want is built from rows, got from a form or parts
+    assert got == want
+    assert got.rows == want.rows
+    assert hash(got) == hash(want)
+    assert json.dumps(matrix_to_wire(got)) == json.dumps(matrix_to_wire(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(FIELDS), data=st.data())
+def test_methods_on_forms_match_entrywise(field, data):
+    n = data.draw(st.integers(1, 4))
+    entry = entries(field)
+    a = Matrix(field, [[data.draw(entry) for _ in range(n)] for _ in range(n)])
+    alpha = data.draw(alphas(field))
+    assert_same(-a, plain_neg(a))
+    assert_same(a.scale(alpha), plain_scale(alpha, a))
+    assert_same(a.transpose(), plain_transpose(a))
+    assert_same(a.dagger(), plain_dagger(a))
+    for wide in FIELDS:
+        try:
+            want = plain_widen(a, wide)
+        except FieldMismatch as exc:
+            with pytest.raises(FieldMismatch) as got:
+                a.widen(wide)
+            assert str(got.value) == str(exc)
+        else:
+            assert_same(a.widen(wide), want)

@@ -28,6 +28,7 @@ from affgebra.scalars import (
     surd_basis_product,
     widen_scalar,
 )
+from oracle import plain_squarefree_split
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 nonzero_rationals = rationals.filter(bool)
@@ -54,6 +55,12 @@ class TestSquarefree:
         s, f = squarefree_split(m)
         assert s * s * f == m
         assert squarefree_split(f)[0] == 1
+
+    @given(st.integers(min_value=1, max_value=10**7), st.integers(min_value=1, max_value=500))
+    def test_split_matches_square_root_trial_division(self, a, b):
+        # b*b puts square factors above the cube root into the cofactor
+        m = a * b * b
+        assert squarefree_split(m) == plain_squarefree_split(m)
 
 
 class TestFieldArith:
@@ -315,6 +322,28 @@ class TestHashAgreesWithEquality:
         x = SurdComplex(re)
         assert x == re
         assert hash(x) == hash(re)
+
+    @given(rationals, rationals, rationals, st.booleans())
+    def test_complex_surd_embedding_commutes_with_arithmetic(self, a, b, c, imaginary):
+        # divisors of complex surds are purely real or purely imaginary
+        x, y = GaussianRational(a, b), GaussianRational(0, c) if imaginary else GaussianRational(c)
+        wide = SURD_C.coerce
+        for op in ("add", "sub", "mul", "div"):
+            if op == "div" and not y:
+                continue
+            want = field_arith(x, y, op)
+            for got in (field_arith(wide(x), wide(y), op), field_arith(wide(x), y, op), field_arith(x, wide(y), op)):
+                assert type(got) is SurdComplex
+                assert got == wide(want) and got == want
+                assert hash(got) == hash(want)
+
+    def test_complex_pairs_keep_their_names(self):
+        g, w = GaussianRational(1, Fraction(-1, 2)), SurdComplex(SurdReal({2: 1}), 3)
+        assert repr(g) == "GaussianRational(Fraction(1, 1), Fraction(-1, 2))"
+        assert repr(w) == "SurdComplex(SurdReal({2: Fraction(1, 1)}), SurdReal({1: Fraction(3, 1)}))"
+        for x, name in ((g, "GaussianRational"), (w, "SurdComplex")):
+            with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+                x.re = 0
 
     def test_mixed_sets_collapse(self):
         values = {1, Fraction(1), GaussianRational(1), SurdReal(1), SurdComplex(1)}

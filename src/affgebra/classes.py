@@ -36,6 +36,7 @@ from .scalars import (
     can_widen,
     field_by_tag,
     sample_numerators,
+    sample_residues,
     widen_scalar,
 )
 from .solve import AffineSubspace, solve_affine_system
@@ -316,7 +317,7 @@ def draw_element(spec: MatrixClassSpec, rng: random.Random) -> Matrix:
     _, den, part, gens = _sampling_data(spec)
     field = spec.field
     if field.characteristic:
-        seen, ints = 1, [rng.randrange(field.p) for _ in gens]
+        seen, ints = 1, sample_residues(rng, field.p, len(gens))
     else:
         seen, ints = SAMPLE_DEN, sample_numerators(rng, len(gens))
     acc = [x * seen for x in part]

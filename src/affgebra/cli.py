@@ -104,7 +104,7 @@ def _load_json_arg(text: str) -> dict:
 def _cmd_verify(args) -> int:
     spec = _spec_from_args(args)
     kind = _kind_from_args(args, spec.scalar_field)
-    if args.checks:
+    if args.checks is not None:
         names = applicable_checks(kind, args.checks.split(","))
         if not names:
             raise ValueError(f"none of the checks {args.checks} runs under the bracket {args.bracket}")

@@ -23,11 +23,14 @@ into Q(i)); the inverse is the integer elimination of
 canonical scalar entries.  Entries are read only at the boundary: by
 ``integer_form`` and ``rational_parts`` of a matrix built from entries,
 by ``graded`` (which assembles surd entries from the parts), ``entry``,
-``with_entry``, ``trace`` (a scalar), ``repr`` and the wire.  The
-numerators are a list, never mutated, and gcd/lcm fold over them with
-``reduce``: CPython keeps freed tuples of up to 19 items in per-size
-free lists, so short-lived tuples of those sizes would raise the peak
-memory of a long run.
+``with_entry``, ``trace`` (a scalar), ``repr`` and the wire.  Every
+zero numerator of a form over Q or Q(i) becomes one shared rational
+zero, not a fresh ``Fraction(0, den)``: fractions are immutable, so
+values, hashes and wire strings do not change.  The numerators are a
+list, never mutated, and gcd/lcm fold over them with ``reduce``:
+CPython keeps freed tuples of up to 19 items in per-size free lists, so
+short-lived tuples of those sizes would raise the peak memory of a long
+run.
 """
 from __future__ import annotations
 
@@ -51,6 +54,10 @@ from .scalars import (
     field_by_tag,
     surd_basis_product,
 )
+
+
+# the one rational zero that every zero numerator of a form becomes
+_ZERO = RAT(0)
 
 
 class Matrix:
@@ -100,10 +107,13 @@ class Matrix:
             nums = [x // g for x in nums] if g != 1 else list(nums)
             den //= g
             if field is QQ:
-                flat = [RAT(x, den) for x in nums]
+                flat = [RAT(x, den) if x else _ZERO for x in nums]
             else:
                 # real parts first; zip stops after the m*m of them
-                flat = [GaussianRational(RAT(x, den), RAT(y, den)) for x, y in zip(nums, nums[m * m :])]
+                flat = [
+                    GaussianRational(RAT(x, den) if x else _ZERO, RAT(y, den) if y else _ZERO)
+                    for x, y in zip(nums, nums[m * m :])
+                ]
         out = cls._wrap(field, tuple(tuple(flat[i : i + m]) for i in range(0, m * m, m)))
         object.__setattr__(out, "_form", (nums, den))
         return out

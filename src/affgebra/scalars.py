@@ -19,9 +19,12 @@ arithmetic through the private base ``_ComplexPair``: a value is a pair
 (re, im), and only construction, coercion and division differ.
 
 Random elements are small rationals num/den with |num| <= SAMPLE_BOUND
-and 1 <= den <= SAMPLE_BOUND, drawn numerator first with
-``rng.randint``; the samplers of the matrix classes draw the same
-integers straight into integer forms (``sample_numerators``).
+and 1 <= den <= SAMPLE_BOUND, drawn numerator first, and residues of
+GF(p).  Every draw goes through ``sample_numerators`` (numerators over
+SAMPLE_DEN) or ``sample_residues``, which call ``rng.getrandbits`` with
+the rejection rule of CPython's ``randint`` and ``randrange``: the same
+random stream, without their per-call frames.  The samplers of the
+matrix classes draw these integers straight into integer forms.
 """
 from __future__ import annotations
 
@@ -110,14 +113,47 @@ SAMPLE_BOUND = 9
 SAMPLE_DEN = reduce(lcm, range(1, SAMPLE_BOUND + 1))
 
 
+# CPython's randint(a, b) and randrange(n) draw getrandbits(k), k the bit
+# length of the range size, and redraw while the value is at least that
+# size; the samplers below call getrandbits with the same rule, so they
+# consume the same stream.  ``tests/test_sampling.py`` holds them to
+# randint and randrange.
+_NUM_SPAN = 2 * SAMPLE_BOUND + 1
+_NUM_BITS = _NUM_SPAN.bit_length()
+_DEN_BITS = SAMPLE_BOUND.bit_length()
+# SAMPLE_DEN // q for the drawn index q - 1 of the denominator q
+_DEN_SCALE = tuple(SAMPLE_DEN // q for q in range(1, SAMPLE_BOUND + 1))
+
+
 def sample_numerators(rng, count: int) -> list[int]:
     """``count`` random small rationals as numerators over SAMPLE_DEN,
-    with the draws of ``count`` calls of ``RationalField.sample``."""
-    randint = rng.randint
-    return [
-        randint(-SAMPLE_BOUND, SAMPLE_BOUND) * (SAMPLE_DEN // randint(1, SAMPLE_BOUND))
-        for _ in range(count)
-    ]
+    each drawn as ``randint(-SAMPLE_BOUND, SAMPLE_BOUND)`` over
+    ``randint(1, SAMPLE_BOUND)`` would be, numerator first."""
+    bits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        x = bits(_NUM_BITS)
+        while x >= _NUM_SPAN:
+            x = bits(_NUM_BITS)
+        q = bits(_DEN_BITS)
+        while q >= SAMPLE_BOUND:
+            q = bits(_DEN_BITS)
+        out.append((x - SAMPLE_BOUND) * _DEN_SCALE[q])
+    return out
+
+
+def sample_residues(rng, p: int, count: int) -> list[int]:
+    """``count`` random residues in [0, p), each drawn as
+    ``randrange(p)`` would be."""
+    bits = rng.getrandbits
+    k = p.bit_length()
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= p:
+            r = bits(k)
+        out.append(r)
+    return out
 
 
 # The largest prime p of a field GF(p): above every prime the tests and
@@ -722,7 +758,8 @@ class RationalField(Field):
         return str(x)
 
     def sample(self, rng):
-        return RAT(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND), rng.randint(1, SAMPLE_BOUND))
+        (x,) = sample_numerators(rng, 1)
+        return RAT(x, SAMPLE_DEN)
 
 
 class GaussianField(Field):
@@ -760,9 +797,8 @@ class GaussianField(Field):
         return f"{x.re}{sep}{abs(x.im)}i"
 
     def sample(self, rng):
-        re = RAT(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND), rng.randint(1, SAMPLE_BOUND))
-        im = RAT(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND), rng.randint(1, SAMPLE_BOUND))
-        return GaussianRational(re, im)
+        re, im = sample_numerators(rng, 2)
+        return GaussianRational(RAT(re, SAMPLE_DEN), RAT(im, SAMPLE_DEN))
 
 
 class PrimeField(Field):
@@ -799,7 +835,8 @@ class PrimeField(Field):
         return str(x.residue)
 
     def sample(self, rng):
-        return PrimeFieldElement(rng.randrange(self.p), self.p)
+        (r,) = sample_residues(rng, self.p, 1)
+        return PrimeFieldElement(r, self.p)
 
     def describe(self):
         return f"GF({self.p})"
@@ -885,6 +922,10 @@ def GF(p: int) -> PrimeField:
 
 
 def field_by_tag(tag: str, p: int | None = None) -> Field:
+    """The field of a wire tag; ``p`` is the prime of GF and must be
+    None with every other tag."""
+    if p is not None and tag != "GF":
+        raise ValueError(f"a prime p is only for the field GF, not {tag!r}")
     if tag == "Q":
         return QQ
     if tag == "Qi":

@@ -41,6 +41,7 @@ from .scalars import (
     SURD_C,
     can_widen,
     sample_numerators,
+    sample_residues,
     squarefree_split,
     surd_basis_product,
     widen_scalar,
@@ -204,7 +205,7 @@ class BlockTarget:
 
         def draw(count):
             # residues over GF(p), numerators over SAMPLE_DEN otherwise
-            return iter([rng.randrange(p) for _ in range(count)] if p else sample_numerators(rng, count))
+            return iter(sample_residues(rng, p, count) if p else sample_numerators(rng, count))
 
         block = [0] * len(base)
         if kind in ("gl", "sl"):

@@ -70,6 +70,10 @@ class TestSpecValidation:
         for s in specs:
             assert spec_from_wire(spec_to_wire(s)) == s
 
+    def test_wire_prime_with_another_field_is_rejected(self):
+        with pytest.raises(ValueError, match="a prime p is only for the field GF, not 'Q'"):
+            spec_from_wire({"kind": "gna", "n": 2, "field": "Q", "p": 7})
+
 
 class TestContains:
     def test_uniform_matrix_in_gna(self):

@@ -91,6 +91,25 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: none of the checks bullet-assoc runs under the bracket zeta:1\n"
 
+    def test_empty_check_list_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--class", "gna", "--n", "1", "--checks", "", "--trials", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: UnknownCheck: ''\n"
+
+
+class TestFieldFlags:
+    @pytest.mark.parametrize("argv, tag", [
+        (("sample", "--class", "gna", "--n", "2", "--p", "7"), "Q"),
+        (("dims", "--class", "una", "--n", "2", "--p", "7"), "Qi"),
+        (("verify", "--class", "gna", "--n", "1", "--field", "Q", "--p", "7", "--trials", "1"), "Q"),
+        (("emit-matrix", "--which", "P", "--n", "2", "--p", "7"), "Q"),
+        (("emit-matrix", "--which", "Pinv", "--n", "2", "--field", "Qi", "--p", "7"), "Qi"),
+    ], ids=["sample", "dims", "verify", "emit P", "emit Pinv over Qi"])
+    def test_prime_without_the_field_GF_is_usage_error(self, capsys, argv, tag):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: a prime p is only for the field GF, not {tag!r}\n"
+
 
 class TestIsoCheck:
     def test_gna_base_point_image(self, capsys):
@@ -498,6 +517,13 @@ class TestReplay:
         code, out, err = run_cli(capsys, "replay", json.dumps(doc))
         assert (code, out) == (2, "")
         assert err == "error: MalformedWire: closure counterexample: class must be a JSON object\n"
+
+    def test_replay_of_a_class_with_a_prime_outside_GF(self, capsys):
+        wire = json.loads(json.dumps(self._failing_report().to_wire()))
+        wire["counterexample"]["class"]["p"] = 7
+        code, out, err = run_cli(capsys, "replay", json.dumps(wire))
+        assert (code, out) == (2, "")
+        assert err == "error: a prime p is only for the field GF, not 'Q'\n"
 
     @pytest.mark.parametrize("where, value, message", [
         ("class", {"kind": "gna", "n": "2", "field": "Q"}, "class field 'n' must be int, got str '2'"),

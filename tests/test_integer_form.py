@@ -284,3 +284,51 @@ def test_prime_field_membership_matches_entrywise(kind, p, n, seed, i, j, delta)
         want = plain_contains(s, x)
         assert contains(s, x) is want
     assert contains(s, m)
+
+
+# -- zero numerators: one shared zero entry -----------------------------------
+
+numerators = st.tuples(st.integers(min_value=0, max_value=9), st.integers(min_value=-60, max_value=60)).map(
+    lambda t: 0 if t[0] < 6 else t[1]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    field=st.sampled_from((QQ, QI)),
+    m=st.integers(min_value=1, max_value=5),
+    den=st.integers(min_value=1, max_value=2520),
+    shape=st.sampled_from(("mixed", "zero", "real", "imaginary")),
+    data=st.data(),
+)
+def test_forms_with_zero_numerators_match_entrywise(field, m, den, shape, data):
+    """``from_integer_form`` (every zero numerator one shared zero) gives
+    the rows, wire bytes and hash of the matrix built entry by entry from
+    ``Fraction(x, den)``; about 60% of the numerators are zero, and over
+    Q(i) a form may be all zero, purely real or purely imaginary."""
+    mm = m * m
+    halves = 1 if field is QQ else 2
+    nums = data.draw(st.lists(numerators, min_size=halves * mm, max_size=halves * mm))
+    if shape == "zero":
+        nums = [0] * len(nums)
+    elif shape == "real":
+        nums = nums[:mm] + [0] * (len(nums) - mm)
+    elif shape == "imaginary" and field is QI:
+        nums = [0] * mm + nums[mm:]
+    got = Matrix.from_integer_form(field, m, nums, den)
+    if field is QQ:
+        rows = [[Fraction(nums[i * m + j], den) for j in range(m)] for i in range(m)]
+    else:
+        rows = [
+            [GaussianRational(Fraction(nums[i * m + j], den), Fraction(nums[mm + i * m + j], den)) for j in range(m)]
+            for i in range(m)
+        ]
+    want = Matrix(field, rows)
+    assert got == want
+    assert got.rows == want.rows
+    assert json.dumps(matrix_to_wire(got)) == json.dumps(matrix_to_wire(want))
+    assert hash(got) == hash(want)
+    for x, y in zip(sum(got.rows, ()), sum(want.rows, ())):
+        assert type(x) is type(y) and hash(x) == hash(y)
+        if field is QI:
+            assert type(x.re) is type(x.im) is Fraction

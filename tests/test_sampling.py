@@ -9,6 +9,12 @@ must give equal matrices with equal wire forms and leave the random
 stream in the same state after every draw.  Block membership on the
 numerators of m - base is checked against the entrywise
 ``plain_block_contains`` of ``tests/oracle.py``.
+
+Every draw goes through ``sample_numerators`` and ``sample_residues``,
+which call ``rng.getrandbits`` with the rejection rule of CPython's
+``randint`` and ``randrange``.  ``rng.randint`` and ``rng.randrange``
+stay the oracle of both, for every bound the package uses: if a later
+Python draws them differently, the first property here fails.
 """
 import random
 from fractions import Fraction
@@ -17,7 +23,19 @@ from hypothesis import given, settings, strategies as st
 
 from affgebra.classes import ClassKind, MatrixClassSpec, draw_element, subspace
 from affgebra.matrix import Matrix, matrix_to_wire
-from affgebra.scalars import GF, QI, QQ, SURD, SURD_C, GaussianRational, PrimeFieldElement
+from affgebra.scalars import (
+    GF,
+    QI,
+    QQ,
+    SAMPLE_BOUND,
+    SAMPLE_DEN,
+    SURD,
+    SURD_C,
+    GaussianRational,
+    PrimeFieldElement,
+    sample_numerators,
+    sample_residues,
+)
 from affgebra.transforms import block_target
 from oracle import plain_block_contains
 
@@ -102,6 +120,27 @@ def assert_same_draws(draw, oracle, seed, count=2):
 
 
 seeds = st.integers(min_value=0, max_value=2**32)
+# every prime bound of the tests and the benchmark, and a few around powers of two
+PRIMES = (2, 3, 7, 101, 127, 257, 8191, 65537, 2**31 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=seeds, count=st.integers(min_value=0, max_value=40), p=st.sampled_from(PRIMES))
+def test_bit_level_draws_equal_randint_and_randrange(seed, count, p):
+    rng, ref = random.Random(seed), random.Random(seed)
+    want = [
+        ref.randint(-SAMPLE_BOUND, SAMPLE_BOUND) * (SAMPLE_DEN // ref.randint(1, SAMPLE_BOUND))
+        for _ in range(count)
+    ]
+    assert sample_numerators(rng, count) == want
+    assert rng.getstate() == ref.getstate()
+    assert sample_residues(rng, p, count) == [ref.randrange(p) for _ in range(count)]
+    assert rng.getstate() == ref.getstate()
+    for field in (QQ, QI, GF(p)):
+        got, old = field.sample(rng), _scalar(field, ref)
+        assert type(got) is type(old) and got == old
+        assert field.format(got) == field.format(old)
+        assert rng.getstate() == ref.getstate()
 
 
 @settings(max_examples=150, deadline=None)

@@ -300,6 +300,11 @@ class TestWidening:
         with pytest.raises(ValueError):
             field_by_tag("R")
 
+    @pytest.mark.parametrize("tag", ["Q", "Qi", "surd", "surd_c"])
+    def test_prime_with_another_field_is_rejected(self, tag):
+        with pytest.raises(ValueError, match=f"a prime p is only for the field GF, not '{tag}'"):
+            field_by_tag(tag, 7)
+
 
 class TestHashAgreesWithEquality:
     @given(rationals)

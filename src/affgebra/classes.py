@@ -11,22 +11,25 @@ commutator-style bracket:
 * ``suna`` -- una plus zero trace,
 * ``ga_c`` -- row/column sums equal to an arbitrary fixed scalar c.
 
-Membership is tested on the integer form of a matrix over Q, Q(i) and
-GF(p), and on the integer form of each rational part over the surd
-fields.  Sampling parameterises a class through the exact linear solver
-and draws small rational coefficients as integers straight into the
-integer form.
+Each class is written once, as the linear equations of
+``constraint_system``.  The solver parameterises the class from them,
+and sampling draws small rational coefficients of its directions as
+integers straight into the integer form (``draw_form``).  Membership
+tests the same equations, compiled once into a ``solve.constraint_table``,
+on the integer form of a matrix over Q, Q(i) and GF(p), and on the
+integer form of each rational part over the surd fields.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
 from .errors import FieldMismatch, MalformedWire, SizeMismatch, wire_field
 from .matrix import Matrix
 from .scalars import (
+    PART_FIELDS,
     SAMPLE_DEN,
     Field,
     QI,
@@ -39,7 +42,7 @@ from .scalars import (
     sample_residues,
     widen_scalar,
 )
-from .solve import AffineSubspace, solve_affine_system
+from .solve import AffineSubspace, constraint_table, satisfies, solve_affine_system
 
 
 class ClassKind(str, Enum):
@@ -51,9 +54,7 @@ class ClassKind(str, Enum):
     GA_C = "ga_c"
 
 
-_REAL_ONLY = (ClassKind.ONA,)
 _COMPLEX_ONLY = (ClassKind.UNA, ClassKind.SUNA)
-_TRACELESS = (ClassKind.SNA, ClassKind.SUNA)
 
 # The largest block size n of a class: above every size the tests, the
 # acceptance criteria and the benchmark use (n <= 9), and small enough
@@ -79,7 +80,7 @@ class MatrixClassSpec:
 
     def __post_init__(self):
         check_block_size(self.n)
-        if self.kind in _REAL_ONLY:
+        if self.kind is ClassKind.ONA:
             if self.field not in (QQ, SURD):
                 raise FieldMismatch(f"{self.kind.value} needs a real field")
         elif self.kind in _COMPLEX_ONLY:
@@ -133,63 +134,33 @@ def contains(spec: MatrixClassSpec, m: Matrix) -> bool:
             f"{spec.describe()} cannot contain a matrix over {m.field.describe()}"
         )
     parts = m.rational_parts()
-    return contains_parts(spec, parts[0][1].field, m.size, [x.integer_form() for _, x in parts])
+    return contains_parts(spec, parts[0][1].field, [x.integer_form() for _, x in parts])
 
 
-def contains_parts(spec: MatrixClassSpec, field: Field, k: int, forms) -> bool:
-    """``contains`` for the k x k matrix sum_g sqrt(g)*M_g from the integer
-    forms (nums, den) of its parts M_g over ``field``, M_1 first.  The
-    conditions are rational-linear, affine only in their constants, and the
-    sqrt(g) are linearly independent over Q(i) (Besicovitch 1940): they hold
-    exactly when M_1 and every M_1 + M_g are members."""
+def contains_parts(spec: MatrixClassSpec, field: Field, forms) -> bool:
+    """``contains`` for the matrix sum_g sqrt(g)*M_g of the class's size
+    from the integer forms (nums, den) of its parts M_g over ``field``,
+    M_1 first; the forms need not be reduced.  The conditions are
+    rational-linear, affine only in their constants, and the sqrt(g) are
+    linearly independent over Q(i) (Besicovitch 1940): they hold exactly
+    when M_1 and every M_1 + M_g are members, each tested by one
+    ``satisfies`` call on the class's constraint table over ``field``."""
+    table, p = _membership_table(spec, field), field.characteristic
     (one, d1), *rest = forms
-    if not contains_form(spec, field, k, one, d1):
+    if not satisfies(table, one, d1, p):
         return False
     # M_1 + M_g over d1·d
-    return all(contains_form(spec, field, k, [x * d + y * d1 for x, y in zip(one, nums)], d1 * d)
-               for nums, d in rest)
+    return all(satisfies(table, [x * d + y * d1 for x, y in zip(one, nums)], d1 * d, p) for nums, d in rest)
 
 
-def contains_form(spec: MatrixClassSpec, field: Field, k: int, nums, den: int) -> bool:
-    """``contains`` for the k x k matrix over ``field`` with the integer
-    form (nums, den), which need not be reduced.  Every condition is
-    real-linear, so it is tested on each part of the form, constants
-    times den; over GF(p) sums are compared modulo p (the GF classes
-    have no (anti)symmetry condition)."""
-    kk = k * k
-    target = spec.normalisation(field)
-    if field.characteristic:
-        p = field.p
-        rows = [nums[i : i + k] for i in range(0, kk, k)]
-        t = target.residue
-        if any(sum(r) % p != t for r in rows) or any(sum(c) % p != t for c in zip(*rows)):
-            return False
-        return spec.kind not in _TRACELESS or not sum(rows[i][i] for i in range(k)) % p
-    consts = (target,) if field is QQ else (target.re, target.im)
-    for part, t in enumerate(consts):
-        rows = [nums[i : i + k] for i in range(part * kk, (part + 1) * kk, k)]
-        t = t * den
-        if t.denominator != 1:
-            return False
-        t = int(t.numerator)
-        if any(sum(r) != t for r in rows) or any(sum(c) != t for c in zip(*rows)):
-            return False
-        if spec.kind in _TRACELESS and sum(rows[i][i] for i in range(k)):
-            return False
-        if spec.kind is ClassKind.ONA:
-            # unit diagonal, antisymmetric off it
-            unit = den if part == 0 else 0
-            if any(rows[i][i] != unit for i in range(k)):
-                return False
-            sign, first = -1, 1
-        elif spec.kind in _COMPLEX_ONLY:
-            # anti-hermitian: antisymmetric real part, symmetric imaginary part
-            sign, first = (-1, 0) if part == 0 else (1, 1)
-        else:
-            continue
-        if any(rows[i][j] != sign * rows[j][i] for i in range(k) for j in range(i + first, k)):
-            return False
-    return True
+@lru_cache(maxsize=None)
+def _membership_table(spec: MatrixClassSpec, field: Field) -> tuple:
+    """The equations of ``constraint_system``, the ones the solver
+    solves, compiled for integer forms over ``field``; a spec over a
+    surd field uses the same class over its part field."""
+    if spec.field in PART_FIELDS:
+        spec = replace(spec, field=PART_FIELDS[spec.field])
+    return constraint_table(constraint_system(spec)[0], spec.ambient, field)
 
 
 def base_point(spec: MatrixClassSpec) -> Matrix:
@@ -218,7 +189,11 @@ def base_point(spec: MatrixClassSpec) -> Matrix:
 def constraint_system(spec: MatrixClassSpec):
     """The defining equations as (constraints, realify) ready for
     ``solve_affine_system``."""
-    _check_solvable(spec)
+    if spec.field in PART_FIELDS:
+        raise FieldMismatch(
+            f"{spec.describe()} is parameterised over Q / Qi only; "
+            "surd fields are conjugation targets"
+        )
     m = spec.ambient
     if spec.kind in _COMPLEX_ONLY:
         return _hermitian_constraints(spec, m), True
@@ -253,14 +228,6 @@ def _hermitian_constraints(spec: MatrixClassSpec, m: int):
     if spec.kind is ClassKind.SUNA:
         constraints.append(({(k, k, 1): 1 for k in range(m)}, 0))
     return constraints
-
-
-def _check_solvable(spec: MatrixClassSpec) -> None:
-    if spec.field in (SURD, SURD_C):
-        raise FieldMismatch(
-            f"{spec.describe()} is parameterised over Q / Qi only; "
-            "surd fields are conjugation targets"
-        )
 
 
 def _solve(spec: MatrixClassSpec) -> AffineSubspace:
@@ -310,12 +277,16 @@ def _sampling_data(spec: MatrixClassSpec):
 
 def draw_element(spec: MatrixClassSpec, rng: random.Random) -> Matrix:
     """Particular solution plus a random small-rational combination of
-    the direction space, drawn as integers: one coefficient per
-    generator, a residue over GF(p) and otherwise a rational over
-    SAMPLE_DEN, with the draws ``Field.sample`` of the coefficient field
-    makes (Q(i): the real and then the imaginary part)."""
+    the direction space, drawn as integers (``draw_form``)."""
     _, den, part, gens = _sampling_data(spec)
-    field = spec.field
+    return draw_form(spec.field, spec.ambient, part, den, gens, rng)
+
+
+def draw_form(field: Field, m: int, part, den: int, gens, rng: random.Random) -> Matrix:
+    """The form part/den plus one drawn coefficient times each generator
+    ((k, x), ...), x over den, as an m x m matrix over ``field``: a
+    residue over GF(p), else a rational over SAMPLE_DEN, drawn as
+    ``Field.sample`` draws (an empty generator still takes its draw)."""
     if field.characteristic:
         seen, ints = 1, sample_residues(rng, field.p, len(gens))
     else:
@@ -325,7 +296,7 @@ def draw_element(spec: MatrixClassSpec, rng: random.Random) -> Matrix:
         if f:
             for k, v in gen:
                 acc[k] += f * v
-    return Matrix.from_integer_form(field, spec.ambient, acc, den * seen)
+    return Matrix.from_integer_form(field, m, acc, den * seen)
 
 
 def sample(spec: MatrixClassSpec, seed: int, index: int) -> Matrix:

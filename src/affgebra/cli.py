@@ -147,6 +147,8 @@ def _cmd_corollary(args) -> int:
 def _cmd_emit_matrix(args) -> int:
     check_block_size(args.n)
     if args.which == "U":
+        if args.field is not None or args.p is not None:
+            raise ValueError("U is over the surd field; --field and --p are only for P and Pinv")
         _emit(matrix_to_wire(orthonormal_change_of_basis(args.n)))
         return 0
     field = field_by_tag(args.field or "Q", args.p)

@@ -462,7 +462,7 @@ def matrix_from_wire(doc: dict) -> Matrix:
     if not isinstance(doc, dict):
         raise MalformedWire("a matrix document must be a JSON object")
     tag = wire_field(doc, "field", str, "matrix")
-    field = field_by_tag(tag, wire_field(doc, "p", int, "matrix") if tag == "GF" else None)
+    field = field_by_tag(tag, wire_field(doc, "p", int, "matrix") if tag == "GF" or "p" in doc else None)
     n = wire_field(doc, "n", int, "matrix")
     entries = wire_field(doc, "entries", None, "matrix")
     if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):

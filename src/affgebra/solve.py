@@ -21,12 +21,18 @@ every free unknown 0, and one direction per free unknown (that unknown
 1, the other free ones 0), in the order of the free unknowns.  These are
 read off the reduced row echelon form, which is unique, so they depend
 only on the solution space and the order of the unknowns.
+
+The same constraints also test membership without solving:
+``constraint_table`` compiles them once into integer rows over the flat
+integer-form layout of ``Matrix.integer_form``, and ``satisfies`` checks
+a form against those rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import gcd, lcm
+from operator import mul
 
 from .errors import FieldMismatch, Infeasible
 from .matrix import Matrix
@@ -128,6 +134,44 @@ def _flat_index(pos, size: int, realify: bool) -> int:
         return (i * size + j) * 2 + part
     i, j = pos
     return i * size + j
+
+
+def constraint_table(constraints, size: int, field: Field) -> tuple:
+    """A system with integer coefficients as the rows (idx, coefs, cnum,
+    cden) that ``satisfies`` tests on integer forms of size x size
+    matrices over ``field`` (Q, Q(i) or GF(p)): the form indices of the
+    unknowns, their coefficients (None when all are 1) and the constant
+    cnum/cden, a residue over 1 over GF(p).  A realified key (i, j, part)
+    names the entry (i, j) of the half ``part``; over Q(i) a plain
+    constraint is one row on each half, its constant split between them."""
+    mm = size * size
+    table = []
+    for coeffs, const in constraints:
+        const = field.coerce(const)
+        realified = len(next(iter(coeffs))) == 3
+        if field.characteristic:
+            consts = [QQ.coerce(const.residue)]
+        elif field is QI:
+            consts = [const.re] if realified else [const.re, const.im]
+        else:
+            consts = [const]
+        coefs = tuple(coeffs.values())
+        for h, c in enumerate(consts):
+            idx = tuple((pos[2] if realified else h) * mm + pos[0] * size + pos[1] for pos in coeffs)
+            table.append((idx, None if all(x == 1 for x in coefs) else coefs, c.numerator, c.denominator))
+    return tuple(table)
+
+
+def satisfies(table, nums, den: int, p: int = 0) -> bool:
+    """Whether the integer form (nums, den), which need not be reduced,
+    meets every row of a ``constraint_table``: sum(coefs*nums[idx])/den
+    equals cnum/cden, modulo p over GF(p) (p > 0)."""
+    at = nums.__getitem__
+    for idx, coefs, cnum, cden in table:
+        v = sum(map(at, idx)) if coefs is None else sum(map(mul, coefs, map(at, idx)))
+        if (v * cden - cnum * den) % p if p else v * cden != cnum * den:
+            return False
+    return True
 
 
 def row_reduce(rows, ncols: int, p: int = 0) -> list[int]:

@@ -8,6 +8,11 @@ block vanishes except the corner".  ``P`` is integral and works over any
 field where n+1 is invertible; ``U`` is its orthonormal counterpart with
 quadratic-surd entries and is the only route that preserves antisymmetry
 and anti-hermitianity.
+
+Each block target (gl, sl, o, u, su) is written once as data: a
+homogeneous ``constraint_table`` that ``BlockTarget.contains`` tests
+with ``solve.satisfies``, and a generator table that
+``BlockTarget.sample`` draws through ``classes.draw_form``.
 """
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .affine import COMMUTATOR, AffineCommutator, action, bracket, heap
-from .classes import ClassKind, MatrixClassSpec, base_point, contains, contains_parts
+from .classes import ClassKind, MatrixClassSpec, base_point, contains, contains_parts, draw_form
 from .errors import ClassViolation, FieldMismatch, SizeMismatch
 from .matrix import Matrix, graded, sandwich, sandwich_form
 from .report import (
@@ -34,18 +39,17 @@ from .report import (
 from .scalars import (
     PART_FIELDS,
     RAT,
-    SAMPLE_DEN,
     Field,
+    QI,
     QQ,
     SURD,
     SURD_C,
     can_widen,
-    sample_numerators,
-    sample_residues,
     squarefree_split,
     surd_basis_product,
     widen_scalar,
 )
+from .solve import constraint_table, satisfies
 
 VIA_P = "P"
 VIA_U = "U"
@@ -167,125 +171,101 @@ class BlockTarget:
         return self.base_block.field
 
     def contains(self, m: Matrix, radicals=None) -> bool:
-        """Membership of m.  With ``radicals`` f_0..f_n, m is a frame
-        matrix of the U route and the tested block matrix is D·m·D⁻¹ for
-        D = diag(√f_k): the zero pattern and the trace carry over, and
-        (anti)symmetry reads f_l·d_lk = -f_k·d_kl."""
+        """Membership of m.  With ``radicals``, a tuple f_0..f_n, m is a
+        frame matrix of the U route and the tested block matrix is
+        D·m·D⁻¹ for D = diag(√f_k) (see ``_block_table``).  Every condition
+        is homogeneous, so each rational part of m - base decides it on its
+        numerators alone (base is rational: M_1 - base over da·db)."""
         base = self.base_block.widen(m.field)
         if m.size != base.size:
             raise SizeMismatch(f"{base.size} vs {m.size}")
-        radicals = radicals or (1,) * m.size
-        # every condition is homogeneous, so each rational part of m - base
-        # decides it (M_1 - base on the numerators over da·db; base is rational)
         ((_, rational),) = base.rational_parts()
         b, db = rational.integer_form()
+        table = _block_table(self.block_kind, self.n, radicals, len(b) // base.size**2)
         for g, x in m.rational_parts():
             a, da = x.integer_form()
             nums = [u * db - v * da for u, v in zip(a, b)] if g == 1 else a
-            if not _block_member_form(self.block_kind, nums, self.n, radicals, m.field.characteristic):
+            if not satisfies(table, nums, 1, m.field.characteristic):
                 return False
         return True
 
     def sample(self, rng: random.Random) -> Matrix:
-        """The base plus a random element of the block algebra, drawn as
-        integers into the integer form with the draws ``Field.sample``
-        makes entry by entry: gl and sl every block entry (Q(i): real
-        then imaginary part), o the entries above the diagonal, u and su
-        the imaginary diagonal and then the entries above it; sl and su
-        replace the last diagonal entry, still drawn, by minus the trace
-        of the others.  The base is rational, so the surd targets (o, u,
-        su) draw into the form of its rational part, over Q or Q(i)."""
-        field, n, kind = self.field, self.n, self.block_kind
-        m = n + 1
-        mm = m * m
+        """The base plus ``classes.draw_form``'s draw per generator of
+        ``_block_generators``.  The base is rational, so the surd targets
+        (o, u, su) draw into the form of its rational part, over Q or Q(i)."""
         ((_, rational),) = self.base_block.rational_parts()
         base, bden = rational.integer_form()
-        p = field.characteristic
-        scale = 1 if p else SAMPLE_DEN
-
-        def draw(count):
-            # residues over GF(p), numerators over SAMPLE_DEN otherwise
-            return iter(sample_residues(rng, p, count) if p else sample_numerators(rng, count))
-
-        block = [0] * len(base)
-        if kind in ("gl", "sl"):
-            draws = draw(n * n * (len(base) // mm))
-            for i in range(n):
-                for j in range(n):
-                    for at in range(i * m + j, len(base), mm):
-                        block[at] = next(draws)
-        elif kind == "o":
-            draws = draw(n * (n - 1) // 2)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    x = next(draws)
-                    block[i * m + j], block[j * m + i] = x, -x
-        else:  # u, su: anti-hermitian over Q(i)
-            draws = draw(n * n)
-            for k in range(n):
-                block[mm + k * (m + 1)] = next(draws)
-            for k in range(n):
-                for l in range(k + 1, n):
-                    re, im = next(draws), next(draws)
-                    block[k * m + l], block[mm + k * m + l] = re, im
-                    block[l * m + k], block[mm + l * m + k] = -re, im
-        if kind in ("sl", "su"):
-            last = (n - 1) * (m + 1)
-            for part in range(0, len(base), mm):
-                block[part + last] = -sum(block[part + k * (m + 1)] for k in range(n - 1))
-        nums = [x * scale + y * bden for x, y in zip(base, block)]
-        return Matrix.from_integer_form(rational.field, m, nums, bden * scale).widen(field)
+        gens = _block_generators(self.block_kind, self.n, len(base) // (self.n + 1) ** 2, bden)
+        return draw_form(rational.field, self.n + 1, base, bden, gens, rng).widen(self.field)
 
 
-def _block_member_form(kind: str, nums, n: int, f, p: int) -> bool:
-    """Whether d, from the numerators of an integer form (any positive
-    denominator; over GF(p), residues up to multiples of p, p the
-    characteristic), has a zero last row and column and its top block in
-    ``kind``: zero trace for sl and su, f_l·d_lk = -f_k·conj(d_kl) for o, u
-    and su.  Every condition is homogeneous, so the denominator drops out;
-    (anti)symmetry reads f_l·d_lk = -f_k·d_kl on the real part and
-    f_l·d_lk = f_k·d_kl on the imaginary part."""
+@lru_cache(maxsize=None)
+def _block_table(kind: str, n: int, radicals, halves: int) -> tuple:
+    """The ``constraint_table`` of the block algebra ``kind`` on forms with
+    ``halves`` halves: zero last row and column and, for sl and su, zero
+    trace on each half; for o, u and su the (anti)symmetry of D·d·D⁻¹,
+    f_l·d_lk + f_k·d_kl = 0 on the real half and f_l·d_lk − f_k·d_kl = 0
+    on the imaginary half, radicals f all 1 for None.  Homogeneous, so
+    it serves GF(p) too."""
     size = n + 1
-    last = n * size
-    parts = [nums[i : i + size * size] for i in range(0, len(nums), size * size)]
-    if p:
-        parts = [[x % p for x in part] for part in parts]
-    for part in parts:
-        if any(part[last + k] or part[k * size + n] for k in range(size)):
-            return False
-    if kind in ("sl", "su"):
-        for part in parts:
-            tr = sum(part[k * size + k] for k in range(n))
-            if tr % p if p else tr:
-                return False
+    f = radicals or (1,) * size
+    rows = []
+    for h in range(halves):
+        rows += [({(n, k, h): 1}, 0) for k in range(size)] + [({(k, n, h): 1}, 0) for k in range(n)]
+        if kind in ("sl", "su"):
+            rows.append(({(k, k, h): 1 for k in range(n)}, 0))
     if kind in ("o", "u", "su"):
-        for sign, part in zip((-1, 1), parts):
-            for k in range(n):
-                for l in range(k, n):
-                    if f[l] * part[l * size + k] != sign * f[k] * part[k * size + l]:
-                        return False
-    return True
+        for k in range(n):
+            for l in range(k, n):
+                rows.append(({(l, k, 0): f[l], (k, l, 0): f[k]}, 0))
+                if l > k and halves == 2:
+                    rows.append(({(l, k, 1): f[l], (k, l, 1): -f[k]}, 0))
+    return constraint_table(rows, size, QI if halves == 2 else QQ)
+
+
+@lru_cache(maxsize=None)
+def _block_generators(kind: str, n: int, halves: int, scale: int = 1) -> tuple:
+    """One generator ((k, x * scale), ...) per draw, in the order of drawing
+    the block entry by entry: gl and sl every entry (real, then imaginary
+    part); o the entries above the diagonal; u and su the imaginary
+    diagonal, then the entries above it.  sl and su move the trace onto
+    the last diagonal entry, whose own draw has an empty generator."""
+    size = n + 1
+    mm = size * size
+
+    def at(i, j, h=0):
+        return h * mm + i * size + j
+
+    def diagonal(k, h):
+        if kind in ("gl", "u"):
+            return {at(k, k, h): 1}
+        return {} if k == n - 1 else {at(k, k, h): 1, at(n - 1, n - 1, h): -1}
+
+    if kind in ("gl", "sl"):
+        gens = [diagonal(i, h) if i == j else {at(i, j, h): 1}
+                for i in range(n) for j in range(n) for h in range(halves)]
+    elif kind == "o":
+        gens = [{at(i, j): 1, at(j, i): -1} for i in range(n) for j in range(i + 1, n)]
+    else:  # u, su: anti-hermitian over Q(i)
+        gens = [diagonal(k, 1) for k in range(n)]
+        for k in range(n):
+            for l in range(k + 1, n):
+                gens += [{at(k, l): 1, at(l, k): -1}, {at(k, l, 1): 1, at(l, k, 1): 1}]
+    return tuple(tuple((k, x * scale) for k, x in gen.items()) for gen in gens)
 
 
 @lru_cache(maxsize=None)
 def block_target(spec: MatrixClassSpec) -> BlockTarget:
-    field = spec.field
-    m = spec.ambient
-    zero = field.zero()
-    if spec.kind in (ClassKind.GNA, ClassKind.GA_C):
-        corner = field.one() if spec.kind is ClassKind.GNA else spec.c
-        base = Matrix.diagonal(field, [zero] * spec.n + [corner])
-    elif spec.kind is ClassKind.SNA:
-        head = -field.inv_int(spec.n)
-        base = Matrix.diagonal(field, [head] * spec.n + [field.one()])
-    elif spec.kind is ClassKind.ONA:
-        base = Matrix.identity(field, m)
-    elif spec.kind is ClassKind.UNA:
-        base = Matrix.diagonal(field, [zero] * spec.n + [field.imaginary_unit()])
-    else:  # SUNA
-        head = -(field.imaginary_unit() * field.inv_int(spec.n))
-        base = Matrix.diagonal(field, [head] * spec.n + [field.imaginary_unit()])
-    return BlockTarget(block_kind=_BLOCK_KINDS[spec.kind], base_block=base, n=spec.n)
+    """The target of the class: its base is diag(h, ..., h, c) for the
+    normalisation c, with h = 0 for gl and u, c for o and -c/n for sl and
+    su (NonInvertibleScalar when n is 0 in the field)."""
+    kind, c = _BLOCK_KINDS[spec.kind], spec.normalisation()
+    if kind in ("sl", "su"):
+        head = -(c * spec.field.inv_int(spec.n))
+    else:
+        head = c if kind == "o" else spec.field.zero()
+    base = Matrix.diagonal(spec.field, [head] * spec.n + [c])
+    return BlockTarget(block_kind=kind, base_block=base, n=spec.n)
 
 
 # -- the three isomorphism mechanisms -----------------------------------
@@ -414,7 +394,7 @@ class Frame:
         piece g, and no matrix is built."""
         if z.field is not self.field or z.field in PART_FIELDS:
             return contains(spec, self.pull_back(z))
-        return contains_parts(spec, z.field, z.size, [form for _, _, form in self._pulled(self._admit(z))])
+        return contains_parts(spec, z.field, [form for _, _, form in self._pulled(self._admit(z))])
 
 
 @lru_cache(maxsize=None)

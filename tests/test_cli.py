@@ -1,8 +1,10 @@
+import importlib.util
 import io
 import json
 import shutil
 import subprocess
 import time
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +112,13 @@ class TestFieldFlags:
         assert (code, out) == (2, "")
         assert err == f"error: a prime p is only for the field GF, not {tag!r}\n"
 
+    @pytest.mark.parametrize("tag", ["Q", "Qi", "surd"])
+    def test_matrix_with_a_prime_outside_GF_is_usage_error(self, capsys, tag):
+        bad = json.dumps({"field": tag, "p": 7, "n": 1, "entries": [["1"]]})
+        code, out, err = run_cli(capsys, "bracket", bad, '{"field":"Q","n":1,"entries":[["2"]]}')
+        assert (code, out) == (2, "")
+        assert err == f"error: a prime p is only for the field GF, not {tag!r}\n"
+
 
 class TestIsoCheck:
     def test_gna_base_point_image(self, capsys):
@@ -208,6 +217,12 @@ class TestEmitMatrix:
         assert "NonInvertibleScalar" in err
 
 
+    @pytest.mark.parametrize("flags", [("--field", "Q"), ("--p", "7"), ("--field", "GF", "--p", "7")])
+    def test_field_flags_with_U_are_usage_error(self, capsys, flags):
+        code, out, err = run_cli(capsys, "emit-matrix", "--which", "U", "--n", "1", *flags)
+        assert (code, out) == (2, "")
+        assert err == "error: U is over the surd field; --field and --p are only for P and Pinv\n"
+
     @pytest.mark.parametrize("which", ["P", "Pinv", "U"])
     @pytest.mark.parametrize("n", [0, -1, MAX_N + 1])
     def test_n_out_of_bounds(self, capsys, which, n):
@@ -276,6 +291,7 @@ class TestBracketAndRetract:
             ('{"field":5,"n":1,"entries":[["1"]]}', "matrix field 'field' must be str, got int 5"),
             ('{"field":"GF","n":1,"entries":[["1"]]}', "matrix lacks field 'p'"),
             ('{"field":"GF","p":"7","n":1,"entries":[["1"]]}', "matrix field 'p' must be int, got str '7'"),
+            ('{"field":"Q","p":"7","n":1,"entries":[["1"]]}', "matrix field 'p' must be int, got str '7'"),
             ('{"field":"Q","n":1}', "matrix lacks field 'entries'"),
         ],
     )
@@ -619,3 +635,15 @@ class TestConsoleScript:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["entries"][2] == ["1/3", "1/3", "1/3"]
+
+
+def test_benchmark_traced_names_resolve():
+    """Every layer that ``perfbench/tracer.py`` times still names at
+    least one function of the package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = tracer.resolve_targets()  # every module is loaded: the CLI imports them all
+    assert set(targets) == set(tracer.LAYER_FUNCTIONS)
+    assert all(targets[name] for name in tracer.LAYER_FUNCTIONS)

@@ -198,9 +198,18 @@ def test_equality_is_entrywise_equality(case):
     assert other != a and other.integer_form() != a.integer_form()
 
 
-@settings(max_examples=80, deadline=None)
+# each class over its own field, and normalisations with a denominator or an imaginary part
+MEMBERSHIP_CLASSES = [(kind, spec(kind, 1).field, None) for kind in CLASSES] + [
+    (ClassKind.GA_C, QQ, Fraction(2, 3)),
+    (ClassKind.GA_C, QI, GaussianRational(1, 2)),
+    (ClassKind.GNA, QI, None),
+    (ClassKind.SNA, QI, None),
+]
+
+
+@settings(max_examples=120, deadline=None)
 @given(
-    kind=st.sampled_from(CLASSES),
+    cls=st.sampled_from(MEMBERSHIP_CLASSES),
     n=st.integers(min_value=1, max_value=4),
     seed=st.integers(min_value=0, max_value=2**31),
     i=st.integers(min_value=0, max_value=4),
@@ -208,8 +217,9 @@ def test_equality_is_entrywise_equality(case):
     delta=st.sampled_from([Fraction(1), Fraction(-1, 3), GaussianRational(0, 1), GaussianRational(2, -1)]),
     widen=st.booleans(),
 )
-def test_membership_matches_entrywise(kind, n, seed, i, j, delta, widen):
-    s = spec(kind, n)
+def test_membership_matches_entrywise(cls, n, seed, i, j, delta, widen):
+    kind, field, c = cls
+    s = MatrixClassSpec(kind, n, field, c=c)
     m = sample(s, seed, 0)
     if s.field is QQ and (widen or isinstance(delta, GaussianRational)):
         m = m.widen(QI)

@@ -20,12 +20,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affgebra.classes import ClassKind, MatrixClassSpec, constraint_system
+from affgebra.classes import ClassKind, MatrixClassSpec, constraint_system, contains, subspace
 from affgebra.cli import main
 from affgebra.errors import FieldMismatch, Infeasible
 from affgebra.matrix import Matrix, matrix_to_wire
 from affgebra.scalars import GF, QI, QQ, SURD, GaussianRational
-from affgebra.solve import solve_affine_system
+from affgebra.solve import satisfies, solve_affine_system
+from affgebra.transforms import _block_generators, _block_table, block_target
 
 GOLDEN = Path(__file__).parent / "golden" / "solver.json"
 
@@ -325,6 +326,31 @@ def class_specs(n):
     yield MatrixClassSpec(ClassKind.ONA, n, QQ)
     yield MatrixClassSpec(ClassKind.UNA, n, QI)
     yield MatrixClassSpec(ClassKind.SUNA, n, QI)
+
+
+class TestConstraintTables:
+    """Membership runs the solver's equations through ``constraint_table``
+    and ``satisfies``; a block algebra has a condition table and a
+    generator table, which must agree."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_solved_points_are_members(self, n):
+        for s in class_specs(n):
+            space = subspace(s)
+            assert contains(s, space.particular)
+            assert all(contains(s, space.particular + d) for d in space.directions)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_block_generator_meets_the_block_table(self, n):
+        for s in class_specs(n):
+            target = block_target(s)
+            halves = 2 if target.field.is_complex else 1
+            table = _block_table(target.block_kind, n, None, halves)
+            for gen in _block_generators(target.block_kind, n, halves):
+                nums = [0] * (halves * s.ambient**2)
+                for k, x in gen:
+                    nums[k] = x
+                assert satisfies(table, nums, 1, s.field.characteristic)
 
 
 # -- golden CLI output ------------------------------------------------------

@@ -290,7 +290,7 @@ class Matrix:
             a = [r + [-v for v in s] for r, s in zip(a, y)] + [s + r for r, s in zip(a, y)]
         k = len(a)
         # den * [A | I]; elimination leaves [diag(a_i) | diag(a_i) * A⁻¹]
-        rows = [row + [den if j == i else 0 for j in range(k)] for i, row in enumerate(a)]
+        rows = [{j: x for j, x in enumerate(row) if x} | {k + i: den} for i, row in enumerate(a)]
         pivots = row_reduce(rows, k, field.characteristic)
         if len(pivots) < k:
             col = next((c for c, q in enumerate(pivots) if c != q), len(pivots))
@@ -298,7 +298,7 @@ class Matrix:
         d = reduce(lcm, (row[i] for i, row in enumerate(rows)), 1)
         # over Q(i) the left column of blocks holds the real and then the
         # imaginary part of A⁻¹
-        inv = [x * (d // row[i]) for i, row in enumerate(rows) for x in row[k : k + m]]
+        inv = [row.get(j, 0) * (d // row[i]) for i, row in enumerate(rows) for j in range(k, k + m)]
         return Matrix.from_integer_form(field, m, inv, d)
 
     def widen(self, field: Field) -> Matrix:

@@ -7,9 +7,12 @@ anti-hermitianity) the unknowns are the rational real/imaginary parts of
 each entry and ``coeffs`` maps ``(i, j, part)`` with part 0 = re,
 part 1 = im; the carrier field must then be the Gaussian rationals.
 
-Elimination runs on integer rows (``row_reduce``, which also carries
-``Matrix.inverse``): over Q, and over the rational parts of a realified
-system, each row is scaled to integers; over GF(p) the rows hold
+Elimination runs on sparse integer rows (``row_reduce``, which also
+carries ``Matrix.inverse``): each row is a dict of its nonzero entries,
+built from the constraint's own keys, and the work of an update follows
+the nonzeros of the pivot row, not the width of the system.  Over Q, and
+over the rational parts of a realified system, each row is scaled to
+integers over the denominators of its nonzeros; over GF(p) the rows hold
 residues.  Over Q(i) without realification the coefficients must be
 rational (every system ``classes.constraint_system`` builds is), and
 the right-hand side is carried as two integer columns, its real and its
@@ -82,7 +85,7 @@ def solve_affine_system(constraints, size: int, field: Field, realify: bool = Fa
 
     rows = []
     for coeffs, rhs in constraints:
-        row = [0] * ncols
+        row = {}
         for pos, c in coeffs.items():
             c = scalar.coerce(c)
             if split:
@@ -92,40 +95,44 @@ def solve_affine_system(constraints, size: int, field: Field, realify: bool = Fa
             row[_flat_index(pos, size, realify)] = c.residue if p else c
         rhs = scalar.coerce(rhs)
         if split:
-            row += (rhs.re, rhs.im)
+            row[ncols], row[ncols + 1] = rhs.re, rhs.im
         else:
-            row.append(rhs.residue if p else rhs)
-        rows.append(row if p else common_denominator(row)[0])
+            row[ncols] = rhs.residue if p else rhs
+        row = {j: x for j, x in row.items() if x}
+        if not p:
+            row = dict(zip(row, common_denominator(row.values())[0]))
+        rows.append(row)
 
     pivots = row_reduce(rows, ncols, p)
     rank = len(pivots)
-    if any(any(row[ncols:]) for row in rows[rank:]):
+    if any(rows[rank:]):  # a row left holds only right-hand side
         raise Infeasible("inconsistent constraint system")
 
     # pivot row r stands for row / a_r; s_r = den / a_r scales it to den
     den = reduce(lcm, (row[c] for c, row in zip(pivots, rows)), 1)
-    pivot_rows = [(c, row, den // row[c]) for c, row in zip(pivots, rows)]
     # form index of each unknown: realified unknowns interleave re and im
     where = [k % 2 * mm + k // 2 for k in range(ncols)] if realify else range(ncols)
     width = 2 * mm if field is QI else mm
 
-    particular = [0] * width
-    for c, row, s in pivot_rows:
-        particular[where[c]] = row[ncols] * s
-        if split:
-            particular[mm + c] = row[ncols + 1] * s
-    directions = []
     pivot_set = set(pivots)
+    # one direction per free unknown, in order: that unknown den, the
+    # other free ones 0
+    directions = {}
     for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [0] * width
-        vec[where[free]] = den
-        for c, row, s in pivot_rows:
-            if row[free]:
-                vec[where[c]] = -row[free] * s % p if p else -row[free] * s
-        directions.append(tuple(vec))
-    return AffineSubspace(field, size, den, tuple(particular), tuple(directions), realify)
+        if free not in pivot_set:
+            directions[free] = vec = [0] * width
+            vec[where[free]] = den
+    particular = [0] * width
+    for c, row in zip(pivots, rows):
+        s = den // row[c]
+        particular[where[c]] = row.get(ncols, 0) * s
+        if split:
+            particular[mm + c] = row.get(ncols + 1, 0) * s
+        # a reduced row holds no pivot column but its own
+        for j, x in row.items():
+            if j < ncols and j != c:
+                directions[j][where[c]] = -x * s % p if p else -x * s
+    return AffineSubspace(field, size, den, tuple(particular), tuple(map(tuple, directions.values())), realify)
 
 
 def _flat_index(pos, size: int, realify: bool) -> int:
@@ -175,46 +182,66 @@ def satisfies(table, nums, den: int, p: int = 0) -> bool:
 
 
 def row_reduce(rows, ncols: int, p: int = 0) -> list[int]:
-    """Gauss-Jordan elimination in place on integer rows, returning the
-    pivot columns; rows[r] is the row of pivot r.  Pivots are taken in
-    the first ``ncols`` columns, in order, from the first row with a
-    nonzero entry; later columns are carried along.
+    """Gauss-Jordan elimination in place on sparse integer rows, returning
+    the pivot columns; rows[r] is the row of pivot r.  A row is a dict
+    {column: entry} of its nonzero entries only, and each row is its own
+    dict.  Pivots are taken in the first ``ncols`` columns, in order,
+    from the first row with a nonzero entry; later columns are carried
+    along.  An update walks the pivot row's nonzeros and drops the
+    entries it cancels (Davis 2006), so the work follows the nonzeros,
+    not the width.
 
-    Over GF(p) (p > 0) the entries are residues and every pivot is 1.
-    Over Q (p = 0) a row stands for itself divided by its pivot: rows
-    are updated fraction-free, row_k <- a*row_k - b*row_r with a the
-    pivot and b row_k's entry under it (Bareiss 1968), and each row is
-    kept primitive (the gcd of its entries is 1), which keeps the
-    integers small.
+    Over GF(p) (p > 0) the entries are residues in [1, p) and every
+    pivot is 1.  Over Q (p = 0) a row stands for itself divided by its
+    pivot: rows are updated fraction-free, row_k <- a*row_k - b*row_r
+    with a the pivot and b row_k's entry under it (Bareiss 1968), and
+    each row is kept primitive (the gcd of its entries is 1), which
+    keeps the integers small.
     """
     if not p:
-        rows[:] = [_primitive(row) for row in rows]
+        for row in rows:
+            _make_primitive(row)
     pivots = []
     r = 0
+    n = len(rows)
     for c in range(ncols):
-        if r == len(rows):
+        if r == n:
             break
-        pivot = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        pivot = next((k for k in range(r, n) if c in rows[k]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         prow = rows[r]
         a = prow[c]
         if p and a != 1:
-            inv = pow(a, -1, p)
-            prow = rows[r] = [x * inv % p for x in prow]
-        for k, row in enumerate(rows):
-            b = row[c]
-            if b and k != r:
+            inv, a = pow(a, -1, p), 1
+            for j in prow:
+                prow[j] = prow[j] * inv % p
+        terms = prow.items()
+        for row in rows:
+            b = row.get(c)
+            if b is None or row is prow:
+                continue
+            if a != 1:
+                for j in row:
+                    row[j] *= a
+            for j, y in terms:
+                x = row.get(j, 0) - b * y
                 if p:
-                    rows[k] = [(x - b * y) % p for x, y in zip(row, prow)]
+                    x %= p
+                if x:
+                    row[j] = x
                 else:
-                    rows[k] = _primitive([a * x - b * y for x, y in zip(row, prow)])
+                    del row[j]
+            if not p:
+                _make_primitive(row)
         pivots.append(c)
         r += 1
     return pivots
 
 
-def _primitive(row: list[int]) -> list[int]:
-    g = reduce(gcd, row)
-    return [x // g for x in row] if g > 1 else row
+def _make_primitive(row: dict) -> None:
+    g = gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g

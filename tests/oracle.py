@@ -8,6 +8,9 @@ entry types ``RAT``, ``GaussianRational``, ``PrimeFieldElement``,
 rational parts.  It is imported by the test modules, from the tests
 directory.
 """
+from functools import reduce
+from math import gcd
+
 from affgebra.classes import ClassKind
 from affgebra.matrix import Matrix
 from affgebra.scalars import widen_scalar
@@ -158,3 +161,49 @@ def plain_squarefree_split(m):
             f *= d
         d += 1
     return s, f * m
+
+
+def plain_row_reduce(rows, ncols: int, p: int = 0) -> list[int]:
+    """Gauss-Jordan elimination in place on dense integer rows, returning
+    the pivot columns; rows[r] is the row of pivot r.  Pivots are taken in
+    the first ``ncols`` columns, in order, from the first row with a
+    nonzero entry; later columns are carried along.
+
+    Over GF(p) (p > 0) the entries are residues and every pivot is 1.
+    Over Q (p = 0) a row stands for itself divided by its pivot: rows
+    are updated fraction-free, row_k <- a*row_k - b*row_r with a the
+    pivot and b row_k's entry under it (Bareiss 1968), and each row is
+    kept primitive (the gcd of its entries is 1), which keeps the
+    integers small.
+    """
+    if not p:
+        rows[:] = [_plain_primitive(row) for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        pivot = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow = rows[r]
+        a = prow[c]
+        if p and a != 1:
+            inv = pow(a, -1, p)
+            prow = rows[r] = [x * inv % p for x in prow]
+        for k, row in enumerate(rows):
+            b = row[c]
+            if b and k != r:
+                if p:
+                    rows[k] = [(x - b * y) % p for x, y in zip(row, prow)]
+                else:
+                    rows[k] = _plain_primitive([a * x - b * y for x, y in zip(row, prow)])
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _plain_primitive(row: list[int]) -> list[int]:
+    g = reduce(gcd, row)
+    return [x // g for x in row] if g > 1 else row

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,18 @@ class TestSpecValidation:
         ]
         for s in specs:
             assert spec_from_wire(spec_to_wire(s)) == s
+
+    def test_cached_hash_is_the_field_tuple_hash(self):
+        q = spec(ClassKind.GA_C, 3, QQ, c=Fraction(2, 3))
+        qi = spec(ClassKind.GA_C, 3, QI, c=GaussianRational(Fraction(2, 3), 0))
+        for s in (q, qi, spec(ClassKind.UNA, 2), spec(ClassKind.SNA, 2, GF(7))):
+            assert hash(s) == s._hash == hash((s.kind, s.n, s.field, s.c))
+        # replace builds a fresh spec, and its hash follows the new fields
+        widened = replace(q, field=QI)
+        assert widened == qi and hash(widened) == hash(qi)
+        back = replace(replace(q, n=4), n=3)
+        assert back == q and hash(back) == hash(q)
+        assert hash(replace(q, n=4)) == hash((ClassKind.GA_C, 4, QQ, Fraction(2, 3)))
 
     def test_wire_prime_with_another_field_is_rejected(self):
         with pytest.raises(ValueError, match="a prime p is only for the field GF, not 'Q'"):

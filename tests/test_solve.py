@@ -3,13 +3,28 @@
 ``oracle_solve`` is the Gauss-Jordan elimination on field scalars that
 the solver ran before it moved to integer rows; the integer solver must
 give the same particular solution and directions on random systems and
-on every class system.  ``tests/golden/solver.json`` holds the CLI
-output of ``golden_document()`` as computed by that field-scalar solver;
+on every class system.  ``oracle.plain_row_reduce`` is the elimination
+on dense integer rows that ran before the rows became sparse;
+``row_reduce`` must return its pivots and its rows.
+
+``tests/golden/solver.json`` holds the CLI output of
+``golden_document()`` as computed by that field-scalar solver;
 regenerate it only for an intended change of output with
 
-    PYTHONPATH=src python -c "import json, tests.test_solve as t; \
+    PYTHONPATH=src:tests python -c "import json, test_solve as t; \
 print(json.dumps(t.golden_document(), indent=1))" > tests/golden/solver.json
+
+``tests/golden/class_systems.json`` pins the larger class systems, which
+the oracle is too slow for: the sha256 of each ``_sampling_data`` tuple
+(dimension, den, particular form, direction generators) of every
+``class_specs(n)`` system at n = 8 and n = MAX_N, as the dense integer
+elimination computed it.  Regenerate it only for an intended change of
+output with
+
+    PYTHONPATH=src:tests python -c "import json, test_solve as t; \
+print(json.dumps(t.class_systems_document(), indent=1))" > tests/golden/class_systems.json
 """
+import hashlib
 import io
 import json
 import random
@@ -20,15 +35,25 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affgebra.classes import ClassKind, MatrixClassSpec, constraint_system, contains, subspace
+from affgebra.classes import (
+    MAX_N,
+    ClassKind,
+    MatrixClassSpec,
+    _sampling_data,
+    constraint_system,
+    contains,
+    subspace,
+)
 from affgebra.cli import main
 from affgebra.errors import FieldMismatch, Infeasible
 from affgebra.matrix import Matrix, matrix_to_wire
 from affgebra.scalars import GF, QI, QQ, SURD, GaussianRational
-from affgebra.solve import satisfies, solve_affine_system
+from affgebra.solve import row_reduce, satisfies, solve_affine_system
 from affgebra.transforms import _block_generators, _block_table, block_target
+from oracle import plain_row_reduce
 
 GOLDEN = Path(__file__).parent / "golden" / "solver.json"
+CLASS_SYSTEMS = Path(__file__).parent / "golden" / "class_systems.json"
 
 
 def row_col_sum_constraints(m, value):
@@ -169,6 +194,62 @@ class TestNarrowedContract:
             assert evaluate(coeffs, space.particular) == rhs
             for d in space.directions:
                 assert evaluate(coeffs, d) == 0
+
+
+# -- sparse rows against the dense integer elimination (oracle) ------------
+
+
+def assert_matches_dense(rows, ncols, p):
+    """row_reduce on the nonzeros of ``rows`` returns the pivots and, entry
+    for entry, the rows of ``plain_row_reduce`` on the dense rows."""
+    width = max(map(len, rows), default=ncols)
+    dense = [list(row) for row in rows]
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    assert row_reduce(sparse, ncols, p) == plain_row_reduce(dense, ncols, p)
+    assert [[row.get(j, 0) for j in range(width)] for row in sparse] == dense
+
+
+@st.composite
+def integer_rows(draw, p):
+    """(rows, ncols): random integer rows (residues over GF(p)), dense or
+    mostly zero, wide or tall, with pivots sought in the first ncols
+    columns, and some zero rows, duplicate rows and copies that differ
+    only after ncols (an inconsistent right-hand side) mixed in.  Rows are
+    at least two wide, as every caller's are: the dense elimination takes
+    the gcd of a one-entry row as the entry itself, sign included."""
+    width = draw(st.integers(2, 9))
+    ncols = draw(st.integers(0, width))
+    value = st.integers(0, p - 1) if p else st.integers(-9, 9)
+    sparse = draw(st.booleans())
+    rows = [
+        [draw(value) if not sparse or draw(st.integers(0, 3)) == 0 else 0 for _ in range(width)]
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if rows and ncols < width and draw(st.booleans()):
+        row = list(draw(st.sampled_from(rows)))
+        row[ncols:] = [draw(value) for _ in row[ncols:]]
+        rows.append(row)
+    rows += [[0] * width] * draw(st.integers(0, 2))
+    return draw(st.permutations(rows)), ncols
+
+
+class TestRowReduceAgainstDense:
+    @pytest.mark.parametrize("p", [0, 2, 7, 101])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_integer_rows(self, p, data):
+        rows, ncols = data.draw(integer_rows(p))
+        assert_matches_dense(rows, ncols, p)
+
+    @pytest.mark.parametrize("p", [0, 7])
+    def test_edge_cases(self, p):
+        assert_matches_dense([], 3, p)
+        assert_matches_dense([[0, 0, 0], [0, 0, 0]], 2, p)
+        assert_matches_dense([[1, 2, 3], [1, 2, 3], [1, 2, 4]], 2, p)
+        assert_matches_dense([[2, 4, 6, 1], [3, 6, 1, 0]], 1, p)
+        assert_matches_dense([[0, 5, 3], [0, 1, 1]], 0, p)
 
 
 # -- the field-scalar solver (oracle) ---------------------------------------
@@ -393,3 +474,16 @@ def golden_document() -> list:
 def test_golden_cli_output_byte_identical():
     expected = GOLDEN.read_text(encoding="utf-8")
     assert json.dumps(golden_document(), indent=1) + "\n" == expected
+
+
+def class_systems_document() -> list:
+    return [
+        {"class": s.describe(), "sha256": hashlib.sha256(repr(_sampling_data(s)).encode()).hexdigest()}
+        for n in (8, MAX_N)
+        for s in class_specs(n)
+    ]
+
+
+def test_large_class_systems_byte_identical():
+    expected = CLASS_SYSTEMS.read_text(encoding="utf-8")
+    assert json.dumps(class_systems_document(), indent=1) + "\n" == expected

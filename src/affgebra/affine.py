@@ -1,13 +1,18 @@
-"""Vector-free affine-space operations on matrix carriers.
+"""Vector-free affine-space operations, and the carriers they run on.
 
 Everything here treats a square matrix as a point of an affine space and
 never picks an origin: the primitive operations are the ternary heap
 ``<a,b,c> = a - b + c`` and the base-pointed scalar action
 ``alpha |>_a b = alpha*b - alpha*a + a``.  Brackets, retracts and the
 associated products are combinations of those two.
+
+``Carrier`` is the space a check runs on; each retract operation is
+written once as its method, from the carrier's heap, action and bracket.
+The public retract functions are those methods on ``MatrixCarrier``.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from .errors import MalformedWire, NotIdempotent, wire_field
@@ -46,8 +51,8 @@ def action(alpha, base: Matrix, b: Matrix) -> Matrix:
         # alpha = p/q: (p*b + (q - p)*base) / q
         p, q = int(r.numerator), int(r.denominator)
         return combine(((p, b), (q - p, base)), q)
-    # a non-real or irrational alpha: (alpha·I)·(b - base) + base
-    return Matrix.diagonal(field, [alpha] * base.size) @ (b - base) + base
+    # a non-real or irrational alpha: alpha·(b - base) + base
+    return (b - base).scale(alpha) + base
 
 
 @dataclass(frozen=True)
@@ -84,55 +89,125 @@ def bracket(kind, a: Matrix, b: Matrix) -> Matrix:
     raise TypeError(f"not a bracket kind: {kind!r}")
 
 
-def retract_add(o: Matrix, a: Matrix, b: Matrix) -> Matrix:
-    """Group addition of the retract at o: a + b = <a, o, b>."""
-    return heap(a, o, b)
+# -- carriers and their retracts ------------------------------------------
 
 
-def retract_neg(o: Matrix, a: Matrix) -> Matrix:
-    """Group inverse of the retract at o: -a = <o, a, o>."""
-    return heap(o, a, o)
+class Carrier:
+    """A space under test: what the checks need from it, and its retracts.
 
-
-def retract_sub(o: Matrix, a: Matrix, b: Matrix) -> Matrix:
-    """a - b in the retract at o, i.e. <a, b, o>."""
-    return heap(a, b, o)
-
-
-def retract_scale(o: Matrix, alpha, a: Matrix) -> Matrix:
-    """Scalar multiple in the vector space at o: alpha . a = alpha |>_o a."""
-    return action(alpha, o, a)
-
-
-def translate(o: Matrix, obar: Matrix, a: Matrix) -> Matrix:
-    """The translation a -> <a, o, obar>, an isomorphism between the
-    retracts at o and at obar."""
-    return heap(a, o, obar)
-
-
-def lie_retract_bracket(kind: BracketKind, o: Matrix, a: Matrix, b: Matrix) -> Matrix:
-    """[a, b]_o = <[a,b], [a,o], [o,o], [o,b], o>.
-
-    This is the bilinear Lie bracket of the retract at o written with
-    ambient matrix operations (the final o is the retract's zero).
+    A carrier defines sampling, ``heap``, ``action``, ``bracket``,
+    membership and the scalar units.  Every retract operation is written
+    once below, from those three operations alone, so a custom carrier
+    gets all of them; it may override ``heap5`` with a one-step version.
     """
-    return heap5(
-        bracket(kind, a, b),
-        bracket(kind, a, o),
-        bracket(kind, o, o),
-        bracket(kind, o, b),
-        o,
-    )
+
+    def describe(self) -> str:
+        return type(self).__name__
+
+    def sample_point(self, rng: random.Random):
+        raise NotImplementedError
+
+    def sample_scalar(self, rng: random.Random):
+        raise NotImplementedError
+
+    def heap(self, a, b, c):
+        raise NotImplementedError
+
+    def action(self, alpha, base, b):
+        raise NotImplementedError
+
+    def bracket(self, kind: BracketKind, a, b):
+        raise NotImplementedError
+
+    def contains(self, x) -> bool:
+        raise NotImplementedError
+
+    def scalar_zero(self):
+        raise NotImplementedError
+
+    def scalar_one(self):
+        raise NotImplementedError
+
+    def heap5(self, a, b, c, d, e):
+        """<a, b, c, d, e> = <<a, b, c>, d, e>."""
+        return self.heap(self.heap(a, b, c), d, e)
+
+    def retract_add(self, o, a, b):
+        """Group addition of the retract at o: a + b = <a, o, b>."""
+        return self.heap(a, o, b)
+
+    def retract_neg(self, o, a):
+        """Group inverse of the retract at o: -a = <o, a, o>."""
+        return self.heap(o, a, o)
+
+    def retract_sub(self, o, a, b):
+        """a - b in the retract at o, i.e. <a, b, o>."""
+        return self.heap(a, b, o)
+
+    def retract_scale(self, o, alpha, a):
+        """Scalar multiple in the vector space at o: alpha . a = alpha |>_o a."""
+        return self.action(alpha, o, a)
+
+    def translate(self, o, obar, a):
+        """The translation a -> <a, o, obar>, an isomorphism between the
+        retracts at o and at obar."""
+        return self.heap(a, o, obar)
+
+    def lie_retract_bracket(self, kind: BracketKind, o, a, b):
+        """[a, b]_o = <[a,b], [a,o], [o,o], [o,b], o>, the bilinear Lie
+        bracket of the retract at o (the final o is the retract's zero)."""
+        br = self.bracket
+        return self.heap5(br(kind, a, b), br(kind, a, o), br(kind, o, o), br(kind, o, b), o)
+
+    # wire helpers; only needed for counterexample serialisation
+    def point_to_wire(self, x):
+        return repr(x)
+
+    def scalar_to_wire(self, alpha):
+        return repr(alpha)
+
+    def kind_to_wire(self, kind: BracketKind) -> dict:
+        if isinstance(kind, Zeta):
+            return {"kind": "zeta", "zeta": str(kind.zeta)}
+        return {"kind": "commutator"}
+
+    def class_wire(self) -> dict | None:
+        return None
+
+
+class MatrixCarrier(Carrier):
+    """Square matrices under the module functions above.  A method body
+    looks its function up in the module at each call, so rebinding
+    ``affine.heap`` and the others reaches every retract operation."""
+
+    def heap(self, a, b, c):
+        return heap(a, b, c)
+
+    def heap5(self, a, b, c, d, e):
+        return heap5(a, b, c, d, e)
+
+    def action(self, alpha, base, b):
+        return action(alpha, base, b)
+
+    def bracket(self, kind, a, b):
+        return bracket(kind, a, b)
+
+
+_MATRICES = MatrixCarrier()
+retract_add = _MATRICES.retract_add
+retract_neg = _MATRICES.retract_neg
+retract_sub = _MATRICES.retract_sub
+retract_scale = _MATRICES.retract_scale
+translate = _MATRICES.translate
+lie_retract_bracket = _MATRICES.lie_retract_bracket
 
 
 def assoc_retract_product(o: Matrix, a: Matrix, b: Matrix) -> Matrix:
     """The associative product on the retract at o induced by the matrix
-    product: a . b = ab - ao + oo - ob computed in the retract group,
-    i.e. ab - ao + o^2 - ob + o in ambient arithmetic.
-
-    Equivalently o + (a - o)(b - o); o is its absorbing zero.
+    product: a . b = o + (a - o)(b - o), i.e. ab - ao + o^2 - ob + o in
+    ambient arithmetic; o is its absorbing zero.
     """
-    return a @ b - a @ o + o @ o - o @ b + o
+    return o + (a - o) @ (b - o)
 
 
 def vector_bracket(kind: BracketKind, a: Matrix, b: Matrix) -> Matrix:

@@ -8,9 +8,9 @@ conjugation theorem and the retract corollary included, is a
 ``report.CheckDef`` run by the one trial engine ``report.run_trials``.
 
 Checks run against a ``Carrier``.  The default carrier is a matrix
-class, but anything implementing the small protocol in ``report`` (heap,
-action, bracket, sampling, equality through ``==``) can be verified with
-the catalogue identities.
+class, but anything implementing the small protocol of ``affine.Carrier``
+(heap, action, bracket, sampling, equality through ``==``) can be verified
+with the catalogue identities; the retract operations come with it.
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ from .report import (
     CheckReport,
     Context,
     MatrixClassCarrier,
+    class_of,
     failure,
     run_trials,
 )
@@ -160,88 +161,81 @@ def _ev_idempotent(cr, kind, v):
     return _expect(("[a,a] = a", cr.bracket(kind, a, a), a))
 
 
-def _retract_lie(cr, kind, o, a, b):
-    # <[a,b],[a,o],[o,o],[o,b],o>
-    return cr.heap(
-        cr.heap(cr.bracket(kind, a, b), cr.bracket(kind, a, o), cr.bracket(kind, o, o)),
-        cr.bracket(kind, o, b),
-        o,
-    )
-
-
 def _ev_retract_group(cr, kind, v):
     o, a, b, c = v["o"], v["a"], v["b"], v["c"]
-    add = lambda x, y: cr.heap(x, o, y)
+    add = cr.retract_add
     return _expect(
-        ("retract addition associative", add(add(a, b), c), add(a, add(b, c))),
-        ("retract addition commutative", add(a, b), add(b, a)),
-        ("o is neutral", add(a, o), a),
-        ("inverses cancel", add(a, cr.heap(o, a, o)), o),
+        ("retract addition associative", add(o, add(o, a, b), c), add(o, a, add(o, b, c))),
+        ("retract addition commutative", add(o, a, b), add(o, b, a)),
+        ("o is neutral", add(o, a, o), a),
+        ("inverses cancel", add(o, a, cr.retract_neg(o, a)), o),
     )
 
 
 def _ev_retract_vector(cr, kind, v):
     o, a, b, al, be = v["o"], v["a"], v["b"], v["alpha"], v["beta"]
-    add = lambda x, y: cr.heap(x, o, y)
-    scale = lambda s, x: cr.action(s, o, x)
+    add, scale = cr.retract_add, cr.retract_scale
     return _expect(
-        ("scalar distributes over vectors", scale(al, add(a, b)), add(scale(al, a), scale(al, b))),
-        ("vector distributes over scalars", scale(al + be, a), add(scale(al, a), scale(be, a))),
-        ("scaling is multiplicative", scale(al * be, a), scale(al, scale(be, a))),
-        ("1 scales trivially", scale(cr.scalar_one(), a), a),
-        ("0 scales to the origin", scale(cr.scalar_zero(), a), o),
+        ("scalar distributes over vectors", scale(o, al, add(o, a, b)), add(o, scale(o, al, a), scale(o, al, b))),
+        ("vector distributes over scalars", scale(o, al + be, a), add(o, scale(o, al, a), scale(o, be, a))),
+        ("scaling is multiplicative", scale(o, al * be, a), scale(o, al, scale(o, be, a))),
+        ("1 scales trivially", scale(o, cr.scalar_one(), a), a),
+        ("0 scales to the origin", scale(o, cr.scalar_zero(), a), o),
     )
 
 
 def _ev_retract_lie(cr, kind, v):
     o, a, b, c, al = v["o"], v["a"], v["b"], v["c"], v["alpha"]
-    add = lambda x, y: cr.heap(x, o, y)
-    scale = lambda s, x: cr.action(s, o, x)
-    lb = lambda x, y: _retract_lie(cr, kind, o, x, y)
+    add, scale, lb = cr.retract_add, cr.retract_scale, cr.lie_retract_bracket
     return _expect(
-        ("retract bracket alternating", lb(a, a), o),
-        ("additive in the left slot", lb(add(a, b), c), add(lb(a, c), lb(b, c))),
-        ("homogeneous in the left slot", lb(scale(al, a), b), scale(al, lb(a, b))),
-        ("additive in the right slot", lb(a, add(b, c)), add(lb(a, b), lb(a, c))),
-        ("homogeneous in the right slot", lb(a, scale(al, b)), scale(al, lb(a, b))),
-        ("retract Jacobi identity", add(lb(a, lb(b, c)), add(lb(b, lb(c, a)), lb(c, lb(a, b)))), o),
+        ("retract bracket alternating", lb(kind, o, a, a), o),
+        ("additive in the left slot", lb(kind, o, add(o, a, b), c), add(o, lb(kind, o, a, c), lb(kind, o, b, c))),
+        ("homogeneous in the left slot", lb(kind, o, scale(o, al, a), b), scale(o, al, lb(kind, o, a, b))),
+        ("additive in the right slot", lb(kind, o, a, add(o, b, c)), add(o, lb(kind, o, a, b), lb(kind, o, a, c))),
+        ("homogeneous in the right slot", lb(kind, o, a, scale(o, al, b)), scale(o, al, lb(kind, o, a, b))),
+        ("retract Jacobi identity", add(
+            o, lb(kind, o, a, lb(kind, o, b, c)),
+            add(o, lb(kind, o, b, lb(kind, o, c, a)), lb(kind, o, c, lb(kind, o, a, b))),
+        ), o),
     )
 
 
 def _ev_zeta_retract_trivial(cr, kind, v):
     o, a, b = v["o"], v["a"], v["b"]
-    return _expect(("retract of a scalar-action bracket is trivial", _retract_lie(cr, kind, o, a, b), o))
+    return _expect(("retract of a scalar-action bracket is trivial", cr.lie_retract_bracket(kind, o, a, b), o))
 
 
 def _ev_bullet_assoc(cr, kind, v):
+    class_of(cr)
     o, a, b, c = v["o"], v["a"], v["b"], v["c"]
     p = lambda x, y: affine.assoc_retract_product(o, x, y)
     return _expect(("retract product associative", p(p(a, b), c), p(a, p(b, c))))
 
 
 def _ev_bullet_commutator(cr, kind, v):
+    class_of(cr)
     o, a, b = v["o"], v["a"], v["b"]
     p = lambda x, y: affine.assoc_retract_product(o, x, y)
-    lhs = _retract_lie(cr, kind, o, a, b)
-    rhs = cr.heap(p(a, b), p(b, a), o)
+    lhs = cr.lie_retract_bracket(kind, o, a, b)
+    rhs = cr.retract_sub(o, p(a, b), p(b, a))
     return _expect(("retract bracket is the product commutator", lhs, rhs))
 
 
 def _ev_translate_group_iso(cr, kind, v):
     o, obar, a, b = v["o"], v["obar"], v["a"], v["b"]
-    tau = lambda x: cr.heap(x, o, obar)
+    tau, add = cr.translate, cr.retract_add
     return _expect(
-        ("translation is additive", tau(cr.heap(a, o, b)), cr.heap(tau(a), obar, tau(b))),
-        ("translation maps origin to origin", tau(o), obar),
-        ("translation inverts", cr.heap(tau(a), obar, o), a),
+        ("translation is additive", tau(o, obar, add(o, a, b)), add(obar, tau(o, obar, a), tau(o, obar, b))),
+        ("translation maps origin to origin", tau(o, obar, o), obar),
+        ("translation inverts", tau(obar, o, tau(o, obar, a)), a),
     )
 
 
 def _ev_translate_lie_iso(cr, kind, v):
     o, obar, a, b = v["o"], v["obar"], v["a"], v["b"]
-    tau = lambda x: cr.heap(x, o, obar)
-    lhs = tau(_retract_lie(cr, kind, o, a, b))
-    rhs = _retract_lie(cr, kind, obar, tau(a), tau(b))
+    tau, lb = cr.translate, cr.lie_retract_bracket
+    lhs = tau(o, obar, lb(kind, o, a, b))
+    rhs = lb(kind, obar, tau(o, obar, a), tau(o, obar, b))
     return _expect(("translation intertwines retract brackets", lhs, rhs))
 
 
@@ -336,7 +330,14 @@ def run_check(
     cdef = CATALOGUE[check]
     carrier = spec_or_carrier if isinstance(spec_or_carrier, Carrier) else MatrixClassCarrier(spec_or_carrier)
     context = kind if cdef.context is BRACKET else None
+    _require_applicable(cdef, context)
     return run_trials(cdef, carrier, seed, trials, context, mutate)
+
+
+def _require_applicable(cdef: CheckDef, context) -> None:
+    """Refuse a bracket check under a bracket it does not apply to."""
+    if cdef.context is BRACKET and not cdef.applies(context):
+        raise ValueError(f"{cdef.name} does not apply to the bracket {context.label()}")
 
 
 def run_corollary(spec: MatrixClassSpec, seed: int, trials: int | None = None) -> CheckReport:
@@ -417,6 +418,7 @@ def replay(report_doc: dict) -> CheckReport:
         raise MalformedWire(f"{check} counterexample lacks input{plural} {', '.join(map(repr, missing))}")
     start = time.perf_counter()
     context, kind_doc = cdef.context.from_wire(ce, spec)
+    _require_applicable(cdef, context)
     inputs = {name: codec.from_wire(spec, inputs_doc[name]) for name, codec in cdef.inputs}
     carrier = MatrixClassCarrier(spec)
     passed, detail = cdef.evaluate(carrier, cdef.context.resolve(carrier, context), inputs)

@@ -8,13 +8,11 @@ with a counterexample that ``checks.replay`` can re-evaluate.
 """
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from . import affine
-from .affine import BracketKind, Zeta, kind_from_wire, kind_to_wire
+from .affine import BracketKind, Carrier, MatrixCarrier, kind_from_wire, kind_to_wire
 from .classes import MatrixClassSpec, contains, derive_rng, draw_element, spec_to_wire
 from .errors import wire_field
 from .matrix import Matrix, matrix_from_wire, matrix_to_wire
@@ -58,53 +56,7 @@ class CheckReport:
 # -- carriers -----------------------------------------------------------
 
 
-class Carrier:
-    """What a check needs from the space under test."""
-
-    def describe(self) -> str:
-        return type(self).__name__
-
-    def sample_point(self, rng: random.Random):
-        raise NotImplementedError
-
-    def sample_scalar(self, rng: random.Random):
-        raise NotImplementedError
-
-    def heap(self, a, b, c):
-        raise NotImplementedError
-
-    def action(self, alpha, base, b):
-        raise NotImplementedError
-
-    def bracket(self, kind: BracketKind, a, b):
-        raise NotImplementedError
-
-    def contains(self, x) -> bool:
-        raise NotImplementedError
-
-    def scalar_zero(self):
-        raise NotImplementedError
-
-    def scalar_one(self):
-        raise NotImplementedError
-
-    # wire helpers; only needed for counterexample serialisation
-    def point_to_wire(self, x):
-        return repr(x)
-
-    def scalar_to_wire(self, alpha):
-        return repr(alpha)
-
-    def kind_to_wire(self, kind: BracketKind) -> dict:
-        if isinstance(kind, Zeta):
-            return {"kind": "zeta", "zeta": str(kind.zeta)}
-        return {"kind": "commutator"}
-
-    def class_wire(self) -> dict | None:
-        return None
-
-
-class MatrixClassCarrier(Carrier):
+class MatrixClassCarrier(MatrixCarrier):
     """The matrix model of one of the normalised affine classes.
 
     Scalars come from the spec's action field, which is plain Q for the
@@ -123,15 +75,6 @@ class MatrixClassCarrier(Carrier):
 
     def sample_scalar(self, rng):
         return self.scalar_field.sample(rng)
-
-    def heap(self, a, b, c):
-        return affine.heap(a, b, c)
-
-    def action(self, alpha, base, b):
-        return affine.action(alpha, base, b)
-
-    def bracket(self, kind, a, b):
-        return affine.bracket(kind, a, b)
 
     def contains(self, x):
         return contains(self.spec, x)

@@ -123,27 +123,6 @@ def orthonormal_change_of_basis(n: int) -> Matrix:
     ])
 
 
-def float_gram_schmidt(n: int) -> list[list[float]]:
-    """Floating-point Gram-Schmidt of the integral basis columns,
-    processed and placed last column first; cross-checks the closed
-    form of ``orthonormal_change_of_basis``."""
-    m = n + 1
-    p = change_of_basis(n, QQ)
-    cols = [[float(p.entry(i, j)) for i in range(m)] for j in range(m)]
-    out: list[list[float] | None] = [None] * m
-    accepted: list[list[float]] = []
-    for j in reversed(range(m)):
-        v = cols[j][:]
-        for u in accepted:
-            proj = sum(x * y for x, y in zip(v, u))
-            v = [x - proj * y for x, y in zip(v, u)]
-        norm = math.sqrt(sum(x * x for x in v))
-        v = [x / norm for x in v]
-        accepted.append(v)
-        out[j] = v
-    return [[out[j][i] for j in range(m)] for i in range(m)]
-
-
 # -- block targets ------------------------------------------------------
 
 _BLOCK_KINDS = {

@@ -5,15 +5,19 @@ Every formula here uses only the scalar arithmetic of the field (the
 entry types ``RAT``, ``GaussianRational``, ``PrimeFieldElement``,
 ``SurdReal`` and ``SurdComplex``) and builds results with the public
 ``Matrix`` constructor, so none of it goes through integer forms or
-rational parts.  It is imported by the test modules, from the tests
-directory.
+rational parts.  The one exception is ``float_gram_schmidt``: the
+floating-point basis that the only tolerance-based check in the
+repository compares the exact orthonormal basis with.  It is imported
+by the test modules, from the tests directory.
 """
+import math
 from functools import reduce
 from math import gcd
 
 from affgebra.classes import ClassKind
 from affgebra.matrix import Matrix
-from affgebra.scalars import widen_scalar
+from affgebra.scalars import QQ, widen_scalar
+from affgebra.transforms import change_of_basis
 
 _TRACELESS = (ClassKind.SNA, ClassKind.SUNA)
 _COMPLEX_ONLY = (ClassKind.UNA, ClassKind.SUNA)
@@ -207,3 +211,24 @@ def plain_row_reduce(rows, ncols: int, p: int = 0) -> list[int]:
 def _plain_primitive(row: list[int]) -> list[int]:
     g = reduce(gcd, row)
     return [x // g for x in row] if g > 1 else row
+
+
+def float_gram_schmidt(n: int) -> list[list[float]]:
+    """Floating-point Gram-Schmidt of the integral basis columns,
+    processed and placed last column first; cross-checks the closed
+    form of ``orthonormal_change_of_basis``."""
+    m = n + 1
+    p = change_of_basis(n, QQ)
+    cols = [[float(p.entry(i, j)) for i in range(m)] for j in range(m)]
+    out: list[list[float] | None] = [None] * m
+    accepted: list[list[float]] = []
+    for j in reversed(range(m)):
+        v = cols[j][:]
+        for u in accepted:
+            proj = sum(x * y for x, y in zip(v, u))
+            v = [x - proj * y for x, y in zip(v, u)]
+        norm = math.sqrt(sum(x * x for x in v))
+        v = [x / norm for x in v]
+        accepted.append(v)
+        out[j] = v
+    return [[out[j][i] for j in range(m)] for i in range(m)]

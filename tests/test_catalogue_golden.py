@@ -31,7 +31,7 @@ from unittest import mock
 
 from affgebra import affine
 from affgebra.affine import COMMUTATOR, Zeta
-from affgebra.checks import CATALOGUE, applicable_checks, replay, run_check
+from affgebra.checks import CATALOGUE, applicable_checks, replay, run_check, run_corollary
 from affgebra.classes import ClassKind, MatrixClassSpec
 from affgebra.cli import main
 from affgebra.scalars import GF, QI, QQ
@@ -162,3 +162,20 @@ def golden_document() -> dict:
 def test_golden_wire_output_byte_identical():
     expected = GOLDEN.read_text(encoding="utf-8")
     assert json.dumps(golden_document(), indent=1) + "\n" == expected
+
+
+def test_corollary_fails_its_commutator_property_under_a_faulted_bracket():
+    # the block commutator branch of the corollary runs only when the
+    # retract bracket is wrong; the first bracket call of a trial is faulted
+    for s in (SPECS[0], SPECS[4]):
+        fault = OperationFault()
+        with mock.patch.object(affine, "bracket", fault.wrap(affine.bracket)):
+            fault.arm()
+            report = run_corollary(s, SEED, trials=3)
+            fault.arm()
+            replayed = replay(json.loads(json.dumps(report.to_wire())))
+        for r in (report, replayed):
+            assert (r.passed, r.trials) == (False, 1), s.describe()
+            assert r.counterexample["property"] == "retract bracket equals block commutator"
+        for key in ("inputs", "expected", "actual"):
+            assert replayed.counterexample[key] == report.counterexample[key]

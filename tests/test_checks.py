@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from affgebra.checks import (
 )
 from affgebra.classes import ClassKind, MatrixClassSpec
 from affgebra.errors import UnknownCheck
+from affgebra.matrix import Matrix, matrix_to_wire
 from affgebra.report import CheckReport
 from affgebra.scalars import GF, QI, QQ
 
@@ -265,6 +267,48 @@ class TestCustomCarrier:
     def test_matrix_checks_refuse_custom_carrier(self):
         with pytest.raises(ValueError):
             run_check("theorem-iso", PointLineCarrier(), COMMUTATOR, 0, 1)
+
+
+class TestCustomCarrierRetracts:
+    """A custom carrier inherits every retract operation from its heap,
+    action and bracket; the checks that need a matrix class refuse it."""
+
+    def test_retract_checks_hold_on_the_line(self):
+        z = Zeta(Fraction(5, 3))
+        for name in RETRACT_CHECKS:
+            report = run_check(name, PointLineCarrier(), z, seed=8, trials=25)
+            assert report.passed, (name, report.counterexample)
+
+    @pytest.mark.parametrize("name", ["bullet-assoc", "bullet-commutator"])
+    def test_bullet_checks_refuse_custom_carrier(self, name):
+        with pytest.raises(ValueError, match="needs a matrix class"):
+            run_check(name, PointLineCarrier(), COMMUTATOR, 0, 1)
+
+
+class TestApplicability:
+    @pytest.mark.parametrize("name, kind", [
+        ("zeta-retract-trivial", COMMUTATOR),
+        ("bullet-assoc", Zeta(Fraction(2))),
+        ("bullet-commutator", Zeta(Fraction(2))),
+    ])
+    def test_run_check_refuses_a_bracket_it_does_not_apply_to(self, name, kind):
+        message = f"^{name} does not apply to the bracket {re.escape(kind.label())}$"
+        with pytest.raises(ValueError, match=message):
+            run_check(name, spec(ClassKind.GNA, 2), kind, seed=1, trials=3)
+
+    def test_replay_refuses_a_bracket_the_check_does_not_apply_to(self):
+        # a zeta-retract-trivial counterexample recorded under the commutator
+        point = matrix_to_wire(Matrix.identity(QQ, 3))
+        doc = {
+            "check": "zeta-retract-trivial", "passed": False, "trials": 1,
+            "counterexample": {
+                "class": {"kind": "gna", "n": 2, "field": "Q"},
+                "bracket": {"kind": "commutator"},
+                "inputs": {"o": point, "a": point, "b": point},
+            },
+        }
+        with pytest.raises(ValueError, match="^zeta-retract-trivial does not apply to the bracket commutator$"):
+            replay(doc)
 
 
 class TestReportWire:

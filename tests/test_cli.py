@@ -501,6 +501,16 @@ class TestReplay:
             assert err.startswith(f"error: MalformedWire: {check} counterexample")
             assert want in err and err.count("\n") == 1
 
+    def test_replay_under_a_bracket_the_check_does_not_apply_to(self, capsys):
+        point = matrix_to_wire(Matrix.identity(QQ, 3))
+        doc = {"check": "zeta-retract-trivial", "passed": False, "trials": 1,
+               "counterexample": {"class": {"kind": "gna", "n": 2, "field": "Q"},
+                                  "bracket": {"kind": "commutator"},
+                                  "inputs": {"o": point, "a": point, "b": point}}}
+        code, out, err = run_cli(capsys, "replay", json.dumps(doc))
+        assert (code, out) == (2, "")
+        assert err == "error: zeta-retract-trivial does not apply to the bracket commutator\n"
+
     def test_replay_without_a_bracket_names_the_field(self, capsys):
         wire = json.loads(json.dumps(self._failing_report().to_wire()))
         del wire["counterexample"]["bracket"]

@@ -365,3 +365,31 @@ class TestParseErrors:
         for field in (QQ, QI, GF(7), SURD, SURD_C):
             with pytest.raises(MalformedWire):
                 field.parse(1)
+
+
+class TestReflectedOperators:
+    """``k - x`` and ``k / x`` with an integer k on the left reach the
+    reflected operators, which must agree with the field's own k."""
+
+    primes = st.sampled_from([2, 7, 101])
+
+    @given(st.integers(min_value=-50, max_value=50), primes.flatmap(
+        lambda p: st.integers(min_value=1, max_value=p - 1).map(lambda r: PrimeFieldElement(r, p))
+    ))
+    def test_prime_field(self, k, x):
+        field = GF(x.p)
+        assert k - x == field.from_int(k) - x
+        assert k / x == field.from_int(k) / x
+
+    @given(st.integers(min_value=-50, max_value=50), surds(min_terms=1).filter(bool),
+           surds(min_terms=1, max_terms=1).filter(bool))
+    def test_surd_field(self, k, x, y):
+        assert k - x == SURD.from_int(k) - x
+        assert k / y == SURD.from_int(k) / y
+
+    @pytest.mark.parametrize("x", [PrimeFieldElement(3, 7), SurdReal({2: Fraction(1, 2)})], ids=repr)
+    def test_foreign_operand_is_a_type_error(self, x):
+        with pytest.raises(TypeError):
+            "3" - x
+        with pytest.raises(TypeError):
+            "3" / x

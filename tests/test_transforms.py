@@ -14,7 +14,6 @@ from affgebra.transforms import (
     block_target,
     change_of_basis,
     change_of_basis_inverse,
-    float_gram_schmidt,
     from_block,
     orthonormal_change_of_basis,
     required_via,
@@ -22,6 +21,7 @@ from affgebra.transforms import (
     to_block,
     verify_theorem,
 )
+from oracle import float_gram_schmidt
 
 
 def spec(kind, n, field=None, c=None):

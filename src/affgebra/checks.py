@@ -417,11 +417,14 @@ def replay(report_doc: dict) -> CheckReport:
         plural = "s" if len(missing) > 1 else ""
         raise MalformedWire(f"{check} counterexample lacks input{plural} {', '.join(map(repr, missing))}")
     start = time.perf_counter()
-    context, kind_doc = cdef.context.from_wire(ce, spec)
+    context = cdef.context.from_wire(ce, spec)
     _require_applicable(cdef, context)
     inputs = {name: codec.from_wire(spec, inputs_doc[name]) for name, codec in cdef.inputs}
     carrier = MatrixClassCarrier(spec)
-    passed, detail = cdef.evaluate(carrier, cdef.context.resolve(carrier, context), inputs)
+    context = cdef.context.resolve(carrier, context)
+    passed, detail = cdef.evaluate(carrier, context, inputs)
     elapsed = (time.perf_counter() - start) * 1000
-    counterexample = None if passed else {"class": ce["class"], "bracket": kind_doc, "inputs": inputs_doc, **detail}
+    counterexample = None if passed else {
+        "class": ce["class"], **cdef.context.to_wire(carrier, context), "inputs": inputs_doc, **detail
+    }
     return CheckReport(check, passed, 1, counterexample, elapsed)

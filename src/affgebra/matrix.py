@@ -23,7 +23,9 @@ into Q(i)); the inverse is the integer elimination of
 canonical scalar entries.  Entries are read only at the boundary: by
 ``integer_form`` and ``rational_parts`` of a matrix built from entries,
 by ``graded`` (which assembles surd entries from the parts), ``entry``,
-``with_entry``, ``trace`` (a scalar), ``repr`` and the wire.  Every
+``with_entry``, ``trace`` (a scalar), ``repr`` and ``matrix_to_wire``;
+``matrix_from_wire`` reads plain entry strings straight into the form
+(parts) and parses only other spellings into scalars.  Every
 zero numerator of a form over Q or Q(i) becomes one shared rational
 zero, not a fresh ``Fraction(0, den)``: fractions are immutable, so
 values, hashes and wire strings do not change.  The numerators are a
@@ -34,12 +36,14 @@ run.
 """
 from __future__ import annotations
 
+import re
 from functools import reduce
 from math import gcd, lcm
 from operator import mul
 
 from .errors import FieldMismatch, MalformedWire, SingularMatrix, SizeMismatch, wire_field
 from .scalars import (
+    MAX_RADICAND,
     PART_FIELDS,
     RAT,
     Field,
@@ -52,6 +56,7 @@ from .scalars import (
     can_widen,
     common_denominator,
     field_by_tag,
+    squarefree_split,
     surd_basis_product,
 )
 
@@ -458,7 +463,81 @@ def matrix_to_wire(m: Matrix) -> dict:
     return doc
 
 
+# The plain spellings of the entries that ``matrix_from_wire`` reads
+# straight into forms, one pattern per field tag: a rational (its
+# numerator with at most one sign, and its denominator) over Q and as
+# each half of a Q(i) entry; a signed integer over GF(p); over the surd
+# fields a sum of terms q, q*sqrt(d) and ±sqrt(d), each term after the
+# first signed, and over surd_c also the canonical "(re)+(im)i".  The
+# residues of a GF(p) matrix are matched at once, joined by commas.
+_RAT = r"([+-]?[0-9]+)(?:/([0-9]+))?"
+_TERM = re.compile(rf"{_RAT}(?:\*sqrt\(([0-9]+)\))?|([+-]?)sqrt\(([0-9]+)\)")
+_SURD = rf"(?:{_TERM.pattern})(?:(?=[+-])(?:{_TERM.pattern}))*"
+_PLAIN = {
+    "Q": re.compile(rf"\+?{_RAT}"),
+    "Qi": re.compile(rf"\+?{_RAT}(?:(?=[+-]){_RAT}i)?|{_RAT}i"),
+    "GF": re.compile(r"[+-]?[0-9]+(?:,[+-]?[0-9]+)*"),
+    "surd": re.compile(_SURD),
+    "surd_c": re.compile(rf"\((?P<re>{_SURD})\)\+\((?P<im>{_SURD})\)i|{_SURD}"),
+}
+
+
+def _read_plain(field: Field, entries: list, n: int) -> Matrix | None:
+    """The n x n matrix of ``entries`` read straight into its integer
+    form or rational parts, with no scalar object on the way; None
+    unless the rows are square and nonempty, every entry is a plain
+    spelling of ``_PLAIN``, no denominator is zero and no radicand is
+    above MAX_RADICAND."""
+    if n < 1 or any(len(row) != n for row in entries):
+        return None
+    flat = [s for row in entries for s in row]
+    if field.characteristic:
+        # one match for all residues is cheaper than one per entry; int()
+        # refuses an entry that holds a comma
+        if not _PLAIN["GF"].fullmatch(",".join(flat)):
+            return None
+        return Matrix.from_integer_form(field, n, [int(s) for s in flat], 1)
+    found = [_PLAIN[field.tag].fullmatch(s) for s in flat]
+    if None in found:
+        return None
+    part_field = PART_FIELDS.get(field)
+    if part_field is None:
+        # (numerator, denominator) strings, real parts first over Q(i)
+        pairs = [x.group(1, 2) for x in found]
+        if field is QI:
+            pairs += [x.group(3, 4) if x[3] else x.group(5, 6) for x in found]
+        dens = [int(d or 1) for _, d in pairs]
+        den = lcm(*dens)
+        if not den:
+            return None
+        return Matrix.from_integer_form(field, n, [int(q or 0) * (den // d) for (q, _), d in zip(pairs, dens)], den)
+    # each half of an entry at its index in the flat rational parts
+    mm = n * n
+    halves = []
+    for k, x in enumerate(found):
+        halves += [(k, x["re"]), (mm + k, x["im"])] if part_field is QI and x["re"] else [(k, x[0])]
+    terms = []  # (squarefree radical, index, numerator, denominator)
+    for k, half in halves:
+        for q, d, rad, sign, rad1 in _TERM.findall(half):
+            r = int(rad or rad1 or 1)
+            if r > MAX_RADICAND:
+                return None
+            # sqrt(s*s*g) = s*sqrt(g); sqrt(0) is a zero term whose denominator still counts
+            s, g = squarefree_split(r) if r > 1 else (r, 1)
+            terms.append((g, k, int(q or sign + "1") * s, int(d or 1)))
+    den = lcm(*(d for *_, d in terms))
+    if not den:
+        return None
+    parts = {1: [0] * (mm if part_field is QQ else 2 * mm)}
+    for g, k, q, d in terms:
+        parts.setdefault(g, [0] * len(parts[1]))[k] += q * (den // d)
+    return graded(field, n, [(g, 1, (nums, den)) for g, nums in parts.items()])
+
+
 def matrix_from_wire(doc: dict) -> Matrix:
+    """The matrix of a wire document: read by ``_read_plain`` when every
+    entry is plain, else entry by entry through ``Field.parse``, which
+    accepts and refuses exactly as it always has."""
     if not isinstance(doc, dict):
         raise MalformedWire("a matrix document must be a JSON object")
     tag = wire_field(doc, "field", str, "matrix")
@@ -469,4 +548,10 @@ def matrix_from_wire(doc: dict) -> Matrix:
         raise MalformedWire("entries must be a list of rows")
     if len(entries) != n:
         raise SizeMismatch("entry rows do not match declared size")
-    return Matrix(field, [[field.parse(s) for s in row] for row in entries])
+    try:
+        out = _read_plain(field, entries, n)
+    except (TypeError, ValueError):  # a non-string entry, or digits int() refuses
+        out = None
+    if out is None:
+        out = Matrix(field, [[field.parse(s) for s in row] for row in entries])
+    return out

@@ -133,8 +133,8 @@ class Context:
     """What a check runs under besides its inputs; this base is the empty
     context.  ``resolve`` gives the value the evaluator gets, checked
     before the first trial; ``label`` its part of the random-stream key;
-    ``to_wire`` its keys in a counterexample; ``from_wire`` reads (value,
-    bracket of the replay report) back from a counterexample."""
+    ``to_wire`` its keys in a counterexample; ``from_wire`` reads the
+    value back from a counterexample."""
 
     def resolve(self, carrier: Carrier, value):
         return value
@@ -145,8 +145,8 @@ class Context:
     def to_wire(self, carrier: Carrier, value) -> dict:
         return {}
 
-    def from_wire(self, ce: dict, spec: MatrixClassSpec) -> tuple:
-        return None, {"kind": "commutator"}
+    def from_wire(self, ce: dict, spec: MatrixClassSpec):
+        return None
 
 
 class BracketContext(Context):
@@ -159,8 +159,7 @@ class BracketContext(Context):
         return {"bracket": carrier.kind_to_wire(kind)}
 
     def from_wire(self, ce, spec):
-        doc = wire_field(ce, "bracket", None, "counterexample")
-        return kind_from_wire(doc, spec.scalar_field), doc
+        return kind_from_wire(wire_field(ce, "bracket", None, "counterexample"), spec.scalar_field)
 
 
 BRACKET = BracketContext()

@@ -615,14 +615,15 @@ def field_arith(x, y, op: str):
 
 
 def _split_gaussian_string(s: str) -> tuple[str, str]:
-    """Split 'a+bi' / 'a-bi' / 'bi' / 'a' into (real, imaginary) substrings."""
+    """Split 'a+bi' / 'a-bi' / 'bi' / 'a' into (real, imaginary) substrings
+    at the last sign that is not an exponent's."""
     s = s.strip()
     if not s.endswith("i"):
         return s, "0"
     body = s[:-1]
     cut = -1
     for idx in range(1, len(body)):
-        if body[idx] in "+-":
+        if body[idx] in "+-" and body[idx - 1] not in "eE":
             cut = idx
     if cut == -1:
         return "0", body if body not in ("", "+", "-") else body + "1"
@@ -630,14 +631,15 @@ def _split_gaussian_string(s: str) -> tuple[str, str]:
 
 
 def _split_surd_terms(s: str) -> list[str]:
-    """Split a surd sum on top-level +/- (signs inside sqrt(...) are impossible)."""
+    """Split a surd sum on top-level +/- other than an exponent's sign
+    (signs inside sqrt(...) are impossible)."""
     parts, depth, start = [], 0, 0
     for idx, ch in enumerate(s):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        elif ch in "+-" and depth == 0 and idx > start:
+        elif ch in "+-" and depth == 0 and idx > start and s[idx - 1] not in "eE":
             parts.append(s[start:idx])
             start = idx
     parts.append(s[start:])

@@ -490,7 +490,7 @@ class _Route(Context):
         return {"via": via}
 
     def from_wire(self, ce, spec):
-        return ce.get("via"), super().from_wire(ce, spec)[1]
+        return ce.get("via")
 
 
 # a point of the block target

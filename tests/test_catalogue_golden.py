@@ -34,7 +34,9 @@ from affgebra.affine import COMMUTATOR, Zeta
 from affgebra.checks import CATALOGUE, applicable_checks, replay, run_check, run_corollary
 from affgebra.classes import ClassKind, MatrixClassSpec
 from affgebra.cli import main
+from affgebra.report import MatrixClassCarrier, run_trials
 from affgebra.scalars import GF, QI, QQ
+from affgebra.transforms import THEOREM, VIA_U
 
 GOLDEN = Path(__file__).parent / "golden" / "catalogue.json"
 SEED = 20240607
@@ -179,3 +181,15 @@ def test_corollary_fails_its_commutator_property_under_a_faulted_bracket():
             assert r.counterexample["property"] == "retract bracket equals block commutator"
         for key in ("inputs", "expected", "actual"):
             assert replayed.counterexample[key] == report.counterexample[key]
+
+
+def test_replay_keeps_the_conjugation_route():
+    # gna takes P by default; a failure found on U must replay on U, and so
+    # must the replay of that replay
+    report = run_trials(THEOREM, MatrixClassCarrier(SPECS[0]), SEED, 3, VIA_U, theorem_fault)
+    assert report.counterexample["via"] == VIA_U
+    doc = report.to_wire()
+    for _ in range(2):
+        replayed = replay(json.loads(json.dumps(doc)))
+        assert (replayed.passed, replayed.counterexample) == (False, report.counterexample)
+        doc = replayed.to_wire()

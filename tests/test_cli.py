@@ -284,6 +284,37 @@ class TestBracketAndRetract:
     @pytest.mark.parametrize(
         "bad, message",
         [
+            ('{"field":"Q","n":2,"entries":[["1","2"]]}', "SizeMismatch: entry rows do not match declared size"),
+            ('{"field":"Q","n":2,"entries":[["1","2"],["3"]]}', "SizeMismatch: matrix must be square and nonempty"),
+            ('{"field":"Q","n":0,"entries":[]}', "SizeMismatch: matrix must be square and nonempty"),
+            ('{"field":"Qi","n":1,"entries":[["1+1/0i"]]}', "DivisionByZero: zero denominator in '1/0'"),
+            ('{"field":"surd","n":1,"entries":[["1+2/0*sqrt(2)"]]}', "DivisionByZero: zero denominator in '2/0'"),
+            ('{"field":"surd_c","n":1,"entries":[["(1)+(1/0)i"]]}', "DivisionByZero: zero denominator in '1/0'"),
+        ],
+        ids=["rows other than n", "ragged row", "no rows", "Qi zero denominator", "surd zero denominator",
+             "surd_c zero denominator"],
+    )
+    def test_malformed_entries_are_usage_errors(self, capsys, bad, message):
+        good = json.dumps(matrix_to_wire(Matrix.identity(QQ, 1)))
+        code, out, err = run_cli(capsys, "bracket", bad, good)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("field, entry, want", [
+        ("Qi", "1+2e-3i", "1+1/500i"),
+        ("surd", "2e-3", "1/500"),
+        ("surd_c", "(2e-3)+(1E+1*sqrt(2))i", "(1/500)+(10*sqrt(2))i"),
+    ])
+    def test_an_exponent_sign_does_not_split_an_entry(self, capsys, field, entry, want):
+        # [a, b] = ab - ba + b = b for 1x1 matrices
+        doc = json.dumps({"field": field, "n": 1, "entries": [[entry]]})
+        code, out, err = run_cli(capsys, "bracket", doc, doc)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["entries"] == [[want]]
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
             ('{"field":"Q","n":true,"entries":[["1"]]}', "matrix field 'n' must be int, got bool True"),
             ('{"field":"Q","n":"1","entries":[["1"]]}', "matrix field 'n' must be int, got str '1'"),
             ('{"field":"Q","entries":[["1"]]}', "matrix lacks field 'n'"),
@@ -537,6 +568,13 @@ class TestReplay:
         code, out, err = run_cli(capsys, "replay", json.dumps(doc))
         assert (code, out) == (2, "")
         assert err == "error: MalformedWire: closure counterexample must be a JSON object\n"
+
+    def test_replay_of_an_input_matrix_that_is_not_an_object(self, capsys):
+        wire = json.loads(json.dumps(self._failing_report().to_wire()))
+        wire["counterexample"]["inputs"]["x"] = [1]
+        code, out, err = run_cli(capsys, "replay", json.dumps(wire))
+        assert (code, out) == (2, "")
+        assert err == "error: MalformedWire: a matrix document must be a JSON object\n"
 
     def test_replay_of_a_class_that_is_not_an_object(self, capsys):
         doc = {"check": "closure", "counterexample": {"class": 5, "inputs": {}}}

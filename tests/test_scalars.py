@@ -234,6 +234,17 @@ class TestParseFormat:
         assert QI.parse("2i") == GaussianRational(0, 2)
         assert QI.parse("-7") == GaussianRational(-7, 0)
 
+    def test_an_exponent_sign_does_not_split_a_scalar(self):
+        # the sign of an exponent belongs to its number, over every field
+        # that reads a sum of parts
+        milli = Fraction(1, 500)
+        assert QI.parse("1+2e-3i") == GaussianRational(1, milli)
+        assert QI.parse("2E+1-1e-3i") == GaussianRational(20, Fraction(-1, 1000))
+        assert QI.parse("2e-3i") == GaussianRational(0, milli)
+        assert SURD.parse("2e-3") == SurdReal(milli)
+        assert SURD.parse("1e+1*sqrt(2)-2e-3") == SurdReal({1: -milli, 2: 10})
+        assert SURD_C.parse("(2e-3)+(1E+1*sqrt(2))i") == SurdComplex(SurdReal(milli), SurdReal({2: 10}))
+
     @given(surds())
     def test_surd_roundtrip(self, x):
         assert SURD.parse(SURD.format(x)) == x

@@ -10,6 +10,7 @@ from affgebra.scalars import GF, QI, QQ, SURD, SurdReal, widen_scalar
 from affgebra.transforms import (
     VIA_P,
     VIA_U,
+    _route,
     base_point_image,
     block_target,
     change_of_basis,
@@ -232,6 +233,10 @@ class TestConjugationRoutes:
     def test_p_rejected_for_symmetry_classes(self):
         with pytest.raises(ClassViolation):
             to_block(spec(ClassKind.ONA, 2), Matrix.identity(QQ, 3), VIA_P)
+
+    def test_unknown_route_rejected(self):
+        with pytest.raises(ValueError, match="^unknown via 'Q'$"):
+            _route(spec(ClassKind.GNA, 2), "Q")
 
     def test_u_rejected_over_prime_fields(self):
         s = spec(ClassKind.GNA, 2, GF(7))

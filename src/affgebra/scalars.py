@@ -18,6 +18,12 @@ Rationals are stdlib ``fractions.Fraction``, the one rational type
 arithmetic through the private base ``_ComplexPair``: a value is a pair
 (re, im), and only construction, coercion and division differ.
 
+Entry strings have one reader, ``read_entries``: one pattern per field
+splits an entry into rational tokens, a plain token goes straight to
+ints and any other through ``Fraction``, and the result is integers laid
+out as an integer form (one list per radical over the surd fields).
+``Field.parse`` is the same reader on one string.
+
 Random elements are small rationals num/den with |num| <= SAMPLE_BOUND
 and 1 <= den <= SAMPLE_BOUND, drawn numerator first, and residues of
 GF(p).  Every draw goes through ``sample_numerators`` (numerators over
@@ -28,6 +34,7 @@ matrix classes draw these integers straight into integer forms.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, isqrt, lcm
@@ -611,66 +618,140 @@ def field_arith(x, y, op: str):
 
 
 # ---------------------------------------------------------------------------
-# field descriptors
+# reading entry strings: a plain token (_INTS: an optional sign, ASCII
+# digits, and optionally '/' and a nonzero denominator) is captured as
+# its digit groups, any other goes to ``_parse_rational`` (Fraction's
+# grammar) and a radicand to ``int``.  A sign splits an entry unless it
+# follows an exponent's e or E (_CUT); _KEEP is any other character.
+
+_NONZERO = r"0*[1-9][0-9]*"
+_INTS = rf"([+-]?[0-9]+)(?:/({_NONZERO}))?"
+_CUT = r"(?<![eE])[+-]"
+_KEEP = r"(?:[^+-]|(?<=[eE])[+-])"
+
+# Q: a rational with at most one extra '+'; any other entry is one token
+_RATIONAL = re.compile(rf"\+?{_INTS}")
+
+# Q(i): a, a±bi and bi, split at the last cut; groups 1 to 6 hold the
+# digits of a plain entry, 7 to 10 the tokens of any other: a±bi, bi and
+# a (a blank, '+' or '-' b reads as 1, +1 or -1)
+_GAUSSIAN = re.compile(
+    rf"\s*+(?:\+?{_INTS}(?:([+-][0-9]+)(?:/({_NONZERO}))?i)?|{_INTS}i"
+    rf"|(.+)({_CUT}{_KEEP}*)i|(.?{_KEEP}*)i|(.*))\s*",
+    re.DOTALL,
+)
+
+# one term of a surd sum, found in order from the start or a cut to the
+# next cut or the end: q[*sqrt(d)] with plain q (groups 1 to 3), ±sqrt(d)
+# (4, 5), c*sqrt(d) with a token c (6, 7), or a token (8)
+_END = rf"(?={_CUT}|\s*\Z)"
+_TERM = re.compile(
+    rf"(?:\A\s*+|(?={_CUT}))(?:{_INTS}(?:\*sqrt\(([^()]+)\))?{_END}"
+    rf"|([+-]?)sqrt\(([^()]+)\){_END}"
+    rf"|([+-]?(?:[^+\-()]|(?<=[eE])[+-])+?)\*sqrt\(([^()]+)\){_END}"
+    rf"|([+-]?{_KEEP}*))",
+    re.DOTALL,
+)
+
+# a complex surd: "(re)+(im)i" (groups 1, 2), any other "(...)i" (3),
+# or a real surd sum (4)
+_COMPLEX_SURD = re.compile(r"\s*+(?:\(((?:[^()]|\([^()]*\))*)\)\+\((.*)\)i|(\(.*\)i)|(.*))\s*", re.DOTALL)
 
 
-def _split_gaussian_string(s: str) -> tuple[str, str]:
-    """Split 'a+bi' / 'a-bi' / 'bi' / 'a' into (real, imaginary) substrings
-    at the last sign that is not an exponent's."""
-    s = s.strip()
-    if not s.endswith("i"):
-        return s, "0"
-    body = s[:-1]
-    cut = -1
-    for idx in range(1, len(body)):
-        if body[idx] in "+-" and body[idx - 1] not in "eE":
-            cut = idx
-    if cut == -1:
-        return "0", body if body not in ("", "+", "-") else body + "1"
-    return body[:cut], body[cut:]
+def _ratio(token: str) -> tuple[int, int]:
+    x = _parse_rational(token)
+    return x.numerator, x.denominator
 
 
-def _split_surd_terms(s: str) -> list[str]:
-    """Split a surd sum on top-level +/- other than an exponent's sign
-    (signs inside sqrt(...) are impossible)."""
-    parts, depth, start = [], 0, 0
-    for idx, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and idx > start and s[idx - 1] not in "eE":
-            parts.append(s[start:idx])
-            start = idx
-    parts.append(s[start:])
-    return parts
+def _gaussian_ratios(x) -> tuple[int, int, int, int]:
+    # (re numerator, re denominator, im numerator, im denominator) of a
+    # Q(i) entry that is not plain, tokens read real part first
+    k = x.lastindex
+    re_token, im_token = (x[7], x[8].strip()) if k == 8 else ("0", x[9].strip()) if k == 9 else (x[10], "0")
+    return (*_ratio(re_token), *_ratio(im_token + "1" if im_token in ("", "+", "-") else im_token))
 
 
-def _parse_surd_real(s: str) -> SurdReal:
-    s = s.strip().replace(" ", "")
-    acc = {}
-    for part in _split_surd_terms(s):
-        if "*sqrt(" in part:
-            coef_str, rest = part.split("*sqrt(", 1)
-            d = int(rest[:-1])
-            coef = _parse_rational(coef_str)
-        elif part.startswith(("sqrt(", "-sqrt(", "+sqrt(")):
-            sign = -1 if part.startswith("-") else 1
-            d = int(part[part.index("(") + 1 : -1])
-            coef = RAT(sign)
+def _surd_terms(text: str, k: int, terms: list) -> None:
+    # append (squarefree radical, k, numerator, denominator) for each term
+    for q, d, r, sign, r1, token, r2, token1 in _TERM.findall(text):
+        r = r or r1 or r2
+        rad = int(r) if r else 1
+        if q:
+            num, den = int(q), int(d or 1)
+        elif r1:
+            num, den = (-1 if sign == "-" else 1), 1
         else:
-            d = 1
-            coef = _parse_rational(part)
-        if d > MAX_RADICAND:
-            raise ValueError(f"a radicand must be at most {MAX_RADICAND}, got {d}")
-        if d > 0:
-            # sqrt(s*s*f) = s*sqrt(f) with f squarefree
-            s, d = squarefree_split(d)
-            coef *= s
-        elif d == 0:
-            d, coef = 1, RAT(0)
-        acc[d] = acc.get(d, RAT(0)) + coef
-    return SurdReal(acc)
+            num, den = _ratio(token or token1)
+        if rad > MAX_RADICAND:
+            raise ValueError(f"a radicand must be at most {MAX_RADICAND}, got {rad}")
+        if rad < 0:
+            raise ValueError(f"a radicand must not be negative, got {rad}")
+        # sqrt(s*s*g) = s*sqrt(g); sqrt(0) is a zero term
+        s, g = squarefree_split(rad) if rad > 1 else (rad, 1)
+        terms.append((g, k, num * s, den))
+
+
+def _read_rationals(strings: list, gaussian: bool) -> tuple[dict[int, list[int]], int]:
+    # numerator and denominator per half: digit strings (None for a
+    # missing part) of a plain entry, ints of any other
+    if gaussian:
+        ratios = [x.group(1, 2, 3, 4) if x[3] else x.group(1, 2, 5, 6) if x.lastindex < 7 else _gaussian_ratios(x)
+                  for x in map(_GAUSSIAN.fullmatch, strings)]
+        qs = [x[0] for x in ratios] + [x[2] for x in ratios]
+        ds = [int(x[1] or 1) for x in ratios] + [int(x[3] or 1) for x in ratios]
+    else:
+        ratios = [x.group(1, 2) if x else _ratio(s) for x, s in zip(map(_RATIONAL.fullmatch, strings), strings)]
+        qs = [x[0] for x in ratios]
+        ds = [int(x[1] or 1) for x in ratios]
+    den = lcm(*ds)
+    return {1: [int(q or 0) * (den // d) for q, d in zip(qs, ds)]}, den
+
+
+def _read_surds(strings: list, complex_: bool) -> tuple[dict[int, list[int]], int]:
+    mm, terms = len(strings), []
+    for k, s in enumerate(strings):
+        s = str.replace(s, " ", "")
+        x = _COMPLEX_SURD.fullmatch(s) if complex_ else None
+        if x is None or x.lastindex == 4:
+            _surd_terms(s, k, terms)
+        elif x.lastindex == 3:
+            raise ValueError(f"malformed complex surd string {s.strip()!r}")
+        else:
+            _surd_terms(x[1], k, terms)
+            _surd_terms(x[2], mm + k, terms)
+    den = lcm(*(d for *_, d in terms))
+    parts = {1: [0] * (2 * mm if complex_ else mm)}
+    for g, k, q, d in terms:
+        parts.setdefault(g, [0] * len(parts[1]))[k] += q * (den // d)
+    return parts, den
+
+
+def read_entries(field: Field, strings: list) -> tuple[dict[int, list[int]], int]:
+    """({radical: numerators}, den): the entry strings of ``field`` as
+    integers over one positive common denominator, laid out as
+    ``Matrix.integer_form`` lays out a form (over Q(i) and surd_c the
+    real parts and then the imaginary parts), one list per squarefree
+    radical over the surd fields and only the radical 1 otherwise.
+    Blanks are ignored inside surd entries, and a GF(p) entry is what
+    ``int`` reads.  Errors are those of ``_parse_rational``, ``int`` and
+    ``_text``, a radicand out of bounds and a malformed complex surd,
+    raised for the first refused entry."""
+    try:
+        if field.characteristic:
+            return {1: [int(t) for t in map(str.strip, strings)]}, 1
+        if field in PART_FIELDS:
+            return _read_surds(strings, field.is_complex)
+        return _read_rationals(strings, field.is_complex)
+    except TypeError:
+        # a non-string entry: the entries one at a time, so that the
+        # first refused one names the error
+        for s in strings:
+            read_entries(field, [_text(s)])
+        raise
+
+
+# ---------------------------------------------------------------------------
+# field descriptors
 
 
 def _format_surd_real(x: SurdReal) -> str:
@@ -721,6 +802,7 @@ class Field:
         raise NotImplementedError
 
     def parse(self, s: str):
+        """The scalar of one entry string: ``read_entries`` on [s]."""
         raise NotImplementedError
 
     def format(self, x) -> str:
@@ -754,7 +836,8 @@ class RationalField(Field):
         raise FieldMismatch(f"cannot take {type(x).__name__} as a rational")
 
     def parse(self, s):
-        return _parse_rational(_text(s))
+        parts, den = read_entries(self, [s])
+        return RAT(parts[1][0], den)
 
     def format(self, x):
         return str(x)
@@ -784,11 +867,9 @@ class GaussianField(Field):
         raise FieldMismatch(f"cannot take {type(x).__name__} as a Gaussian rational")
 
     def parse(self, s):
-        re_str, im_str = _split_gaussian_string(_text(s))
-        im_str = im_str.strip()
-        if im_str in ("+", "-"):
-            im_str += "1"
-        return GaussianRational(_parse_rational(re_str), _parse_rational(im_str))
+        parts, den = read_entries(self, [s])
+        re, im = parts[1]
+        return GaussianRational(RAT(re, den), RAT(im, den))
 
     def format(self, x):
         if not x.im:
@@ -831,7 +912,8 @@ class PrimeField(Field):
         raise FieldMismatch(f"cannot take {type(x).__name__} in GF({self.p})")
 
     def parse(self, s):
-        return PrimeFieldElement(int(_text(s)), self.p)
+        parts, _ = read_entries(self, [s])
+        return PrimeFieldElement(parts[1][0], self.p)
 
     def format(self, x):
         return str(x.residue)
@@ -860,7 +942,8 @@ class SurdRealField(Field):
         raise FieldMismatch(f"cannot take {type(x).__name__} as a real surd")
 
     def parse(self, s):
-        return _parse_surd_real(_text(s))
+        parts, den = read_entries(self, [s])
+        return SurdReal({g: RAT(x, den) for g, (x,) in parts.items()})
 
     def format(self, x):
         return _format_surd_real(x)
@@ -886,20 +969,9 @@ class SurdComplexField(Field):
         raise FieldMismatch(f"cannot take {type(x).__name__} as a complex surd")
 
     def parse(self, s):
-        s = _text(s).replace(" ", "")
-        # canonical form "(re)+(im)i"
-        if not (s.startswith("(") and s.endswith(")i")):
-            return SurdComplex(_parse_surd_real(s))
-        depth = 0
-        for idx, ch in enumerate(s):
-            depth += (ch == "(") - (ch == ")")
-            if depth == 0:
-                break
-        # with unbalanced parentheses idx is the last index: nothing is left
-        re_part, rest = s[1:idx], s[idx + 1 :]
-        if not rest.startswith("+(") or not rest.endswith(")i"):
-            raise ValueError(f"malformed complex surd string {s!r}")
-        return SurdComplex(_parse_surd_real(re_part), _parse_surd_real(rest[2:-2]))
+        parts, den = read_entries(self, [s])
+        re, im = ({g: RAT(halves[k], den) for g, halves in parts.items()} for k in (0, 1))
+        return SurdComplex(SurdReal(re), SurdReal(im))
 
     def format(self, x):
         return f"({_format_surd_real(x.re)})+({_format_surd_real(x.im)})i"

@@ -5,8 +5,10 @@ Every formula here uses only the scalar arithmetic of the field (the
 entry types ``RAT``, ``GaussianRational``, ``PrimeFieldElement``,
 ``SurdReal`` and ``SurdComplex``) and builds results with the public
 ``Matrix`` constructor, so none of it goes through integer forms or
-rational parts.  The one exception is ``float_gram_schmidt``: the
-floating-point basis that the only tolerance-based check in the
+rational parts.  ``plain_parse`` reads an entry string by splitting it
+with per-field string loops into tokens for ``Fraction``, as the
+scalar parsers once did.  The one exception is ``float_gram_schmidt``:
+the floating-point basis that the only tolerance-based check in the
 repository compares the exact orthonormal basis with.  It is imported
 by the test modules, from the tests directory.
 """
@@ -16,7 +18,21 @@ from math import gcd
 
 from affgebra.classes import ClassKind
 from affgebra.matrix import Matrix
-from affgebra.scalars import QQ, widen_scalar
+from affgebra.scalars import (
+    MAX_RADICAND,
+    QI,
+    QQ,
+    RAT,
+    SURD,
+    GaussianRational,
+    PrimeFieldElement,
+    SurdComplex,
+    SurdReal,
+    _parse_rational,
+    _text,
+    squarefree_split,
+    widen_scalar,
+)
 from affgebra.transforms import change_of_basis
 
 _TRACELESS = (ClassKind.SNA, ClassKind.SUNA)
@@ -165,6 +181,105 @@ def plain_squarefree_split(m):
             f *= d
         d += 1
     return s, f * m
+
+
+def _split_gaussian_string(s: str) -> tuple[str, str]:
+    """Split 'a+bi' / 'a-bi' / 'bi' / 'a' into (real, imaginary) substrings
+    at the last sign that is not an exponent's."""
+    s = s.strip()
+    if not s.endswith("i"):
+        return s, "0"
+    body = s[:-1]
+    cut = -1
+    for idx in range(1, len(body)):
+        if body[idx] in "+-" and body[idx - 1] not in "eE":
+            cut = idx
+    if cut == -1:
+        return "0", body if body not in ("", "+", "-") else body + "1"
+    return body[:cut], body[cut:]
+
+
+def _split_surd_terms(s: str) -> list[str]:
+    """Split a surd sum on top-level +/- other than an exponent's sign
+    (signs inside sqrt(...) are impossible)."""
+    parts, depth, start = [], 0, 0
+    for idx, ch in enumerate(s):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch in "+-" and depth == 0 and idx > start and s[idx - 1] not in "eE":
+            parts.append(s[start:idx])
+            start = idx
+    parts.append(s[start:])
+    return parts
+
+
+def _parse_surd_real(s: str) -> SurdReal:
+    s = s.strip().replace(" ", "")
+    acc = {}
+    for part in _split_surd_terms(s):
+        if "*sqrt(" in part:
+            coef_str, rest = part.split("*sqrt(", 1)
+            if not rest.endswith(")"):
+                raise ValueError(f"a sqrt( term must end in ')', got {part!r}")
+            d = int(rest[:-1])
+            coef = _parse_rational(coef_str)
+        elif part.startswith(("sqrt(", "-sqrt(", "+sqrt(")):
+            if not part.endswith(")"):
+                raise ValueError(f"a sqrt( term must end in ')', got {part!r}")
+            sign = -1 if part.startswith("-") else 1
+            d = int(part[part.index("(") + 1 : -1])
+            coef = RAT(sign)
+        else:
+            d = 1
+            coef = _parse_rational(part)
+        if d > MAX_RADICAND:
+            raise ValueError(f"a radicand must be at most {MAX_RADICAND}, got {d}")
+        if d < 0:
+            raise ValueError(f"a radicand must not be negative, got {d}")
+        if d > 0:
+            # sqrt(s*s*f) = s*sqrt(f) with f squarefree
+            s, d = squarefree_split(d)
+            coef *= s
+        else:
+            d, coef = 1, RAT(0)
+        acc[d] = acc.get(d, RAT(0)) + coef
+    return SurdReal(acc)
+
+
+def plain_parse(field, s):
+    """The scalar of an entry string, read by the per-field string
+    splitters that served before ``scalars.read_entries``: the reference
+    that reader is held to (``tests/test_wire_entries.py``).  A ``sqrt(``
+    term must end in ``)``, and a negative radicand is refused whatever
+    its coefficient."""
+    if field is QQ:
+        return _parse_rational(_text(s))
+    if field is QI:
+        re_str, im_str = _split_gaussian_string(_text(s))
+        im_str = im_str.strip()
+        if im_str in ("+", "-"):
+            im_str += "1"
+        return GaussianRational(_parse_rational(re_str), _parse_rational(im_str))
+    if field.characteristic:
+        return PrimeFieldElement(int(_text(s)), field.p)
+    if field is SURD:
+        return _parse_surd_real(_text(s))
+    s = _text(s).replace(" ", "")
+    # canonical form "(re)+(im)i"
+    if not (s.startswith("(") and s.endswith(")i")):
+        return SurdComplex(_parse_surd_real(s))
+    depth = 0
+    for idx, ch in enumerate(s):
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0:
+            break
+    # with unbalanced parentheses idx is the last index: nothing is left
+    re_part, rest = s[1:idx], s[idx + 1 :]
+    if not rest.startswith("+(") or not rest.endswith(")i"):
+        raise ValueError(f"malformed complex surd string {s!r}")
+    return SurdComplex(_parse_surd_real(re_part), _parse_surd_real(rest[2:-2]))
 
 
 def plain_row_reduce(rows, ncols: int, p: int = 0) -> list[int]:

@@ -67,6 +67,10 @@ class TestCatalogue:
         with pytest.raises(UnknownCheck):
             run_check("nope", spec(ClassKind.GNA, 1), COMMUTATOR, 0, 1)
 
+    def test_run_all_unknown_check(self):
+        with pytest.raises(UnknownCheck, match="nope"):
+            run_all([spec(ClassKind.GNA, 1)], [COMMUTATOR], 0, 1, checks=["nope"])
+
 
 class TestChecksPass:
     @pytest.mark.parametrize("s", [

@@ -19,7 +19,7 @@ from affgebra.classes import (
     subspace,
     _sampling_data,
 )
-from affgebra.errors import FieldMismatch, NonInvertibleScalar, SizeMismatch
+from affgebra.errors import FieldMismatch, MalformedWire, NonInvertibleScalar, SizeMismatch
 from affgebra.matrix import Matrix
 from affgebra.scalars import GF, QI, QQ, SURD, GaussianRational
 
@@ -83,6 +83,10 @@ class TestSpecValidation:
         assert back == q and hash(back) == hash(q)
         assert hash(replace(q, n=4)) == hash((ClassKind.GA_C, 4, QQ, Fraction(2, 3)))
 
+    def test_wire_class_must_be_an_object(self):
+        with pytest.raises(MalformedWire, match="^a class must be a JSON object, got list$"):
+            spec_from_wire([1])
+
     def test_wire_prime_with_another_field_is_rejected(self):
         with pytest.raises(ValueError, match="a prime p is only for the field GF, not 'Q'"):
             spec_from_wire({"kind": "gna", "n": 2, "field": "Q", "p": 7})
@@ -101,6 +105,10 @@ class TestContains:
     def test_size_guard(self):
         with pytest.raises(SizeMismatch):
             contains(spec(ClassKind.GNA, 2), Matrix.identity(QQ, 2))
+
+    def test_field_guard(self):
+        with pytest.raises(FieldMismatch, match=r"^gna\(2, Q\) cannot contain a matrix over GF\(7\)$"):
+            contains(spec(ClassKind.GNA, 2), Matrix.identity(GF(7), 3))
 
     def test_una_membership(self):
         s = spec(ClassKind.UNA, 1)

@@ -391,6 +391,21 @@ class TestBracketAndRetract:
         code, out, err = run_cli(capsys, "bracket", bad.replace(json.dumps(entry), '"0"'), good)
         assert (code, err) == (0, "")
 
+    @pytest.mark.parametrize("field", ["surd", "surd_c"])
+    @pytest.mark.parametrize("entry, message", [
+        ("2*sqrt(3x", "Invalid literal for Fraction: '2*sqrt(3x'"),
+        ("sqrt(2]", "Invalid literal for Fraction: 'sqrt(2]'"),
+        ("0*sqrt(-2)", "a radicand must not be negative, got -2"),
+        ("sqrt(-2)-sqrt(-2)", "a radicand must not be negative, got -2"),
+    ])
+    def test_unclosed_sqrt_and_negative_radicand_are_usage_errors(self, capsys, field, entry, message):
+        # a sqrt( term must end in ')', and a negative radicand is refused whatever its coefficient
+        good = json.dumps({"field": field, "n": 1, "entries": [["1"]]})
+        bad = json.dumps({"field": field, "n": 1, "entries": [[entry]]})
+        code, out, err = run_cli(capsys, "bracket", bad, good)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
 
 class TestDims:
     def test_table_values(self, capsys):
@@ -497,6 +512,12 @@ class TestReplay:
         good = run_check("malcev", spec, COMMUTATOR, seed=0, trials=2)
         code, _, err = run_cli(capsys, "replay", json.dumps(good.to_wire()))
         assert code == 2
+
+    def test_replay_unknown_check(self, capsys):
+        doc = dict(self._failing_report().to_wire(), check="nope")
+        code, out, err = run_cli(capsys, "replay", json.dumps(doc))
+        assert (code, out) == (2, "")
+        assert err == "error: UnknownCheck: 'nope'\n"
 
     def test_replay_exit_one_when_failure_vanishes(self, capsys):
         # undoing the perturbation makes the recorded inputs pass again,

@@ -4,7 +4,7 @@ import pytest
 
 from affgebra.affine import COMMUTATOR, action, bracket, heap
 from affgebra.classes import ClassKind, MatrixClassSpec, base_point, contains, derive_rng, sample
-from affgebra.errors import ClassViolation, FieldMismatch, NonInvertibleScalar, SingularMatrix
+from affgebra.errors import ClassViolation, FieldMismatch, NonInvertibleScalar, SingularMatrix, SizeMismatch
 from affgebra.matrix import Matrix
 from affgebra.scalars import GF, QI, QQ, SURD, SurdReal, widen_scalar
 from affgebra.transforms import (
@@ -222,6 +222,11 @@ class TestBlockTargets:
         for _ in range(5):
             assert t.contains(t.sample(rng))
         assert not t.contains(Matrix.identity(QQ, 3))
+
+    def test_membership_size_guard(self):
+        t = block_target(spec(ClassKind.SNA, 2))
+        with pytest.raises(SizeMismatch, match="^3 vs 2$"):
+            t.contains(Matrix.identity(QQ, 2))
 
 
 class TestConjugationRoutes:

@@ -1,16 +1,26 @@
-"""``matrix_from_wire`` reads plain entry strings straight into integer
-forms and rational parts; every other spelling goes through
-``Field.parse``.  The property: on random entry strings, plain and
-otherwise, it gives the matrix that ``Field.parse`` and ``Matrix`` give
-(value, rows and wire), or raises the same exception type with the same
-message."""
+"""One reader serves every entry string: ``matrix_from_wire`` reads a
+matrix's entries with ``scalars.read_entries``, and ``Field.parse`` is
+the same reader on one string.  The property: on random entry strings,
+plain and otherwise, both agree with ``oracle.plain_parse`` (the
+per-field string splitters the reader replaced) in value, rows and
+wire; where the oracle refuses, both raise an error that exits 2, with
+the oracle's type and message when that message is one the CLI tests
+pin (zero denominator, radicand bound, non-string scalar, malformed
+complex surd)."""
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affgebra.matrix import Matrix, _read_plain, matrix_from_wire, matrix_to_wire
+from affgebra import scalars
+from affgebra.errors import AffgebraError, DivisionByZero, MalformedWire
+from affgebra.matrix import Matrix, matrix_from_wire, matrix_to_wire
 from affgebra.scalars import GF, MAX_RADICAND, QI, QQ, SURD, SURD_C
+from oracle import plain_parse
 
 FIELDS = [QQ, QI, GF(2), GF(7), GF(101), SURD, SURD_C]
+# the errors that ``cli.main`` reports with exit code 2
+EXIT_2 = (AffgebraError, ValueError, KeyError, OSError)
 
 digits = st.integers(0, 120).map(str) | st.sampled_from(["0", "007"])
 # spellings outside the plain shapes: decimals, exponents, underscores,
@@ -40,7 +50,8 @@ def gaussians(draw, dirty):
         return draw(rationals(dirty)) + "i"
     if shape == 2:
         return draw(rationals(dirty)) + draw(rationals(dirty, signs=("+", "-"))) + "i"
-    return draw(st.sampled_from(["i", "+i", "-i", "3+i", "1-i", "1+2e-3i", "2e-3+1E-1i", "1+2 i", "1+-2i"]))
+    return draw(st.sampled_from(["i", "+i", "-i", "3+i", "1-i", "1+2e-3i", "2e-3+1E-1i", "1+2 i", "1+-2i",
+                                 "1+ i", "+ i", "2 -i"]))
 
 
 @st.composite
@@ -82,15 +93,47 @@ def entries_of(field, dirty):
         plain = surds(dirty)
     else:
         plain = complex_surds(dirty)
-    return plain | st.sampled_from(NON_STRINGS) if dirty else plain
+    if not dirty:
+        return plain
+    # blanks around an entry: outer ones are stripped, and spaces go everywhere in a surd
+    pad = st.sampled_from(["", "", " ", "\t", "\n "])
+    return st.builds("{}{}{}".format, pad, plain, pad) | st.sampled_from(NON_STRINGS)
 
 
 def outcome(build):
     try:
-        m = build()
+        return build()
     except Exception as exc:
-        return type(exc), str(exc)
+        return exc
+
+
+def pinned(exc) -> bool:
+    text = str(exc)
+    return (isinstance(exc, (DivisionByZero, MalformedWire)) or text.startswith("a radicand must be at most")
+            or text.startswith("malformed complex surd string"))
+
+
+def assert_agrees(got, want, seen, text=None):
+    """``got`` agrees with the oracle's ``want``; ``seen`` maps a result
+    to what is compared (value, rows and wire, or value and text)."""
+    if isinstance(want, Exception):
+        assert isinstance(got, EXIT_2), (text, got, want)
+        if pinned(want):
+            assert (type(got), str(got)) == (type(want), str(want)), text
+    else:
+        assert not isinstance(got, Exception), (text, got, want)
+        assert seen(got) == seen(want), text
+
+
+def matrix_seen(m):
     return m, [list(r) for r in m.rows], matrix_to_wire(m)
+
+
+def doc_of(field, entries):
+    doc = {"field": field.tag, "n": len(entries), "entries": entries}
+    if field.characteristic:
+        doc["p"] = field.p
+    return doc
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.describe())
@@ -101,12 +144,55 @@ def test_fast_path_matches_field_parse(field, data):
     n = data.draw(st.integers(1, 3), label="n")
     entries = data.draw(st.lists(st.lists(entries_of(field, dirty), min_size=n, max_size=n),
                                  min_size=n, max_size=n), label="entries")
-    doc = {"field": field.tag, "n": n, "entries": entries}
-    if field.characteristic:
-        doc["p"] = field.p
-    want = outcome(lambda: Matrix(field, [[field.parse(s) for s in row] for row in entries]))
-    assert outcome(lambda: matrix_from_wire(doc)) == want
-    if not dirty:
-        # every clean spelling is plain, so the fast path reads it
-        assert _read_plain(field, entries, n) is not None
+    want = outcome(lambda: Matrix(field, [[plain_parse(field, s) for s in row] for row in entries]))
+    if dirty:
+        got = outcome(lambda: matrix_from_wire(doc_of(field, entries)))
+    else:
+        # every clean token is plain, so it goes straight to ints
+        with mock.patch.object(scalars, "_parse_rational", side_effect=AssertionError("not plain")):
+            got = outcome(lambda: matrix_from_wire(doc_of(field, entries)))
+    assert_agrees(got, want, matrix_seen)
+    for s in (s for row in entries for s in row):
+        assert_agrees(outcome(lambda: field.parse(s)), outcome(lambda: plain_parse(field, s)),
+                      lambda x: (x, type(x), field.format(x)))
 
+
+# edge spellings that random draws reach only rarely: blanks around and
+# inside entries, bare and signed i, exponents, unclosed sqrt( terms
+SPELLINGS = [" +2i", "1+ i", "+ i", " -i ", "1 +2i\t", "\t1/2", "1+2e-3i ", "2E+1-1e-3i", "1e5", "+-3",
+             "(1)+(2)i\t", " (1/2)+(sqrt(8))i", "(\t1)+(2 )i", "(1)-(2)i", "((1)+(2)i", "(1)+(2)(3)i",
+             "\t1/2*sqrt(8)\n", "2 * sqrt( 3 )", "1\t+2", "1+\t2", "2\t*sqrt(3)", "sqrt(3)\t", "1e+1*sqrt(2)-2e-3",
+             "2*sqrt(3x", "sqrt(2]", "0*sqrt(-2)", "sqrt(-2)-sqrt(-2)", "sqrt(+2)", "sqrt(0)", "sqrt(2_0)", " 1_0 "]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.describe())
+def test_edge_spellings_match_the_oracle(field):
+    for text in SPELLINGS:
+        want = outcome(lambda: plain_parse(field, text))
+        assert_agrees(outcome(lambda: field.parse(text)), want, lambda x: (x, type(x), field.format(x)), text)
+        assert_agrees(outcome(lambda: matrix_from_wire(doc_of(field, [[text]]))),
+                      outcome(lambda: Matrix(field, [[want]])), matrix_seen, text)
+
+
+@pytest.mark.parametrize("field, plain, odd", [
+    (QQ, "3/2", "1.5"),
+    (QI, "3/2-1/2i", "1.5-0.5i"),
+    (SURD, "3/2*sqrt(2)", "1.5*sqrt(2)"),
+    (SURD_C, "(3/2)+(sqrt(2))i", "(1.5)+(sqrt(2))i"),
+], ids=["Q", "Qi", "surd", "surd_c"])
+def test_one_odd_entry_among_plain_ones(field, plain, odd):
+    # the odd token goes through Fraction; its neighbours still read as plain
+    rows = [["1", "-2/3"], ["0", plain]]
+    want = matrix_from_wire(doc_of(field, rows))
+    rows[1][1] = odd
+    got = matrix_from_wire(doc_of(field, rows))
+    assert matrix_seen(got) == matrix_seen(want)
+    assert got == Matrix(field, [[plain_parse(field, s) for s in row] for row in rows])
+
+
+def test_first_refused_entry_names_the_error():
+    # as entry by entry: a non-string entry after a refused string does not win
+    with pytest.raises(ValueError, match="^Invalid literal for Fraction: 'x'$"):
+        matrix_from_wire(doc_of(QQ, [["x", 5], ["1", "2"]]))
+    with pytest.raises(MalformedWire, match="^a scalar must be a string, got int 5$"):
+        matrix_from_wire(doc_of(QI, [["1+i", 5], ["x", "2"]]))

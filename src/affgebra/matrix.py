@@ -327,14 +327,15 @@ def combine(terms, q: int = 1) -> Matrix:
     if first.field in PART_FIELDS:
         parts = [(g, c, x.integer_form()) for c, y in terms for g, x in y.rational_parts()]
         return graded(first.field, first.size, parts, q)
-    return _combine_forms(first.field, first.size, [(c, x.integer_form()) for c, x in terms], q)
+    return _combine_forms(first.field, first.size, [(1, c, x.integer_form()) for c, x in terms], q)
 
 
-def _combine_forms(field: Field, m: int, forms, q: int = 1) -> Matrix:
-    # (sum of c * nums / d over the forms) / q, normalised once
-    den = lcm(*(d for _, (_, d) in forms))
+def _combine_forms(field: Field, m: int, terms, q: int = 1) -> Matrix:
+    # (sum of c * nums / d over the terms (k, c, (nums, d))) / q,
+    # normalised once
+    den = lcm(*[d for _, _, (_, d) in terms])
     acc = None
-    for c, (nums, d) in forms:
+    for _, c, (nums, d) in terms:
         f = c * (den // d)
         if acc is None:
             acc = nums if f == 1 else [f * x for x in nums]
@@ -350,10 +351,10 @@ def graded(field: Field, m: int, terms, q: int = 1) -> Matrix:
     parts other than M_1 dropped."""
     part_field = PART_FIELDS.get(field)
     if part_field is None:
-        return _combine_forms(field, m, [(c, form) for _, c, form in terms], q)
+        return _combine_forms(field, m, terms, q)
     by_part: dict = {}
-    for k, c, form in terms:
-        by_part.setdefault(k, []).append((c, form))
+    for term in terms:
+        by_part.setdefault(term[0], []).append(term)
     parts = ((k, _combine_forms(part_field, m, by_part[k], q)) for k in sorted(by_part))
     parts = tuple((k, x) for k, x in parts if k == 1 or any(x.integer_form()[0]))
     keys, flats = [k for k, _ in parts], [[v for row in x.rows for v in row] for _, x in parts]

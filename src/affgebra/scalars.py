@@ -18,11 +18,9 @@ Rationals are stdlib ``fractions.Fraction``, the one rational type
 arithmetic through the private base ``_ComplexPair``: a value is a pair
 (re, im), and only construction, coercion and division differ.
 
-Entry strings have one reader, ``read_entries``: one pattern per field
-splits an entry into rational tokens, a plain token goes straight to
-ints and any other through ``Fraction``, and the result is integers laid
-out as an integer form (one list per radical over the surd fields).
-``Field.parse`` is the same reader on one string.
+Entry strings have one reader, ``read_entries``, which returns them as
+integers laid out as an integer form; ``Field.parse`` is that reader on
+one string.
 
 Random elements are small rationals num/den with |num| <= SAMPLE_BOUND
 and 1 <= den <= SAMPLE_BOUND, drawn numerator first, and residues of
@@ -57,23 +55,6 @@ def common_denominator(values) -> tuple[list[int], int]:
     dens = [int(x.denominator) for x in values]
     den = reduce(lcm, dens, 1)
     return [int(x.numerator) * (den // d) for x, d in zip(values, dens)], den
-
-
-def _parse_rational(s: str):
-    s = s.strip()
-    if s.startswith("+"):
-        s = s[1:]
-    try:
-        return RAT(s)
-    except ZeroDivisionError:
-        raise DivisionByZero(f"zero denominator in {s!r}") from None
-
-
-def _text(s) -> str:
-    """A scalar's wire string, stripped; MalformedWire for any other type."""
-    if not isinstance(s, str):
-        raise MalformedWire(f"a scalar must be a string, got {type(s).__name__} {s!r}")
-    return s.strip()
 
 
 @lru_cache(maxsize=None)
@@ -618,89 +599,105 @@ def field_arith(x, y, op: str):
 
 
 # ---------------------------------------------------------------------------
-# reading entry strings: a plain token (_INTS: an optional sign, ASCII
-# digits, and optionally '/' and a nonzero denominator) is captured as
-# its digit groups, any other goes to ``_parse_rational`` (Fraction's
-# grammar) and a radicand to ``int``.  A sign splits an entry unless it
-# follows an exponent's e or E (_CUT); _KEEP is any other character.
+# reading entry strings: a plain rational token (_INTS: an optional sign,
+# ASCII digits, optionally '/' and a nonzero denominator) goes straight to
+# ints.  An entry of plain tokens is one match of its field's pattern (and
+# a surd sum one ``findall`` over its terms); any other is cut into tokens
+# by _TOKEN, read by ``_ratio`` (Fraction's grammar) and radicands by ``int``.
 
-_NONZERO = r"0*[1-9][0-9]*"
-_INTS = rf"([+-]?[0-9]+)(?:/({_NONZERO}))?"
-_CUT = r"(?<![eE])[+-]"
-_KEEP = r"(?:[^+-]|(?<=[eE])[+-])"
+_DEN = r"0*[1-9][0-9]*"
+_INTS = rf"([+-]?[0-9]+)(?:/({_DEN}))?"
 
-# Q: a rational with at most one extra '+'; any other entry is one token
+# Q: a plain token with at most one extra '+'
 _RATIONAL = re.compile(rf"\+?{_INTS}")
 
-# Q(i): a, a±bi and bi, split at the last cut; groups 1 to 6 hold the
-# digits of a plain entry, 7 to 10 the tokens of any other: a±bi, bi and
-# a (a blank, '+' or '-' b reads as 1, +1 or -1)
+# Q(i): "a", "a±bi" or "bi" with plain a and b
 _GAUSSIAN = re.compile(
-    rf"\s*+(?:\+?{_INTS}(?:([+-][0-9]+)(?:/({_NONZERO}))?i)?|{_INTS}i"
-    rf"|(.+)({_CUT}{_KEEP}*)i|(.?{_KEEP}*)i|(.*))\s*",
-    re.DOTALL,
+    rf"\+?(?P<re>[+-]?[0-9]+)(?:/(?P<re_den>{_DEN}))?(?:(?P<im>[+-][0-9]+)(?:/(?P<im_den>{_DEN}))?i)?"
+    rf"|(?P<bi>[+-]?[0-9]+)(?:/(?P<bi_den>{_DEN}))?i"
 )
 
-# one term of a surd sum, found in order from the start or a cut to the
-# next cut or the end: q[*sqrt(d)] with plain q (groups 1 to 3), ±sqrt(d)
-# (4, 5), c*sqrt(d) with a token c (6, 7), or a token (8)
-_END = rf"(?={_CUT}|\s*\Z)"
-_TERM = re.compile(
-    rf"(?:\A\s*+|(?={_CUT}))(?:{_INTS}(?:\*sqrt\(([^()]+)\))?{_END}"
-    rf"|([+-]?)sqrt\(([^()]+)\){_END}"
-    rf"|([+-]?(?:[^+\-()]|(?<=[eE])[+-])+?)\*sqrt\(([^()]+)\){_END}"
-    rf"|([+-]?{_KEEP}*))",
-    re.DOTALL,
-)
+# surd: terms q, q*sqrt(r) and ±sqrt(r) with plain q and ASCII digits r,
+# each term after the first signed
+_SQRT = rf"{_INTS}(?:\*sqrt\(([0-9]+)\))?|([+-]?)sqrt\(([0-9]+)\)"
+_SURD_TERM = re.compile(_SQRT)
+_SURD = re.compile(rf"(?:{_SQRT})(?:(?=[+-])(?:{_SQRT}))*")
 
-# a complex surd: "(re)+(im)i" (groups 1, 2), any other "(...)i" (3),
-# or a real surd sum (4)
-_COMPLEX_SURD = re.compile(r"\s*+(?:\(((?:[^()]|\([^()]*\))*)\)\+\((.*)\)i|(\(.*\)i)|(.*))\s*", re.DOTALL)
+# a complex surd "(re)+(im)i", with at most one level of parentheses
+# inside its real half
+_COMPLEX_SURD = re.compile(r"\(((?:[^()]|\([^()]*\))*)\)\+\((.*)\)i", re.DOTALL)
+
+# the tokens of an entry that is not plain: from its start or a sign to
+# the next sign that is not an exponent's or inside parentheses
+_TOKEN = re.compile(r"(?:[+-]|\A)(?:[^+\-(]|(?<=[eE])[+-]|\([^()]*\)?)*")
 
 
 def _ratio(token: str) -> tuple[int, int]:
-    x = _parse_rational(token)
+    # a token that is not plain, by Fraction's grammar after one '+'
+    token = token.strip().removeprefix("+")
+    try:
+        x = RAT(token)
+    except ZeroDivisionError:
+        raise DivisionByZero(f"zero denominator in {token!r}") from None
     return x.numerator, x.denominator
 
 
-def _gaussian_ratios(x) -> tuple[int, int, int, int]:
+def _gaussian_ratios(s: str) -> tuple[int, int, int, int]:
     # (re numerator, re denominator, im numerator, im denominator) of a
-    # Q(i) entry that is not plain, tokens read real part first
-    k = x.lastindex
-    re_token, im_token = (x[7], x[8].strip()) if k == 8 else ("0", x[9].strip()) if k == 9 else (x[10], "0")
-    return (*_ratio(re_token), *_ratio(im_token + "1" if im_token in ("", "+", "-") else im_token))
+    # Q(i) entry that is not plain: a, or a±bi and bi cut before their
+    # last token; a blank, '+' or '-' b reads as 1, +1 or -1
+    s = s.strip()
+    if not s.endswith("i"):
+        return (*_ratio(s), 0, 1)
+    *re_tokens, im_token = _TOKEN.findall(s[:-1])
+    im_token = im_token.strip()
+    return (*_ratio("".join(re_tokens) or "0"), *_ratio(im_token + "1" if im_token in ("", "+", "-") else im_token))
+
+
+def _surd_term(term: str) -> tuple:
+    # (numerator, denominator, radicand) of a surd term that is not plain:
+    # c*sqrt(r), ±sqrt(r) or a token c
+    coef, star, rad = term.partition("*sqrt(")
+    if not star and term.startswith(("sqrt(", "+sqrt(", "-sqrt(")):
+        coef, star, rad = term.partition("sqrt(")
+        coef += "1"
+    if star and not rad.endswith(")"):
+        raise ValueError(f"a sqrt( term must end in ')', got {term!r}")
+    rad = int(rad[:-1]) if star else 1
+    return (*_ratio(coef if star else term), rad)
 
 
 def _surd_terms(text: str, k: int, terms: list) -> None:
     # append (squarefree radical, k, numerator, denominator) for each term
-    for q, d, r, sign, r1, token, r2, token1 in _TERM.findall(text):
-        r = r or r1 or r2
-        rad = int(r) if r else 1
-        if q:
-            num, den = int(q), int(d or 1)
-        elif r1:
-            num, den = (-1 if sign == "-" else 1), 1
-        else:
-            num, den = _ratio(token or token1)
-        if rad > MAX_RADICAND:
-            raise ValueError(f"a radicand must be at most {MAX_RADICAND}, got {rad}")
-        if rad < 0:
-            raise ValueError(f"a radicand must not be negative, got {rad}")
+    # of a surd sum, in order
+    if _SURD.fullmatch(text):
+        found = [(q or sign + "1", d or 1, r or r1 or 1) for q, d, r, sign, r1 in _SURD_TERM.findall(text)]
+    else:
+        found = map(_surd_term, _TOKEN.findall(text.strip()))
+    for q, d, r in found:
+        r = int(r)
+        if r > MAX_RADICAND:
+            raise ValueError(f"a radicand must be at most {MAX_RADICAND}, got {r}")
+        if r < 0:
+            raise ValueError(f"a radicand must not be negative, got {r}")
         # sqrt(s*s*g) = s*sqrt(g); sqrt(0) is a zero term
-        s, g = squarefree_split(rad) if rad > 1 else (rad, 1)
-        terms.append((g, k, num * s, den))
+        s, g = squarefree_split(r) if r > 1 else (r, 1)
+        terms.append((g, k, int(q) * s, int(d)))
 
 
 def _read_rationals(strings: list, gaussian: bool) -> tuple[dict[int, list[int]], int]:
     # numerator and denominator per half: digit strings (None for a
     # missing part) of a plain entry, ints of any other
     if gaussian:
-        ratios = [x.group(1, 2, 3, 4) if x[3] else x.group(1, 2, 5, 6) if x.lastindex < 7 else _gaussian_ratios(x)
-                  for x in map(_GAUSSIAN.fullmatch, strings)]
+        ratios = [
+            _gaussian_ratios(s) if x is None
+            else x.group("re", "re_den", "im", "im_den") if x["im"] else x.group("re", "re_den", "bi", "bi_den")
+            for x, s in zip(map(_GAUSSIAN.fullmatch, strings), strings)
+        ]
         qs = [x[0] for x in ratios] + [x[2] for x in ratios]
         ds = [int(x[1] or 1) for x in ratios] + [int(x[3] or 1) for x in ratios]
     else:
-        ratios = [x.group(1, 2) if x else _ratio(s) for x, s in zip(map(_RATIONAL.fullmatch, strings), strings)]
+        ratios = [_ratio(s) if x is None else x.group(1, 2) for x, s in zip(map(_RATIONAL.fullmatch, strings), strings)]
         qs = [x[0] for x in ratios]
         ds = [int(x[1] or 1) for x in ratios]
     den = lcm(*ds)
@@ -710,32 +707,34 @@ def _read_rationals(strings: list, gaussian: bool) -> tuple[dict[int, list[int]]
 def _read_surds(strings: list, complex_: bool) -> tuple[dict[int, list[int]], int]:
     mm, terms = len(strings), []
     for k, s in enumerate(strings):
-        s = str.replace(s, " ", "")
-        x = _COMPLEX_SURD.fullmatch(s) if complex_ else None
-        if x is None or x.lastindex == 4:
-            _surd_terms(s, k, terms)
-        elif x.lastindex == 3:
-            raise ValueError(f"malformed complex surd string {s.strip()!r}")
-        else:
+        s = str.strip(s).replace(" ", "")
+        if complex_ and s.startswith("(") and s.endswith(")i"):
+            x = _COMPLEX_SURD.fullmatch(s)
+            if x is None:
+                raise ValueError(f"malformed complex surd string {s!r}")
             _surd_terms(x[1], k, terms)
             _surd_terms(x[2], mm + k, terms)
-    den = lcm(*(d for *_, d in terms))
-    parts = {1: [0] * (2 * mm if complex_ else mm)}
+        else:
+            _surd_terms(s, k, terms)
+    den = lcm(*{d for _, _, _, d in terms})
+    size = 2 * mm if complex_ else mm
+    parts = {1: [0] * size}
     for g, k, q, d in terms:
-        parts.setdefault(g, [0] * len(parts[1]))[k] += q * (den // d)
+        if g not in parts:
+            parts[g] = [0] * size
+        parts[g][k] += q * (den // d)
     return parts, den
 
 
 def read_entries(field: Field, strings: list) -> tuple[dict[int, list[int]], int]:
-    """({radical: numerators}, den): the entry strings of ``field`` as
-    integers over one positive common denominator, laid out as
-    ``Matrix.integer_form`` lays out a form (over Q(i) and surd_c the
-    real parts and then the imaginary parts), one list per squarefree
-    radical over the surd fields and only the radical 1 otherwise.
-    Blanks are ignored inside surd entries, and a GF(p) entry is what
-    ``int`` reads.  Errors are those of ``_parse_rational``, ``int`` and
-    ``_text``, a radicand out of bounds and a malformed complex surd,
-    raised for the first refused entry."""
+    """({radical: numerators}, den): the entry strings of ``field`` over
+    one positive common denominator, each list laid out as
+    ``Matrix.integer_form`` lays out a form (real parts, then imaginary
+    parts), one per squarefree radical (only 1 outside the surd fields).
+    Blanks are ignored inside surd entries; a GF(p) entry is what ``int``
+    reads.  The error is that of the first refused entry: of ``_ratio``
+    or ``int``, a non-string, a sqrt( term that does not end in ')', a
+    radicand out of bounds or a malformed complex surd."""
     try:
         if field.characteristic:
             return {1: [int(t) for t in map(str.strip, strings)]}, 1
@@ -743,10 +742,11 @@ def read_entries(field: Field, strings: list) -> tuple[dict[int, list[int]], int
             return _read_surds(strings, field.is_complex)
         return _read_rationals(strings, field.is_complex)
     except TypeError:
-        # a non-string entry: the entries one at a time, so that the
-        # first refused one names the error
+        # a non-string: one entry at a time, so the first refused one wins
         for s in strings:
-            read_entries(field, [_text(s)])
+            if not isinstance(s, str):
+                raise MalformedWire(f"a scalar must be a string, got {type(s).__name__} {s!r}") from None
+            read_entries(field, [s])
         raise
 
 

@@ -17,6 +17,7 @@ from functools import reduce
 from math import gcd
 
 from affgebra.classes import ClassKind
+from affgebra.errors import DivisionByZero, MalformedWire
 from affgebra.matrix import Matrix
 from affgebra.scalars import (
     MAX_RADICAND,
@@ -28,8 +29,6 @@ from affgebra.scalars import (
     PrimeFieldElement,
     SurdComplex,
     SurdReal,
-    _parse_rational,
-    _text,
     squarefree_split,
     widen_scalar,
 )
@@ -181,6 +180,23 @@ def plain_squarefree_split(m):
             f *= d
         d += 1
     return s, f * m
+
+
+def _parse_rational(s: str):
+    s = s.strip()
+    if s.startswith("+"):
+        s = s[1:]
+    try:
+        return RAT(s)
+    except ZeroDivisionError:
+        raise DivisionByZero(f"zero denominator in {s!r}") from None
+
+
+def _text(s) -> str:
+    """A scalar's wire string, stripped; MalformedWire for any other type."""
+    if not isinstance(s, str):
+        raise MalformedWire(f"a scalar must be a string, got {type(s).__name__} {s!r}")
+    return s.strip()
 
 
 def _split_gaussian_string(s: str) -> tuple[str, str]:

@@ -393,8 +393,8 @@ class TestBracketAndRetract:
 
     @pytest.mark.parametrize("field", ["surd", "surd_c"])
     @pytest.mark.parametrize("entry, message", [
-        ("2*sqrt(3x", "Invalid literal for Fraction: '2*sqrt(3x'"),
-        ("sqrt(2]", "Invalid literal for Fraction: 'sqrt(2]'"),
+        ("2*sqrt(3x", "a sqrt( term must end in ')', got '2*sqrt(3x'"),
+        ("sqrt(2]", "a sqrt( term must end in ')', got 'sqrt(2]'"),
         ("0*sqrt(-2)", "a radicand must not be negative, got -2"),
         ("sqrt(-2)-sqrt(-2)", "a radicand must not be negative, got -2"),
     ])

@@ -7,6 +7,7 @@ wire; where the oracle refuses, both raise an error that exits 2, with
 the oracle's type and message when that message is one the CLI tests
 pin (zero denominator, radicand bound, non-string scalar, malformed
 complex surd)."""
+import re
 from unittest import mock
 
 import pytest
@@ -149,7 +150,7 @@ def test_fast_path_matches_field_parse(field, data):
         got = outcome(lambda: matrix_from_wire(doc_of(field, entries)))
     else:
         # every clean token is plain, so it goes straight to ints
-        with mock.patch.object(scalars, "_parse_rational", side_effect=AssertionError("not plain")):
+        with mock.patch.object(scalars, "_ratio", side_effect=AssertionError("not plain")):
             got = outcome(lambda: matrix_from_wire(doc_of(field, entries)))
     assert_agrees(got, want, matrix_seen)
     for s in (s for row in entries for s in row):
@@ -196,3 +197,12 @@ def test_first_refused_entry_names_the_error():
         matrix_from_wire(doc_of(QQ, [["x", 5], ["1", "2"]]))
     with pytest.raises(MalformedWire, match="^a scalar must be a string, got int 5$"):
         matrix_from_wire(doc_of(QI, [["1+i", 5], ["x", "2"]]))
+
+
+def test_reader_patterns_compile_on_python_3_10():
+    # possessive quantifiers and atomic groups are new in Python 3.11;
+    # pyproject.toml still admits 3.10, where they fail at import
+    patterns = {name: x.pattern for name, x in vars(scalars).items() if isinstance(x, re.Pattern)}
+    assert patterns
+    for name, pattern in patterns.items():
+        assert not re.search(r"(?<!\\)[*+?}]\+|\(\?>", pattern), name

@@ -605,17 +605,14 @@ def field_arith(x, y, op: str):
 # a surd sum one ``findall`` over its terms); any other is cut into tokens
 # by _TOKEN, read by ``_ratio`` (Fraction's grammar) and radicands by ``int``.
 
-_DEN = r"0*[1-9][0-9]*"
-_INTS = rf"([+-]?[0-9]+)(?:/({_DEN}))?"
+_INTS = r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?"
 
 # Q: a plain token with at most one extra '+'
 _RATIONAL = re.compile(rf"\+?{_INTS}")
 
-# Q(i): "a", "a±bi" or "bi" with plain a and b
-_GAUSSIAN = re.compile(
-    rf"\+?(?P<re>[+-]?[0-9]+)(?:/(?P<re_den>{_DEN}))?(?:(?P<im>[+-][0-9]+)(?:/(?P<im_den>{_DEN}))?i)?"
-    rf"|(?P<bi>[+-]?[0-9]+)(?:/(?P<bi_den>{_DEN}))?i"
-)
+# Q(i): "a", "a±bi" or "bi" (not empty) with plain a in groups 1 and 2,
+# and b in groups 3 and 4
+_GAUSSIAN = re.compile(rf"(?!\Z)(?:\+?{_INTS}(?=[+-]|\Z))?(?:{_INTS}i)?")
 
 # surd: terms q, q*sqrt(r) and ±sqrt(r) with plain q and ASCII digits r,
 # each term after the first signed
@@ -689,11 +686,8 @@ def _read_rationals(strings: list, gaussian: bool) -> tuple[dict[int, list[int]]
     # numerator and denominator per half: digit strings (None for a
     # missing part) of a plain entry, ints of any other
     if gaussian:
-        ratios = [
-            _gaussian_ratios(s) if x is None
-            else x.group("re", "re_den", "im", "im_den") if x["im"] else x.group("re", "re_den", "bi", "bi_den")
-            for x, s in zip(map(_GAUSSIAN.fullmatch, strings), strings)
-        ]
+        ratios = [_gaussian_ratios(s) if x is None else x.group(1, 2, 3, 4)
+                  for x, s in zip(map(_GAUSSIAN.fullmatch, strings), strings)]
         qs = [x[0] for x in ratios] + [x[2] for x in ratios]
         ds = [int(x[1] or 1) for x in ratios] + [int(x[3] or 1) for x in ratios]
     else:

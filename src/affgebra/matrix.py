@@ -15,7 +15,10 @@ equality is one list compare per part and the hash hashes the form
 over the surd fields: the heap, the action, the affine commutator, the
 sum, the difference, the negation and the product are integer loops
 with one normalisation per result (``combine``, ``commutator_shift``,
-``sandwich``, ``@``); ``scale`` is the product with alpha*I; the
+``@``); ``sandwich`` multiplies by two conjugators of the shape
+staircase times diagonal plus a partial permutation, through their
+``staircase`` encodings, in O(m²) with one normalisation;
+``scale`` is the product with alpha*I; the
 transpose and ``dagger`` permute the form (and negate its imaginary
 half); ``widen`` rebuilds the form (with a zero imaginary half from Q
 into Q(i)); the inverse is the integer elimination of
@@ -37,8 +40,9 @@ raise the peak memory of a long run.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import accumulate
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import FieldMismatch, MalformedWire, SingularMatrix, SizeMismatch, wire_field
 from .scalars import (
@@ -400,23 +404,108 @@ def _real_product(m: int, a, b) -> list[int]:
     return [sum(map(mul, a[i : i + m], col)) for i in range(0, m * m, m) for col in cols]
 
 
+def staircase(nums, m: int) -> tuple:
+    """The encoding of an m x m integer matrix C, given by its row-major
+    numerators, for ``sandwich_form``: C = S·diag(c) + E or its transpose,
+    where column j of S is ones on rows [0, r_j) and zeros below and E
+    has at most one nonzero per row and per column.  The encoding is the
+    pair of ``_pass`` programs for C as the left and as the right factor
+    of a product; ValueError when ``_staircase_fit`` finds no such form
+    in either orientation."""
+    rows = [nums[i : i + m] for i in range(0, m * m, m)]
+    for transposed, cols in ((False, list(zip(*rows))), (True, rows)):
+        fit = _staircase_fit(cols)
+        if fit is not None:
+            # C on the left of X is Cᵀ on the right of Xᵀ
+            return _pass_program(*fit, not transposed), _pass_program(*fit, transposed)
+    raise ValueError("not a staircase times a diagonal plus a partial permutation")
+
+
+def _staircase_fit(cols):
+    """(r, c, E) with B = S·diag(c) + E for the columns of B, E as a list of
+    entries (i, j, e); None unless E has at most one entry per row and
+    per column.  Each column takes the run (r_j, c_j) that leaves it the
+    fewest entries of E; with at most one, c_j is its first or second
+    entry, and r_j = 0 for a column of at most one nonzero."""
+    runs, coeffs, extras = [], [], []
+    for j, col in enumerate(cols):
+
+        def off(r, c):
+            return [(i, j, v - c if i < r else v) for i, v in enumerate(col) if v != (c if i < r else 0)]
+
+        runs_of = [(0, 0)] + [(r, c) for c in dict.fromkeys(col[:2]) if c for r in range(1, len(col) + 1)]
+        r, c = min(runs_of, key=lambda rc: len(off(*rc)))
+        extra = off(r, c)
+        if len(extra) > 1:
+            return None
+        runs.append(r)
+        coeffs.append(c)
+        extras += extra
+    if len({i for i, _, _ in extras}) < len(extras):
+        return None
+    return runs, coeffs, extras
+
+
+def _pass_program(runs, coeffs, extras, transposed: bool) -> tuple:
+    """The program (perm, scale, steps) by which ``_pass`` multiplies by
+    B = S·diag(c) + E on the right, or by Bᵀ with ``transposed``.  Entry
+    j of row i of X·B is c_j·(x_i0 + ... + x_i(r_j - 1)), a prefix sum of
+    the row, plus e·x_ik for the entry e of E at (k, j).  Entry j of row
+    i of X·Bᵀ is the sum of c_k·x_ik over the k with r_k > j: a prefix
+    sum of the row reordered by decreasing run length (``perm``) and
+    scaled by c (``scale``), plus e·x_ik for the entry of E at (j, k).
+    A step (end, start, f, at, e) is one output entry,
+    f·(p[end] - p[start]) + e·x[at] for the prefix sums p of the whole
+    reordered list; the steps run column by column, so ``_pass`` returns
+    the transpose of the product."""
+    m = len(runs)
+    if transposed:
+        order = sorted(range(m), key=lambda k: -runs[k])
+        perm = None if order == list(range(m)) else itemgetter(*[i * m + k for i in range(m) for k in order])
+        scale = tuple(coeffs[k] for k in order) * m
+        ends, factors = [sum(r > j for r in runs) for j in range(m)], [1] * m
+        extra = {i: (k, e) for i, k, e in extras}
+    else:
+        perm, scale = None, ()
+        ends, factors = runs, coeffs
+        extra = {j: (k, e) for k, j, e in extras}
+    steps = []
+    for j in range(m):
+        k, e = extra.get(j, (0, 0))
+        steps += [(i + ends[j], i, factors[j], i + k, e) for i in range(0, m * m, m)]
+    return perm, scale if any(c != 1 for c in scale) else None, tuple(steps)
+
+
+def _pass(program, x) -> list[int]:
+    """(X·C)ᵀ, row-major, for the row-major numerators x of an m x m
+    matrix X and the ``_pass_program`` of C: one prefix sum over the
+    (reordered, scaled) list and O(1) work per entry."""
+    perm, scale, steps = program
+    src = x if perm is None else perm(x)
+    if scale is not None:
+        src = map(mul, scale, src)
+    p = list(accumulate(src, initial=0))
+    return [f * (p[end] - p[start]) + e * x[at] for end, start, f, at, e in steps]
+
+
 def sandwich_form(left, nums, right, m: int) -> list[int]:
-    """Numerators of L·X·R for the numerators of real integer forms L
-    and R (over Q, or over the GF(p) of X) and the numerators of a form
-    X; over Q(i) each part of X is multiplied on its own."""
+    """Numerators of L·X·R for the ``staircase`` encodings of the
+    numerators of two real integer forms L and R (over Q, or over the
+    GF(p) of X) and the numerators of a form X; over Q(i) each half of X
+    is multiplied on its own.  Two ``_pass`` runs per half, O(m²) each:
+    the first gives (X·R)ᵀ, the second (X·R)ᵀ·Lᵀ = (L·X·R)ᵀ transposed."""
     mm = m * m
-    return [
-        v
-        for k in range(0, len(nums), mm)
-        for v in _real_product(m, _real_product(m, left, nums[k : k + mm]), right)
-    ]
+    out: list[int] = []
+    for k in range(0, len(nums), mm):
+        out += _pass(left[0], _pass(right[1], nums[k : k + mm]))
+    return out
 
 
 def sandwich(left, x: Matrix, right) -> Matrix:
-    """L·x·R for the integer forms (numerators, denominator) of two real
-    matrices L and R as in ``sandwich_form``: one integer triple product
-    and one normalisation (for each rational part over the surd fields),
-    with no intermediate matrix."""
+    """L·x·R for L and R given as (``staircase`` encoding of the numerators,
+    denominator) of real integer forms as in ``sandwich_form``: O(m²)
+    integer work and one normalisation (for each rational part over the
+    surd fields), with no intermediate matrix."""
     (a, da), (b, db), m = left, right, x.size
     if x.field in PART_FIELDS:
         forms = ((g, y.integer_form()) for g, y in x.rational_parts())

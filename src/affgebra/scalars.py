@@ -95,6 +95,13 @@ def surd_basis_product(d: int, e: int) -> tuple[int, int]:
 # may exceed it.
 MAX_RADICAND = 2**47 - 1
 
+# The largest absolute exponent of a rational token such as "1e5": Fraction
+# builds 10**exponent, which takes time and memory without bound, while
+# "1" followed by more zeros than this as a plain integer is already
+# refused by CPython's default int-string digit limit (4300).  A fixed
+# bound, not an option.
+MAX_EXPONENT = 4300
+
 
 SAMPLE_BOUND = 9
 # a common denominator of every sampled rational: lcm(1, ..., SAMPLE_BOUND)
@@ -628,10 +635,18 @@ _COMPLEX_SURD = re.compile(r"\(((?:[^()]|\([^()]*\))*)\)\+\((.*)\)i", re.DOTALL)
 # the next sign that is not an exponent's or inside parentheses
 _TOKEN = re.compile(r"(?:[+-]|\A)(?:[^+\-(]|(?<=[eE])[+-]|\([^()]*\)?)*")
 
+# the exponent of a token, as Fraction's grammar reads it: the last part
+# of the token, underscores between digits
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
+
 
 def _ratio(token: str) -> tuple[int, int]:
-    # a token that is not plain, by Fraction's grammar after one '+'
+    # a token that is not plain, by Fraction's grammar after one '+', its
+    # exponent bounded before Fraction builds the power of ten
     token = token.strip().removeprefix("+")
+    exponent = _EXPONENT.search(token)
+    if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+        raise ValueError(f"an exponent must be at most {MAX_EXPONENT} in absolute value, got {token!r}")
     try:
         x = RAT(token)
     except ZeroDivisionError:

@@ -24,7 +24,7 @@ from functools import lru_cache
 from .affine import COMMUTATOR, AffineCommutator, action, bracket, heap
 from .classes import ClassKind, MatrixClassSpec, base_point, contains, contains_parts, draw_form
 from .errors import ClassViolation, FieldMismatch, SizeMismatch
-from .matrix import Matrix, graded, sandwich, sandwich_form
+from .matrix import Matrix, graded, sandwich, sandwich_form, staircase
 from .report import (
     POINT,
     SCALAR,
@@ -294,23 +294,28 @@ class Frame:
     The image T⁻¹·m·T is D·Z·D⁻¹ with Z = R⁻¹·m·R, so every identity
     the theorem asserts between images (heap, action, the commutator
     bracket, the inverse) holds for the Z matrices over the class field.
-    ``image`` and ``preimage`` are one integer triple product per
-    rational part (``matrix.sandwich``).
+
+    R⁻¹, R and W are held as (``matrix.staircase`` encoding of the
+    numerators, denominator), built once per frame: each is a staircase
+    times a diagonal plus at most one entry per row and per column, or
+    the transpose of one.  ``image``, ``preimage`` and the pull-back each
+    run one ``matrix.sandwich_form`` per rational part (per half over
+    Q(i)), in O(m²) integer operations for size m.
 
     Every map into or out of the block field goes through D·x·D, split by
     radical in ``_split``: with f_i·f_j = s_ij²·g_ij, g_ij squarefree, its
     part of √g keeps the entries s_ij·x_ij with g_ij = g (for each part of
     x).  ``materialise`` builds D·Z·D⁻¹ = D·(Z·D⁻²)·D, ``pull_back`` builds
-    T·y·T⁻¹ = W·(D·y·D)·R⁻¹ with one triple product per part, and
+    T·y·T⁻¹ = W·(D·y·D)·R⁻¹ with one ``sandwich_form`` per part, and
     ``pulls_back_into`` tests those parts for a class-field z on their
     integer forms, with no matrix built.
     """
 
     field: Field  # the class field
     block_field: Field  # the field of T and of the block target
-    left: Matrix  # R⁻¹, rational or over GF(p)
-    right: Matrix  # R
-    outer: Matrix  # W
+    left: tuple  # R⁻¹ as (staircase encoding, denominator), rational or over GF(p)
+    right: tuple  # R, likewise
+    outer: tuple  # W, likewise
     radicals: tuple  # f_0..f_n
     pieces: tuple  # (g, ((k, s_ij), ...)) for k = i*(n+1) + j, g = 1 first
 
@@ -318,17 +323,17 @@ class Frame:
         # x must widen into the block field and have the size of T
         if x.field is not self.field and not can_widen(x.field, self.block_field):
             raise FieldMismatch(f"cannot widen {x.field.describe()} into {self.block_field.describe()}")
-        if x.size != self.left.size:
-            raise SizeMismatch(f"{self.left.size} vs {x.size}")
+        if x.size != len(self.radicals):
+            raise SizeMismatch(f"{len(self.radicals)} vs {x.size}")
         return x
 
     def image(self, m: Matrix) -> Matrix:
         """Z = R⁻¹·m·R."""
-        return sandwich(self.left.integer_form(), self._admit(m), self.right.integer_form())
+        return sandwich(self.left, self._admit(m), self.right)
 
     def preimage(self, z: Matrix) -> Matrix:
         """m = R·Z·R⁻¹."""
-        return sandwich(self.right.integer_form(), self._admit(z), self.left.integer_form())
+        return sandwich(self.right, self._admit(z), self.left)
 
     def _split(self, x: Matrix, inverse: bool = False):
         """The terms (k, c, (nums, den)) of D·x·D = sum_k √k·X_k, or of
@@ -352,7 +357,7 @@ class Frame:
 
     def _pulled(self, x: Matrix):
         # the terms of T·x·T⁻¹ = W·(D·x·D)·R⁻¹
-        (w, dw), (r, dr) = self.outer.integer_form(), self.left.integer_form()
+        (w, dw), (r, dr) = self.outer, self.left
         for k, c, (nums, den) in self._split(x):
             yield k, c, (sandwich_form(w, nums, r, x.size), den * dw * dr)
 
@@ -395,6 +400,8 @@ def _conjugators(n: int, field: Field, via: str) -> Frame:
             by_radical.setdefault(g, []).append((i * m + j, s))
     # the diagonal gives g = 1, so M_1 always exists and sorts first
     pieces = tuple((g, tuple(by_radical[g])) for g in sorted(by_radical))
+    forms = (x.integer_form() for x in (left, right, outer))
+    left, right, outer = ((staircase(nums, m), den) for nums, den in forms)
     return Frame(field, block, left, right, outer, radicals, pieces)
 
 

@@ -7,7 +7,10 @@ entry types ``RAT``, ``GaussianRational``, ``PrimeFieldElement``,
 ``Matrix`` constructor, so none of it goes through integer forms or
 rational parts.  ``plain_parse`` reads an entry string by splitting it
 with per-field string loops into tokens for ``Fraction``, as the
-scalar parsers once did.  The one exception is ``float_gram_schmidt``:
+scalar parsers once did.  ``plain_row_reduce`` and ``plain_sandwich_form``
+are the dense integer loops that the sparse ``solve.row_reduce`` and
+the staircase ``matrix.sandwich_form`` replaced.  The one exception to
+exact arithmetic is ``float_gram_schmidt``:
 the floating-point basis that the only tolerance-based check in the
 repository compares the exact orthonormal basis with.  It is imported
 by the test modules, from the tests directory.
@@ -18,7 +21,7 @@ from math import gcd
 
 from affgebra.classes import ClassKind
 from affgebra.errors import DivisionByZero, MalformedWire
-from affgebra.matrix import Matrix
+from affgebra.matrix import Matrix, _real_product
 from affgebra.scalars import (
     MAX_RADICAND,
     QI,
@@ -296,6 +299,18 @@ def plain_parse(field, s):
     if not rest.startswith("+(") or not rest.endswith(")i"):
         raise ValueError(f"malformed complex surd string {s!r}")
     return SurdComplex(_parse_surd_real(re_part), _parse_surd_real(rest[2:-2]))
+
+
+def plain_sandwich_form(left, nums, right, m: int) -> list[int]:
+    """Numerators of L·X·R for the numerators of real integer forms L
+    and R (over Q, or over the GF(p) of X) and the numerators of a form
+    X; over Q(i) each part of X is multiplied on its own."""
+    mm = m * m
+    return [
+        v
+        for k in range(0, len(nums), mm)
+        for v in _real_product(m, _real_product(m, left, nums[k : k + mm]), right)
+    ]
 
 
 def plain_row_reduce(rows, ncols: int, p: int = 0) -> list[int]:

@@ -13,7 +13,7 @@ from affgebra.classes import MAX_N, ClassKind, MatrixClassSpec
 from affgebra.cli import build_parser, main
 from affgebra.affine import COMMUTATOR
 from affgebra.matrix import Matrix, matrix_from_wire, matrix_to_wire
-from affgebra.scalars import MAX_P, MAX_RADICAND, QQ
+from affgebra.scalars import MAX_EXPONENT, MAX_P, MAX_RADICAND, QQ
 
 CYCLE = Matrix(QQ, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 SWAP = Matrix(QQ, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
@@ -367,6 +367,23 @@ class TestBracketAndRetract:
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (2, "")
         assert err == f"error: a radicand must be at most {MAX_RADICAND}, got {d}\n"
+
+    @pytest.mark.parametrize("field", ["Q", "Qi", "surd"])
+    @pytest.mark.parametrize("entry", ["1e999999999", "-1E-999_999_999"])
+    def test_exponent_above_the_bound_is_usage_error(self, capsys, field, entry):
+        # Fraction would build 10**999999999: minutes and hundreds of MB
+        good = json.dumps({"field": field, "n": 1, "entries": [["1"]]})
+        bad = json.dumps({"field": field, "n": 1, "entries": [[entry]]})
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "bracket", bad, good)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: an exponent must be at most {MAX_EXPONENT} in absolute value, got {entry!r}\n"
+        # [a, b] = b for 1 x 1 matrices, so a reads and is not written out
+        at_bound = json.dumps({"field": field, "n": 1, "entries": [[f"-1e{MAX_EXPONENT}"]]})
+        code, out, err = run_cli(capsys, "bracket", at_bound, good)
+        assert (code, json.loads(out), err) == (0, json.loads(good), "")
+        assert QQ.parse(f"-1e{MAX_EXPONENT}") == -(10**MAX_EXPONENT)
 
     def test_unbalanced_complex_surd_is_usage_error(self, capsys):
         good = '{"field":"surd_c","n":1,"entries":[["(1)+(0)i"]]}'

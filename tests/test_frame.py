@@ -27,12 +27,14 @@ from affgebra.checks import replay
 from affgebra.classes import MAX_N, ClassKind, MatrixClassSpec, contains, derive_rng, sample, spec_to_wire
 from affgebra.cli import main
 from affgebra.errors import AffgebraError, ClassViolation, FieldMismatch, SizeMismatch
-from affgebra.matrix import Matrix, matrix_to_wire
+from affgebra.matrix import Matrix, matrix_to_wire, sandwich_form, staircase
 from affgebra.report import MatrixClassCarrier
 from affgebra.scalars import GF, QI, QQ, SURD, SURD_C, GaussianRational, SurdReal, widen_scalar
 from affgebra.transforms import (
     VIA_P,
     VIA_U,
+    _conjugators,
+    _orthonormal_frame,
     base_point_image,
     block_target,
     evaluate_theorem_case,
@@ -43,7 +45,7 @@ from affgebra.transforms import (
     orthonormal_change_of_basis,
     to_block,
 )
-from oracle import plain_block_contains
+from oracle import plain_block_contains, plain_sandwich_form
 
 GOLDEN = Path(__file__).parent / "golden" / "theorem_frame.json"
 U_KINDS = (ClassKind.ONA, ClassKind.UNA, ClassKind.SUNA)
@@ -456,3 +458,69 @@ def test_block_membership_on_forms_matches_entrywise(s, seed, radicals, move, i,
     for rad in (None, f):
         want = plain_block_contains(target, z, rad)
         assert target.contains(z, rad) is want
+
+
+# -- the staircase kernel against the dense triple product ------------------
+
+PRIMES = (2, 3, 5, 7, 11, 13, 101)
+
+
+def frame_matrices(n, field, via):
+    """(R⁻¹, R, W) of a frame, built from the bases themselves: (P⁻¹, P, P)
+    over the field, or (Wᵀ, W·diag(f), W) for U's rational frame (W, f)."""
+    if via == VIA_P:
+        p = change_of_basis(n, field)
+        return change_of_basis_inverse(n, field), p, p
+    w, radicals = _orthonormal_frame(n)
+    return w.transpose(), w @ Matrix.diagonal(QQ, radicals), w
+
+
+def assert_frame_products_match(n, field, via, x):
+    """Image R⁻¹·X·R, preimage R·X·R⁻¹ and pull-back W·X·R⁻¹ through the
+    frame's staircase encodings, against the dense products of the
+    numerators; the denominators are the matrices' own."""
+    frame = _conjugators(n, field, via)
+    forms = [y.integer_form() for y in frame_matrices(n, field, via)]
+    encoded = (frame.left, frame.right, frame.outer)
+    assert [den for _, den in encoded] == [den for _, den in forms]
+    for a, b in ((0, 1), (1, 0), (2, 0)):
+        got = sandwich_form(encoded[a][0], x, encoded[b][0], n + 1)
+        assert got == plain_sandwich_form(forms[a][0], x, forms[b][0], n + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=MAX_N),
+    route=st.sampled_from(("P", "P over GF(p)", "U")),
+    halves=st.sampled_from((1, 2)),
+    data=st.data(),
+)
+def test_sandwich_form_matches_the_dense_triple_product(n, route, halves, data):
+    # X over Q (one half), over Q(i) (both halves) or over GF(p), p not
+    # dividing n+1 so that P is invertible
+    mm = (n + 1) ** 2
+    if route == "P over GF(p)":
+        p = data.draw(st.sampled_from([q for q in PRIMES if (n + 1) % q]))
+        field, entries, halves = GF(p), st.integers(min_value=0, max_value=p - 1), 1
+    else:
+        field, entries = QQ, st.integers(min_value=-(10**12), max_value=10**12)
+    x = data.draw(st.lists(entries, min_size=halves * mm, max_size=halves * mm))
+    assert_frame_products_match(n, field, VIA_U if route == "U" else VIA_P, x)
+
+
+def test_every_frame_up_to_max_n_is_encoded():
+    rng = derive_rng("staircase")
+    for n in range(1, MAX_N + 1):
+        x = [rng.randrange(-99, 100) for _ in range(2 * (n + 1) ** 2)]
+        for field, via in ((QQ, VIA_P), (QI, VIA_U), (GF(101), VIA_P)):
+            assert_frame_products_match(n, field, via, x if field.tag != "GF" else [v % 101 for v in x])
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(min_value=3, max_value=MAX_N + 1), data=st.data())
+def test_staircase_refuses_a_dense_matrix(m, data):
+    # distinct entries leave any run at least m - 1 >= 2 entries of E in
+    # every column, in either orientation
+    nums = data.draw(st.lists(st.integers().filter(bool), min_size=m * m, max_size=m * m, unique=True))
+    with pytest.raises(ValueError, match="^not a staircase"):
+        staircase(nums, m)

@@ -222,6 +222,8 @@ class TestCommonField:
         b = Matrix(QI, [["1i", "0"], ["0", "1"]])
         wa, wb = common_field(a, b)
         assert wa.field is QI and wb is b
+        wb, wa = common_field(b, a)
+        assert wb is b and wa.field is QI and wa == a.widen(QI)
 
     def test_incompatible(self):
         with pytest.raises(FieldMismatch):
@@ -287,3 +289,28 @@ def test_methods_on_forms_match_entrywise(field, data):
             assert str(got.value) == str(exc)
         else:
             assert_same(a.widen(wide), want)
+
+
+class TestDataModel:
+    def test_repr_lists_the_entries(self):
+        a = Matrix(QQ, [[Fraction(1, 2), 0], [0, 1]])
+        assert repr(a) == "Matrix(Q, [[Fraction(1, 2), Fraction(0, 1)], [Fraction(0, 1), Fraction(1, 1)]])"
+
+    def test_matrices_are_immutable(self):
+        a = Matrix(QQ, CYCLE)
+        with pytest.raises(AttributeError, match="^Matrix is immutable$"):
+            a.size = 2
+
+    def test_arithmetic_with_a_non_matrix_is_a_type_error(self):
+        with pytest.raises(TypeError, match="^expected Matrix, got int$"):
+            Matrix(QQ, CYCLE) @ 1
+
+    def test_a_surd_matrix_has_no_integer_form(self):
+        with pytest.raises(FieldMismatch, match="^surd has no integer form; see rational_parts$"):
+            Matrix(SURD, [[1]]).integer_form()
+
+    def test_equality_with_a_non_matrix_or_another_size_is_false(self):
+        a = Matrix(QQ, CYCLE)
+        assert a.__eq__(1) is NotImplemented
+        assert a != 1
+        assert a != Matrix.identity(QQ, 2)

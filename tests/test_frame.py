@@ -512,8 +512,9 @@ def test_every_frame_up_to_max_n_is_encoded():
     rng = derive_rng("staircase")
     for n in range(1, MAX_N + 1):
         x = [rng.randrange(-99, 100) for _ in range(2 * (n + 1) ** 2)]
-        for field, via in ((QQ, VIA_P), (QI, VIA_U), (GF(101), VIA_P)):
-            assert_frame_products_match(n, field, via, x if field.tag != "GF" else [v % 101 for v in x])
+        assert_frame_products_match(n, QQ, VIA_P, x)
+        assert_frame_products_match(n, QI, VIA_U, x)
+        assert_frame_products_match(n, GF(101), VIA_P, [v % 101 for v in x[: (n + 1) ** 2]])
 
 
 @settings(max_examples=40, deadline=None)
@@ -524,3 +525,9 @@ def test_staircase_refuses_a_dense_matrix(m, data):
     nums = data.draw(st.lists(st.integers().filter(bool), min_size=m * m, max_size=m * m, unique=True))
     with pytest.raises(ValueError, match="^not a staircase"):
         staircase(nums, m)
+
+
+def test_staircase_refuses_two_entries_of_e_in_one_row():
+    # each column fits with its entry of E in row 2, and no transpose fits
+    with pytest.raises(ValueError, match="^not a staircase"):
+        staircase([1, 1, 1, 0, 0, 1, 5, 7, 1], 3)

@@ -37,7 +37,7 @@ from .scalars import (
     SURD,
     SURD_C,
     can_widen,
-    field_by_tag,
+    field_from_wire,
     sample_numerators,
     sample_residues,
     widen_scalar,
@@ -142,8 +142,7 @@ def contains(spec: MatrixClassSpec, m: Matrix) -> bool:
         raise FieldMismatch(
             f"{spec.describe()} cannot contain a matrix over {m.field.describe()}"
         )
-    parts = m.rational_parts()
-    return contains_parts(spec, parts[0][1].field, [x.integer_form() for _, x in parts])
+    return contains_parts(spec, PART_FIELDS.get(m.field, m.field), [form for _, form in m.rational_parts()])
 
 
 def contains_parts(spec: MatrixClassSpec, field: Field, forms) -> bool:
@@ -328,8 +327,8 @@ def spec_to_wire(spec: MatrixClassSpec) -> dict:
 def spec_from_wire(doc: dict) -> MatrixClassSpec:
     if not isinstance(doc, dict):
         raise MalformedWire(f"a class must be a JSON object, got {type(doc).__name__}")
-    kind, n, tag = (wire_field(doc, name, t, "class") for name, t in (("kind", str), ("n", int), ("field", str)))
-    field = field_by_tag(tag, doc.get("p"))
+    kind, n = wire_field(doc, "kind", str, "class"), wire_field(doc, "n", int, "class")
+    field = field_from_wire(doc, "class")
     return MatrixClassSpec(
         kind=ClassKind(kind),
         n=n,

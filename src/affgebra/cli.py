@@ -202,13 +202,21 @@ def _cmd_replay(args) -> int:
     return 0 if not report.passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise, so that ``main`` reports them
+    as one line with exit 2 (``--help`` still exits 0)."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by every
     later call in the process.  Callers must not mutate it.  No default
     reads the environment: ``--seed`` falls back to AFFGEBRA_SEED when a
     command runs, not when the parser is built."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="affgebra",
         description="exact verification of normalised affine matrix classes, "
         "their brackets, and their Lie-algebra retracts",
@@ -271,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except AffgebraError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

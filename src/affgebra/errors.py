@@ -48,9 +48,9 @@ class MalformedWire(AffgebraError, ValueError):
 
 
 def wire_field(doc: dict, name: str, kind: type | None, what: str):
-    """``doc[name]`` of the JSON type ``kind`` (``str`` or ``int``; a
-    bool is not an int; any type for None); MalformedWire naming the
-    field of the ``what`` document otherwise."""
+    """``doc[name]`` of the JSON type ``kind`` (``str``, ``int`` or
+    ``bool``; a bool is not an int; any type for None); MalformedWire
+    naming the field of the ``what`` document otherwise."""
     if name not in doc:
         raise MalformedWire(f"{what} lacks field {name!r}")
     value = doc[name]

@@ -1,41 +1,45 @@
 """Dense square matrices over the exact scalar fields.
 
-Matrices are immutable.  Over Q, Q(i) and GF(p) every matrix also has
-one canonical integer form, built at most once and cached in a slot: a
-flat list of integers over one positive common denominator.  Over Q the
-list holds the numerators row by row, over Q(i) the real parts row by
-row and then the imaginary parts, with the gcd of all numerators and the
-denominator equal to 1; over GF(p) it holds the residues in [0, p) over
-denominator 1.  A matrix over a surd field is sum_g sqrt(g)*M_g, with
-rational parts M_g over Q or Q(i) (``rational_parts``), unique because
-the square roots of distinct squarefree g are linearly independent over
-Q(i) (Besicovitch 1940).  Equal matrices have equal forms (parts), so
-equality is one list compare per part and the hash hashes the form
-(parts).  Every matrix-valued method runs on the forms, on each part
-over the surd fields: the heap, the action, the affine commutator, the
-sum, the difference, the negation and the product are integer loops
-with one normalisation per result (``combine``, ``commutator_shift``,
-``@``); ``sandwich`` multiplies by two conjugators of the shape
+Matrices are immutable.  Every matrix is sum_g sqrt(g)*M_g over distinct
+squarefree g, and holds that sum in one slot, as its reduced rational
+parts ((g, (nums, den)), ...) (``rational_parts``): g increasing, M_1
+always there and no other part zero.  Each part is an integer form, a
+flat list of integers over one positive common denominator with the gcd
+of all numerators and the denominator equal to 1: over Q the numerators
+row by row, over Q(i) and the complex surds the real parts row by row
+and then the imaginary parts, over GF(p) the residues in [0, p) over
+denominator 1.  Over Q, Q(i) and GF(p) the parts are ((1, form),), and
+``integer_form`` returns that form; over the surd fields they are unique
+because the square roots of distinct squarefree g are linearly
+independent over Q(i) (Besicovitch 1940).  Equal matrices have equal
+parts, so equality compares the parts and the hash hashes them.
+
+A matrix built from entries reads its parts on first use, with one
+reader for every field (``_read_parts``: a rational entry is the single
+term (1, x), a GF(p) entry its residue); every other matrix is built
+from its parts by ``_from_parts``, which makes the canonical scalar
+entries with one list comprehension per field and builds no matrix per
+part.  Every matrix-valued method runs on the parts: the heap, the
+action, the affine commutator, the sum, the difference, the negation
+and the product are integer loops with one normalisation per part of
+the result (``graded``: combine each part, drop the zero parts, then
+build); ``sandwich`` multiplies by two conjugators of the shape
 staircase times diagonal plus a partial permutation, through their
-``staircase`` encodings, in O(m²) with one normalisation;
-``scale`` is the product with alpha*I; the
-transpose and ``dagger`` permute the form (and negate its imaginary
-half); ``widen`` rebuilds the form (with a zero imaginary half from Q
-into Q(i)); the inverse is the integer elimination of
-``solve.row_reduce``.  Their results carry the form and still hold
-canonical scalar entries.  Entries are read only at the boundary: by
-``integer_form`` and ``rational_parts`` of a matrix built from entries,
-by ``graded`` (which assembles surd entries from the parts), ``entry``,
-``with_entry``, ``trace`` (a scalar), ``repr`` and ``matrix_to_wire``;
-``matrix_from_wire`` builds the form (parts) from the integers that
-``scalars.read_entries`` reads from the entry strings, with one
-``graded`` call.  Every zero numerator of a form over Q or Q(i)
-becomes one shared rational zero, not a fresh ``Fraction(0, den)``:
-fractions are immutable, so values, hashes and wire strings do not
-change.  The numerators are a list, never mutated, and gcd/lcm fold
-over them with ``reduce``: CPython keeps freed tuples of up to 19 items
-in per-size free lists, so short-lived tuples of those sizes would
-raise the peak memory of a long run.
+``staircase`` encodings, in O(m²); ``scale`` is the product with
+alpha*I; the transpose and ``dagger`` permute each form (and negate its
+imaginary half); ``widen`` pads each form with a zero imaginary half
+from a real into a complex field; the inverse is the integer
+elimination of ``solve.row_reduce``.  Entries are read only at the
+boundary: by ``_read_parts``, ``entry``, ``with_entry``, ``trace`` (a
+scalar), ``repr`` and ``matrix_to_wire``; ``matrix_from_wire`` builds
+the parts from the integers that ``scalars.read_entries`` reads from
+the entry strings, with one ``graded`` call.  Every zero numerator of
+a form over Q or Q(i) becomes one shared rational zero, not a fresh
+``Fraction(0, den)``: fractions are immutable, so values, hashes and
+wire strings do not change.  The numerators are a list, never mutated,
+and gcd/lcm fold over them with ``reduce``: CPython keeps freed tuples
+of up to 19 items in per-size free lists, so short-lived tuples of
+those sizes would raise the peak memory of a long run.
 """
 from __future__ import annotations
 
@@ -57,7 +61,7 @@ from .scalars import (
     SurdReal,
     can_widen,
     common_denominator,
-    field_by_tag,
+    field_from_wire,
     read_entries,
     surd_basis_product,
 )
@@ -68,8 +72,8 @@ _ZERO = RAT(0)
 
 
 class Matrix:
-    # _parts is set only on surd matrices, by ``rational_parts``
-    __slots__ = ("field", "size", "rows", "_form", "_parts")
+    # _parts is read from the entries on first use, or set by ``_from_parts``
+    __slots__ = ("field", "size", "rows", "_parts")
 
     def __init__(self, field: Field, rows):
         coerced = tuple(tuple(field.coerce(x) for x in row) for row in rows)
@@ -79,7 +83,7 @@ class Matrix:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "size", m)
         object.__setattr__(self, "rows", coerced)
-        object.__setattr__(self, "_form", None)
+        object.__setattr__(self, "_parts", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -87,43 +91,12 @@ class Matrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _wrap(cls, field: Field, rows: tuple) -> Matrix:
-        # internal: rows already canonical field elements, square
-        out = object.__new__(cls)
-        object.__setattr__(out, "field", field)
-        object.__setattr__(out, "size", len(rows))
-        object.__setattr__(out, "rows", rows)
-        object.__setattr__(out, "_form", None)
-        return out
-
-    @classmethod
     def from_integer_form(cls, field: Field, m: int, nums, den: int) -> Matrix:
         """The m x m matrix with entries nums / den (laid out as in
         ``integer_form``; den > 0), reduced to canonical form."""
         if den <= 0:
             raise ValueError(f"the denominator must be positive, got {den}")
-        if field.characteristic:
-            # residues over denominator 1: divide by den modulo p
-            p = field.p
-            inv = pow(den, -1, p)
-            nums = [x * inv % p for x in nums]
-            den = 1
-            flat = [PrimeFieldElement(x, p) for x in nums]
-        else:
-            g = reduce(gcd, nums, den)
-            nums = [x // g for x in nums] if g != 1 else list(nums)
-            den //= g
-            if field is QQ:
-                flat = [RAT(x, den) if x else _ZERO for x in nums]
-            else:
-                # real parts first; zip stops after the m*m of them
-                flat = [
-                    GaussianRational(RAT(x, den) if x else _ZERO, RAT(y, den) if y else _ZERO)
-                    for x, y in zip(nums, nums[m * m :])
-                ]
-        out = cls._wrap(field, tuple(tuple(flat[i : i + m]) for i in range(0, m * m, m)))
-        object.__setattr__(out, "_form", (nums, den))
-        return out
+        return _from_parts(field, m, ((1, _reduced(field, nums, den)),))
 
     @classmethod
     def zeros(cls, field: Field, m: int) -> Matrix:
@@ -160,42 +133,21 @@ class Matrix:
             raise SizeMismatch(f"{self.size} vs {other.size}")
 
     def integer_form(self) -> tuple[list[int], int]:
-        """(numerators, denominator) of a matrix over Q, Q(i) or GF(p);
-        see the module docstring."""
-        form = self._form
-        if form is None:
-            if self.field in PART_FIELDS:
-                raise FieldMismatch(f"{self.field.describe()} has no integer form; see rational_parts")
-            flat = [x for row in self.rows for x in row]
-            if self.field.characteristic:
-                form = [x.residue for x in flat], 1
-            else:
-                if self.field is QI:
-                    flat = [x.re for x in flat] + [x.im for x in flat]
-                # over the least common denominator, so the form is reduced
-                form = common_denominator(flat)
-            object.__setattr__(self, "_form", form)
-        return form
+        """(numerators, denominator) of a matrix over Q, Q(i) or GF(p):
+        the form of its one rational part; see the module docstring."""
+        if self.field in PART_FIELDS:
+            raise FieldMismatch(f"{self.field.describe()} has no integer form; see rational_parts")
+        return self.rational_parts()[0][1]
 
     def rational_parts(self) -> tuple:
-        """((g, M_g), ...) with self = sum_g sqrt(g)*M_g, g increasing, M_g over
-        ``PART_FIELDS[field]``, M_1 always there and no other M_g zero;
-        ((1, self),) over Q, Q(i) and GF(p)."""
-        part_field = PART_FIELDS.get(self.field)
-        if part_field is None:
-            return ((1, self),)
-        if hasattr(self, "_parts"):
-            return self._parts
-        flat = [x for row in self.rows for x in row]
-        if part_field is QI:
-            flat = [x.re for x in flat] + [x.im for x in flat]
-        coeffs = {1: [0] * len(flat)}  # and the radicals with a nonzero coefficient
-        for k, x in enumerate(flat):
-            for g, q in x.terms:
-                coeffs.setdefault(g, [0] * len(flat))[k] = q
-        parts = tuple((g, Matrix.from_integer_form(part_field, self.size, *common_denominator(v)))
-                      for g, v in sorted(coeffs.items()))
-        object.__setattr__(self, "_parts", parts)
+        """((g, (nums, den)), ...) with self = sum_g sqrt(g)*M_g and
+        (nums, den) the reduced integer form of M_g, over Q or Q(i) for
+        the surd fields: g increasing, M_1 always there and no other
+        part zero; ((1, form),) over Q, Q(i) and GF(p)."""
+        parts = self._parts
+        if parts is None:
+            parts = _read_parts(self.field, self.rows)
+            object.__setattr__(self, "_parts", parts)
         return parts
 
     def entry(self, i: int, j: int):
@@ -212,16 +164,11 @@ class Matrix:
             return NotImplemented
         if self.field is not other.field or self.size != other.size:
             return False
-        if self.field in PART_FIELDS:
-            return self.rational_parts() == other.rational_parts()
-        return self.integer_form() == other.integer_form()
+        return self.rational_parts() == other.rational_parts()
 
     def __hash__(self):
-        # equal matrices have equal reduced forms (parts), as in ``==``
-        if self.field in PART_FIELDS:
-            return hash((self.field, self.rational_parts()))
-        nums, den = self.integer_form()
-        return hash((self.field, tuple(nums), den))
+        # equal matrices have equal reduced parts, as in ``==``
+        return hash((self.field, *((g, tuple(nums), den) for g, (nums, den) in self.rational_parts())))
 
     def __repr__(self):
         return f"Matrix({self.field.describe()}, {[list(r) for r in self.rows]!r})"
@@ -244,11 +191,7 @@ class Matrix:
 
     def __matmul__(self, other):
         self._guard(other)
-        if self.field in PART_FIELDS:
-            return graded(self.field, self.size, _part_products(self, other))
-        (a, da), (b, db) = self.integer_form(), other.integer_form()
-        nums = _product(self.field, self.size, a, b)
-        return Matrix.from_integer_form(self.field, self.size, nums, da * db)
+        return graded(self.field, self.size, list(_part_products(self, other)))
 
     def transpose(self) -> Matrix:
         return self._flipped(conjugate=False)
@@ -258,19 +201,20 @@ class Matrix:
         return self._flipped(conjugate=True)
 
     def _flipped(self, conjugate: bool) -> Matrix:
-        # each part's form transposed (over Q(i) each half), with the
-        # imaginary half negated for the conjugate transpose
+        # each part's form transposed (each half of a complex form), with
+        # the imaginary half negated for the conjugate transpose; both keep
+        # the parts reduced
         m = self.size
         mm = m * m
         order = [j * m + i for i in range(m) for j in range(m)]
-        terms = []
-        for g, x in self.rational_parts():
-            nums, den = x.integer_form()
+        negate = conjugate and self.field.is_complex
+        parts = []
+        for g, (nums, den) in self.rational_parts():
             nums = [nums[k + i] for k in range(0, len(nums), mm) for i in order]
-            if conjugate and x.field is QI:
+            if negate:
                 nums[mm:] = [-v for v in nums[mm:]]
-            terms.append((g, 1, (nums, den)))
-        return graded(self.field, m, terms)
+            parts.append((g, (nums, den)))
+        return _from_parts(self.field, m, tuple(parts))
 
     def trace(self):
         acc = self.field.zero()
@@ -313,30 +257,88 @@ class Matrix:
             return self
         if not can_widen(self.field, field):
             raise FieldMismatch(f"cannot widen {self.field.describe()} into {field.describe()}")
-        # each part's form, with a zero imaginary half from Q into Q(i)
-        pad = PART_FIELDS.get(field, field) is QI
-        terms = []
-        for g, x in self.rational_parts():
-            nums, den = x.integer_form()
-            if pad and x.field is QQ:
-                nums = nums + [0] * len(nums)
-            terms.append((g, 1, (nums, den)))
-        return graded(field, self.size, terms)
+        # each part's form, with a zero imaginary half from a real field
+        # into a complex one; the parts stay reduced
+        parts = self.rational_parts()
+        if field.is_complex and not self.field.is_complex:
+            parts = tuple((g, (nums + [0] * len(nums), den)) for g, (nums, den) in parts)
+        return _from_parts(field, self.size, parts)
+
+
+def _read_parts(field: Field, rows) -> tuple:
+    """The reduced parts (``Matrix.rational_parts``) of canonical entries:
+    the coefficient of sqrt(g) of each entry (a rational entry is the
+    single term (1, x)), each list over its least common denominator; a
+    GF(p) entry gives its residue."""
+    flat = [x for row in rows for x in row]
+    if field.characteristic:
+        return ((1, ([x.residue for x in flat], 1)),)
+    if field.is_complex:
+        flat = [x.re for x in flat] + [x.im for x in flat]
+    if field in PART_FIELDS:
+        coeffs = {1: [0] * len(flat)}  # and the radicals with a nonzero coefficient
+        for k, x in enumerate(flat):
+            for g, q in x.terms:
+                coeffs.setdefault(g, [0] * len(flat))[k] = q
+    else:
+        coeffs = {1: flat}
+    return tuple((g, common_denominator(v)) for g, v in sorted(coeffs.items()))
+
+
+def _reduced(field: Field, nums, den: int) -> tuple[list[int], int]:
+    # nums / den (den > 0) as a reduced form: residues over 1 for GF(p),
+    # else divided by the gcd of the numerators and the denominator
+    if field.characteristic:
+        p = field.p
+        inv = pow(den, -1, p)
+        return [x * inv % p for x in nums], 1
+    g = reduce(gcd, nums, den)
+    return ([x // g for x in nums] if g != 1 else list(nums)), den // g
+
+
+def _from_parts(field: Field, m: int, parts: tuple) -> Matrix:
+    """The m x m matrix over ``field`` of the reduced parts ``parts`` (as
+    ``Matrix.rational_parts`` gives them), its entries made from the
+    numerators with one list comprehension per field."""
+    if field in PART_FIELDS:
+        keys, dens = [g for g, _ in parts], [d for _, (_, d) in parts]
+        flat = [
+            SurdReal._raw([(g, RAT(x, d)) for g, d, x in zip(keys, dens, xs) if x])
+            for xs in zip(*[nums for _, (nums, _) in parts])
+        ]
+        if field.is_complex:
+            flat = [SurdComplex(x, y) for x, y in zip(flat, flat[m * m :])]
+    else:
+        ((_, (nums, den)),) = parts
+        if field.characteristic:
+            p = field.p
+            flat = [PrimeFieldElement(x, p) for x in nums]
+        elif field is QQ:
+            flat = [RAT(x, den) if x else _ZERO for x in nums]
+        else:
+            # real parts first; zip stops after the m*m of them
+            flat = [
+                GaussianRational(RAT(x, den) if x else _ZERO, RAT(y, den) if y else _ZERO)
+                for x, y in zip(nums, nums[m * m :])
+            ]
+    out = object.__new__(Matrix)
+    object.__setattr__(out, "field", field)
+    object.__setattr__(out, "size", m)
+    object.__setattr__(out, "rows", tuple(tuple(flat[i : i + m]) for i in range(0, m * m, m)))
+    object.__setattr__(out, "_parts", parts)
+    return out
 
 
 def combine(terms, q: int = 1) -> Matrix:
     """(c_1*M_1 + ... + c_k*M_k) / q for integer c_i, q > 0 and matrices
-    M_i over the same field, on the forms (of each rational part)."""
+    M_i over the same field, on the forms of their parts."""
     first = terms[0][1]
-    if first.field in PART_FIELDS:
-        parts = [(g, c, x.integer_form()) for c, y in terms for g, x in y.rational_parts()]
-        return graded(first.field, first.size, parts, q)
-    return _combine_forms(first.field, first.size, [(1, c, x.integer_form()) for c, x in terms], q)
+    return graded(first.field, first.size, [(g, c, form) for c, x in terms for g, form in x.rational_parts()], q)
 
 
-def _combine_forms(field: Field, m: int, terms, q: int = 1) -> Matrix:
-    # (sum of c * nums / d over the terms (k, c, (nums, d))) / q,
-    # normalised once
+def _combine_forms(field: Field, terms, q: int = 1) -> tuple[list[int], int]:
+    # the reduced form of (sum of c * nums / d over the terms
+    # (k, c, (nums, d))) / q
     den = lcm(*[d for _, _, (_, d) in terms])
     acc = None
     for _, c, (nums, d) in terms:
@@ -345,52 +347,38 @@ def _combine_forms(field: Field, m: int, terms, q: int = 1) -> Matrix:
             acc = nums if f == 1 else [f * x for x in nums]
         else:
             acc = [y + f * x for y, x in zip(acc, nums)]
-    return Matrix.from_integer_form(field, m, acc, den * q)
+    return _reduced(field, acc, den * q)
 
 
 def graded(field: Field, m: int, terms, q: int = 1) -> Matrix:
     """The matrix sum_k sqrt(k)*M_k / q, M_k the sum of c * nums / d over
     the terms (k, c, (nums, d)) of part k (k = 1 among them; the only k
-    over a field without parts): one ``_combine_forms`` per part, zero
-    parts other than M_1 dropped."""
-    part_field = PART_FIELDS.get(field)
-    if part_field is None:
-        return _combine_forms(field, m, terms, q)
+    over a field without parts): combine each part, drop the zero parts
+    other than M_1, then build."""
+    if field not in PART_FIELDS:
+        return _from_parts(field, m, ((1, _combine_forms(field, terms, q)),))
     by_part: dict = {}
     for term in terms:
         by_part.setdefault(term[0], []).append(term)
-    parts = ((k, _combine_forms(part_field, m, by_part[k], q)) for k in sorted(by_part))
-    parts = tuple((k, x) for k, x in parts if k == 1 or any(x.integer_form()[0]))
-    keys, flats = [k for k, _ in parts], [[v for row in x.rows for v in row] for _, x in parts]
-
-    def surd(values):
-        return SurdReal._raw([(k, v) for k, v in zip(keys, values) if v])
-
-    if part_field is QI:
-        flat = [SurdComplex(surd([v.re for v in vs]), surd([v.im for v in vs])) for vs in zip(*flats)]
-    else:
-        flat = [surd(vs) for vs in zip(*flats)]
-    out = Matrix._wrap(field, tuple(tuple(flat[i : i + m]) for i in range(0, m * m, m)))
-    object.__setattr__(out, "_parts", parts)
-    return out
+    parts = ((k, _combine_forms(field, by_part[k], q)) for k in sorted(by_part))
+    return _from_parts(field, m, tuple((k, form) for k, form in parts if k == 1 or any(form[0])))
 
 
 def _part_products(a: Matrix, b: Matrix, sign: int = 1):
     """The terms (k, sign * s, form of A_g·B_h) of a·b for every pair of
     rational parts, sqrt(g)*sqrt(h) = s*sqrt(k)."""
-    part_field, m = PART_FIELDS[a.field], a.size
-    for g, x in a.rational_parts():
-        nx, dx = x.integer_form()
-        for h, y in b.rational_parts():
-            ny, dy = y.integer_form()
+    m, complex_ = a.size, a.field.is_complex
+    for g, (nx, dx) in a.rational_parts():
+        for h, (ny, dy) in b.rational_parts():
             s, k = surd_basis_product(g, h)
-            yield k, sign * s, (_product(part_field, m, nx, ny), dx * dy)
+            yield k, sign * s, (_product(complex_, m, nx, ny), dx * dy)
 
 
-def _product(field: Field, m: int, a, b) -> list[int]:
+def _product(complex_: bool, m: int, a, b) -> list[int]:
     """Numerators of the product of two integer forms (over the product
-    of their denominators)."""
-    if field is QI:
+    of their denominators), each with a real and an imaginary half for
+    ``complex_``."""
+    if complex_:
         mm = m * m
         ar, ai, br, bi = a[:mm], a[mm:], b[:mm], b[mm:]
         re = [x - y for x, y in zip(_real_product(m, ar, br), _real_product(m, ai, bi))]
@@ -504,30 +492,25 @@ def sandwich_form(left, nums, right, m: int) -> list[int]:
 def sandwich(left, x: Matrix, right) -> Matrix:
     """L·x·R for L and R given as (``staircase`` encoding of the numerators,
     denominator) of real integer forms as in ``sandwich_form``: O(m²)
-    integer work and one normalisation (for each rational part over the
-    surd fields), with no intermediate matrix."""
+    integer work and one normalisation per rational part, with no
+    intermediate matrix."""
     (a, da), (b, db), m = left, right, x.size
-    if x.field in PART_FIELDS:
-        forms = ((g, y.integer_form()) for g, y in x.rational_parts())
-        return graded(x.field, m, [(g, 1, (sandwich_form(a, nums, b, m), da * d * db)) for g, (nums, d) in forms])
-    nums, d = x.integer_form()
-    return Matrix.from_integer_form(x.field, m, sandwich_form(a, nums, b, m), da * d * db)
+    return graded(x.field, m, [(g, 1, (sandwich_form(a, nums, b, m), da * d * db)) for g, (nums, d) in x.rational_parts()])
 
 
 def commutator_shift(a: Matrix, b: Matrix) -> Matrix:
-    """a@b - b@a + b.  On integer forms this is one integer pass
-    (numerators of ab - ba + b over da*db) with one normalisation for
-    the whole result (for each rational part over the surd fields)."""
+    """a@b - b@a + b, with one normalisation per part of the result.
+    Outside the surd fields this is one fused integer pass (numerators
+    of ab - ba + b over da*db), faster than ``graded`` over the three
+    terms."""
     a._guard(b)
     if a.field in PART_FIELDS:
-        b_parts = ((g, 1, y.integer_form()) for g, y in b.rational_parts())
+        b_parts = [(g, 1, form) for g, form in b.rational_parts()]
         return graded(a.field, a.size, [*_part_products(a, b), *_part_products(b, a, -1), *b_parts])
     (x, da), (y, db) = a.integer_form(), b.integer_form()
-    m = a.size
-    ab, ba = _product(a.field, m, x, y), _product(a.field, m, y, x)
-    return Matrix.from_integer_form(
-        a.field, m, [p - q + da * v for p, q, v in zip(ab, ba, y)], da * db
-    )
+    m, complex_ = a.size, a.field.is_complex
+    ab, ba = _product(complex_, m, x, y), _product(complex_, m, y, x)
+    return Matrix.from_integer_form(a.field, m, [p - q + da * v for p, q, v in zip(ab, ba, y)], da * db)
 
 
 def common_field(a: Matrix, b: Matrix) -> tuple[Matrix, Matrix]:
@@ -559,8 +542,7 @@ def matrix_from_wire(doc: dict) -> Matrix:
     ``read_entries``, then one ``graded`` call."""
     if not isinstance(doc, dict):
         raise MalformedWire("a matrix document must be a JSON object")
-    tag = wire_field(doc, "field", str, "matrix")
-    field = field_by_tag(tag, wire_field(doc, "p", int, "matrix") if tag == "GF" or "p" in doc else None)
+    field = field_from_wire(doc, "matrix")
     n = wire_field(doc, "n", int, "matrix")
     entries = wire_field(doc, "entries", None, "matrix")
     if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):

@@ -45,9 +45,9 @@ class CheckReport:
     @classmethod
     def from_wire(cls, doc: dict) -> "CheckReport":
         return cls(
-            check=doc["check"],
-            passed=doc["passed"],
-            trials=doc["trials"],
+            check=wire_field(doc, "check", str, "report"),
+            passed=wire_field(doc, "passed", bool, "report"),
+            trials=wire_field(doc, "trials", int, "report"),
             counterexample=doc.get("counterexample"),
             elapsed_ms=doc.get("elapsed_ms", 0.0),
         )

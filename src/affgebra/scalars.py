@@ -43,6 +43,7 @@ from .errors import (
     MalformedWire,
     NonInvertibleScalar,
     NonInvertibleSurd,
+    wire_field,
 )
 
 RAT = Fraction
@@ -1022,6 +1023,13 @@ def field_by_tag(tag: str, p: int | None = None) -> Field:
             raise ValueError("GF needs an integer prime p")
         return GF(p)
     raise ValueError(f"unknown field tag {tag!r}")
+
+
+def field_from_wire(doc: dict, what: str) -> Field:
+    """The field of the ``what`` wire document ``doc``: its "field" tag
+    (str) and, with GF or whenever present, its "p" (int)."""
+    tag = wire_field(doc, "field", str, what)
+    return field_by_tag(tag, wire_field(doc, "p", int, what) if tag == "GF" or "p" in doc else None)
 
 
 # widening: which fields embed into which

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .affine import COMMUTATOR, AffineCommutator, action, bracket, heap
 from .classes import ClassKind, MatrixClassSpec, base_point, contains, contains_parts, draw_form
-from .errors import ClassViolation, FieldMismatch, SizeMismatch
+from .errors import ClassViolation, FieldMismatch, SizeMismatch, wire_field
 from .matrix import Matrix, graded, sandwich, sandwich_form, staircase
 from .report import (
     POINT,
@@ -158,11 +158,9 @@ class BlockTarget:
         base = self.base_block.widen(m.field)
         if m.size != base.size:
             raise SizeMismatch(f"{base.size} vs {m.size}")
-        ((_, rational),) = base.rational_parts()
-        b, db = rational.integer_form()
+        ((_, (b, db)),) = base.rational_parts()
         table = _block_table(self.block_kind, self.n, radicals, len(b) // base.size**2)
-        for g, x in m.rational_parts():
-            a, da = x.integer_form()
+        for g, (a, da) in m.rational_parts():
             nums = [u * db - v * da for u, v in zip(a, b)] if g == 1 else a
             if not satisfies(table, nums, 1, m.field.characteristic):
                 return False
@@ -170,12 +168,11 @@ class BlockTarget:
 
     def sample(self, rng: random.Random) -> Matrix:
         """The base plus ``classes.draw_form``'s draw per generator of
-        ``_block_generators``.  The base is rational, so the surd targets
-        (o, u, su) draw into the form of its rational part, over Q or Q(i)."""
-        ((_, rational),) = self.base_block.rational_parts()
-        base, bden = rational.integer_form()
+        ``_block_generators``.  The base is rational, so a draw over the
+        surd targets (o, u, su) is its one part M_1, over Q or Q(i)."""
+        ((_, (base, bden)),) = self.base_block.rational_parts()
         gens = _block_generators(self.block_kind, self.n, len(base) // (self.n + 1) ** 2, bden)
-        return draw_form(rational.field, self.n + 1, base, bden, gens, rng).widen(self.field)
+        return draw_form(self.field, self.n + 1, base, bden, gens, rng)
 
 
 @lru_cache(maxsize=None)
@@ -341,8 +338,7 @@ class Frame:
         or the class field: the part of √h of x gives, for each piece g,
         the entries s_ij·x_ij with g_ij = g, and √g·√h = c·√k."""
         f, m = self.radicals, x.size
-        for h, part in x.rational_parts():
-            nums, den = part.integer_form()
+        for h, (nums, den) in x.rational_parts():
             if inverse:  # column j over f_j, on the denominator times lcm(f)
                 top = math.lcm(*f)
                 nums = [v * (top // f[at % m]) for at, v in enumerate(nums)]
@@ -497,7 +493,7 @@ class _Route(Context):
         return {"via": via}
 
     def from_wire(self, ce, spec):
-        return ce.get("via")
+        return wire_field(ce, "via", str, "counterexample") if "via" in ce else None
 
 
 # a point of the block target

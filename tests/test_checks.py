@@ -16,7 +16,7 @@ from affgebra.checks import (
     run_corollary,
 )
 from affgebra.classes import ClassKind, MatrixClassSpec
-from affgebra.errors import UnknownCheck
+from affgebra.errors import MalformedWire, UnknownCheck
 from affgebra.matrix import Matrix, matrix_to_wire
 from affgebra.report import CheckReport
 from affgebra.scalars import GF, QI, QQ
@@ -323,3 +323,7 @@ class TestReportWire:
         assert CheckReport.from_wire(wire) == CheckReport(
             "malcev", True, 2, None, wire["elapsed_ms"]
         )
+        with pytest.raises(MalformedWire, match="^report lacks field 'passed'$"):
+            CheckReport.from_wire({k: v for k, v in wire.items() if k != "passed"})
+        with pytest.raises(MalformedWire, match="^report field 'trials' must be int, got str 'x'$"):
+            CheckReport.from_wire(dict(wire, trials="x"))

@@ -1,6 +1,7 @@
 import importlib.util
 import io
 import json
+import random
 import shutil
 import subprocess
 import time
@@ -9,11 +10,13 @@ from pathlib import Path
 import pytest
 
 from affgebra.checks import run_check
-from affgebra.classes import MAX_N, ClassKind, MatrixClassSpec
+from affgebra.classes import MAX_N, ClassKind, MatrixClassSpec, spec_to_wire
 from affgebra.cli import build_parser, main
 from affgebra.affine import COMMUTATOR
 from affgebra.matrix import Matrix, matrix_from_wire, matrix_to_wire
+from affgebra.report import MatrixClassCarrier
 from affgebra.scalars import MAX_EXPONENT, MAX_P, MAX_RADICAND, QQ
+from affgebra.transforms import THEOREM
 
 CYCLE = Matrix(QQ, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 SWAP = Matrix(QQ, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
@@ -631,13 +634,28 @@ class TestReplay:
         ("class", {"kind": "gna", "n": "2", "field": "Q"}, "class field 'n' must be int, got str '2'"),
         ("bracket", 5, "a bracket must be a JSON object, got int"),
         ("class", {}, "class lacks field 'kind'"),
-    ], ids=["string n", "bracket not an object", "empty class"])
+        ("class", {"kind": "gna", "n": 2, "field": "GF", "p": "7"}, "class field 'p' must be int, got str '7'"),
+        ("class", {"kind": "gna", "n": 2, "field": "Q", "p": None}, "class field 'p' must be int, got NoneType None"),
+    ], ids=["string n", "bracket not an object", "empty class", "string p", "null p"])
     def test_replay_of_wrongly_typed_fields(self, capsys, where, value, message):
         wire = json.loads(json.dumps(self._failing_report().to_wire()))
         wire["counterexample"][where] = value
         code, out, err = run_cli(capsys, "replay", json.dumps(wire))
         assert (code, out) == (2, "")
         assert err == f"error: MalformedWire: {message}\n"
+
+    @pytest.mark.parametrize("via", [{}, [], 0, False], ids=["object", "list", "zero", "false"])
+    def test_replay_of_a_wrongly_typed_route(self, capsys, via):
+        spec = MatrixClassSpec(ClassKind.ONA, 1, QQ)
+        carrier, rng = MatrixClassCarrier(spec), random.Random(0)
+        inputs = {name: codec.to_wire(carrier, codec.sample(carrier, rng)) for name, codec in THEOREM.inputs}
+        doc = {"check": "theorem-iso", "passed": False, "trials": 1,
+               "counterexample": {"class": spec_to_wire(spec), "via": "U", "inputs": inputs}}
+        assert run_cli(capsys, "replay", json.dumps(doc))[0] == 1  # the required route U passes
+        doc["counterexample"]["via"] = via
+        code, out, err = run_cli(capsys, "replay", json.dumps(doc))
+        assert (code, out) == (2, "")
+        assert err == f"error: MalformedWire: counterexample field 'via' must be str, got {type(via).__name__} {via!r}\n"
 
     @pytest.mark.parametrize("doc, message", [
         ({}, "report lacks field 'check'"),
@@ -690,10 +708,7 @@ class TestParserReuse:
     def test_usage_error_leaves_the_parser_as_it_was(self, capsys):
         build_parser.cache_clear()
         first = run_cli(capsys, *self.BRACKET)
-        with pytest.raises(SystemExit) as exit_info:
-            main(["bracket", "--bracket"])
-        assert exit_info.value.code == 2
-        assert capsys.readouterr().out == ""
+        assert run_cli(capsys, "bracket", "--bracket") == (2, "", "error: argument --bracket: expected one argument\n")
         again = run_cli(capsys, *self.BRACKET)
         assert first[0] == 0 and first[2] == ""
         assert again == first

@@ -305,7 +305,8 @@ numerators = st.tuples(st.integers(min_value=0, max_value=9), st.integers(min_va
 
 @settings(max_examples=200, deadline=None)
 @given(
-    field=st.sampled_from((QQ, QI)),
+    # a prime above every drawn denominator, so each one is invertible
+    field=st.sampled_from((QQ, QI, GF(2521))),
     m=st.integers(min_value=1, max_value=5),
     den=st.integers(min_value=1, max_value=2520),
     shape=st.sampled_from(("mixed", "zero", "real", "imaginary")),
@@ -313,11 +314,12 @@ numerators = st.tuples(st.integers(min_value=0, max_value=9), st.integers(min_va
 )
 def test_forms_with_zero_numerators_match_entrywise(field, m, den, shape, data):
     """``from_integer_form`` (every zero numerator one shared zero) gives
-    the rows, wire bytes and hash of the matrix built entry by entry from
-    ``Fraction(x, den)``; about 60% of the numerators are zero, and over
-    Q(i) a form may be all zero, purely real or purely imaginary."""
+    the rows, wire bytes, hash and parts of the matrix built entry by
+    entry from ``Fraction(x, den)`` (over GF(p), x / den in the field);
+    about 60% of the numerators are zero, and over Q(i) a form may be
+    all zero, purely real or purely imaginary."""
     mm = m * m
-    halves = 1 if field is QQ else 2
+    halves = 2 if field is QI else 1
     nums = data.draw(st.lists(numerators, min_size=halves * mm, max_size=halves * mm))
     if shape == "zero":
         nums = [0] * len(nums)
@@ -328,16 +330,20 @@ def test_forms_with_zero_numerators_match_entrywise(field, m, den, shape, data):
     got = Matrix.from_integer_form(field, m, nums, den)
     if field is QQ:
         rows = [[Fraction(nums[i * m + j], den) for j in range(m)] for i in range(m)]
-    else:
+    elif field is QI:
         rows = [
             [GaussianRational(Fraction(nums[i * m + j], den), Fraction(nums[mm + i * m + j], den)) for j in range(m)]
             for i in range(m)
         ]
+    else:
+        rows = [[field.from_int(nums[i * m + j]) / field.from_int(den) for j in range(m)] for i in range(m)]
     want = Matrix(field, rows)
     assert got == want
     assert got.rows == want.rows
     assert json.dumps(matrix_to_wire(got)) == json.dumps(matrix_to_wire(want))
     assert hash(got) == hash(want)
+    assert got.rational_parts() == want.rational_parts()
+    assert got.integer_form() == got.rational_parts()[0][1]
     for x, y in zip(sum(got.rows, ()), sum(want.rows, ())):
         assert type(x) is type(y) and hash(x) == hash(y)
         if field is QI:

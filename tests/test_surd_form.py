@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from affgebra.affine import COMMUTATOR, Zeta, action, bracket, heap, heap5
 from affgebra.classes import ClassKind, MatrixClassSpec, contains, sample
 from affgebra.matrix import Matrix, commutator_shift, matrix_to_wire
-from affgebra.scalars import PART_FIELDS, QI, QQ, SURD, SURD_C, SurdComplex, SurdReal
+from affgebra.scalars import QI, QQ, SURD, SURD_C, SurdComplex, SurdReal
 from affgebra.transforms import block_target
 from oracle import (
     plain_action,
@@ -61,10 +61,12 @@ def assert_same(got, want):
     assert hash(got) == hash(want)
     assert json.dumps(matrix_to_wire(got)) == json.dumps(matrix_to_wire(want))
     parts = got.rational_parts()
-    # canonical parts: g increasing, M_1 first, no other part zero
+    # canonical parts: g increasing, M_1 first, each a form of m² numerators
+    # per half, no other part zero
     assert [g for g, _ in parts] == sorted(g for g, _ in parts) and parts[0][0] == 1
-    assert all(x.field is PART_FIELDS[got.field] for _, x in parts)
-    assert all(any(x.integer_form()[0]) for _, x in parts[1:])
+    halves = 2 if got.field.is_complex else 1
+    assert all(len(nums) == halves * got.size**2 for _, (nums, _) in parts)
+    assert all(any(nums) for _, (nums, _) in parts[1:])
     # equal matrices carry identical parts, however they were built
     assert Matrix(got.field, got.rows).rational_parts() == parts == want.rational_parts()
 

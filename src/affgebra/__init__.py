@@ -21,7 +21,6 @@ from .affine import (
     retract_scale,
     retract_sub,
     translate,
-    vector_bracket,
 )
 from .checks import (
     CATALOGUE,
@@ -29,7 +28,6 @@ from .checks import (
     MatrixClassCarrier,
     all_passed,
     replay,
-    run_all,
     run_check,
     run_corollary,
 )
@@ -49,13 +47,12 @@ from .classes import (
 from .errors import (
     AffgebraError,
     ClassViolation,
+    DigitLimit,
     DivisionByZero,
     FieldMismatch,
     Infeasible,
     MalformedWire,
     NonInvertibleScalar,
-    NonInvertibleSurd,
-    NotIdempotent,
     SingularMatrix,
     SizeMismatch,
     UnknownCheck,
@@ -73,7 +70,6 @@ from .scalars import (
     SurdComplex,
     SurdReal,
     conjugate,
-    field_arith,
     field_by_tag,
     surd_basis_product,
 )
@@ -88,7 +84,6 @@ from .transforms import (
     change_of_basis_inverse,
     from_block,
     orthonormal_change_of_basis,
-    shift_map,
     to_block,
     verify_theorem,
 )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import MalformedWire, NotIdempotent, wire_field
+from .errors import MalformedWire, wire_field
 from .matrix import Matrix, combine, commutator_shift
 from .scalars import Field, rational_value
 
@@ -208,19 +208,6 @@ def assoc_retract_product(o: Matrix, a: Matrix, b: Matrix) -> Matrix:
     ambient arithmetic; o is its absorbing zero.
     """
     return o + (a - o) @ (b - o)
-
-
-def vector_bracket(kind: BracketKind, a: Matrix, b: Matrix) -> Matrix:
-    """[a, b]_v = [a, b] - b, a vector-valued bracket.
-
-    Only well defined when the bracket is idempotent; the inputs serve
-    as witnesses and NotIdempotent is raised if either fails [x, x] = x.
-    """
-    for witness in (a, b):
-        if bracket(kind, witness, witness) != witness:
-            label = kind.label() if hasattr(kind, "label") else repr(kind)
-            raise NotIdempotent(f"bracket {label} is not idempotent on a witness")
-    return bracket(kind, a, b) - b
 
 
 # -- bracket kind wire form --------------------------------------------

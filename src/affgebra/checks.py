@@ -357,32 +357,6 @@ def applicable_checks(kind: BracketKind, names: list[str] | None = None) -> list
     return out
 
 
-def run_all(
-    specs,
-    kinds,
-    seed: int,
-    trials: int | None = None,
-    checks: list[str] | None = None,
-) -> list[CheckReport]:
-    """Cartesian run over catalogue x specs x kinds, catalogue order
-    first; deterministic for a fixed seed."""
-    reports = []
-    pool = checks if checks is not None else list(CATALOGUE)
-    for name in pool:
-        if name not in CATALOGUE:
-            raise UnknownCheck(name)
-        cdef = CATALOGUE[name]
-        for spec in specs:
-            for kind in kinds:
-                if not cdef.applies(kind):
-                    continue
-                if not cdef.uses_bracket and kind is not kinds[0]:
-                    # bracket-independent identities run once per spec
-                    continue
-                reports.append(run_check(name, spec, kind, seed, trials))
-    return reports
-
-
 def all_passed(reports, include_advisory: bool = False) -> bool:
     for r in reports:
         if not include_advisory and CATALOGUE.get(r.check) and CATALOGUE[r.check].advisory:

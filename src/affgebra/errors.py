@@ -17,11 +17,6 @@ class DivisionByZero(AffgebraError, ZeroDivisionError):
     """Division by the zero element of a field."""
 
 
-class NonInvertibleSurd(AffgebraError, ArithmeticError):
-    """Division by a surd with more than one term; only single-term
-    surd divisors are supported."""
-
-
 class NonInvertibleScalar(AffgebraError, ArithmeticError):
     """An integer scalar a construction must divide by is zero in the
     field (characteristic obstruction)."""
@@ -39,12 +34,13 @@ class ClassViolation(AffgebraError, ValueError):
     """A matrix fails the defining equations of the requested class."""
 
 
-class NotIdempotent(AffgebraError, ValueError):
-    """A bracket expected to satisfy [a, a] = a failed the witness check."""
-
-
 class MalformedWire(AffgebraError, ValueError):
     """A wire document or scalar has the wrong JSON type or shape."""
+
+
+class DigitLimit(AffgebraError, ValueError):
+    """A matrix entry holds an integer longer than the interpreter's
+    limit on writing an integer as a decimal string."""
 
 
 def wire_field(doc: dict, name: str, kind: type | None, what: str):

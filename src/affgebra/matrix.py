@@ -43,12 +43,13 @@ those sizes would raise the peak memory of a long run.
 """
 from __future__ import annotations
 
+import sys
 from functools import reduce
 from itertools import accumulate
 from math import gcd, lcm
 from operator import itemgetter, mul
 
-from .errors import FieldMismatch, MalformedWire, SingularMatrix, SizeMismatch, wire_field
+from .errors import DigitLimit, FieldMismatch, MalformedWire, SingularMatrix, SizeMismatch, wire_field
 from .scalars import (
     PART_FIELDS,
     RAT,
@@ -97,11 +98,6 @@ class Matrix:
         if den <= 0:
             raise ValueError(f"the denominator must be positive, got {den}")
         return _from_parts(field, m, ((1, _reduced(field, nums, den)),))
-
-    @classmethod
-    def zeros(cls, field: Field, m: int) -> Matrix:
-        z = field.zero()
-        return cls(field, [[z] * m for _ in range(m)])
 
     @classmethod
     def identity(cls, field: Field, m: int) -> Matrix:
@@ -528,12 +524,27 @@ def common_field(a: Matrix, b: Matrix) -> tuple[Matrix, Matrix]:
 
 
 def matrix_to_wire(m: Matrix) -> dict:
-    """{"field": tag, ["p": prime,] "n": size, "entries": [[str, ...], ...]}"""
+    """{"field": tag, ["p": prime,] "n": size, "entries": [[str, ...], ...]};
+    DigitLimit when an entry holds an integer of more digits than the
+    interpreter writes as text (``sys.get_int_max_str_digits()``)."""
     doc: dict = {"field": m.field.tag}
     if m.field.tag == "GF":
         doc["p"] = m.field.p
     doc["n"] = m.size
-    doc["entries"] = [[m.field.format(x) for x in row] for row in m.rows]
+    try:
+        doc["entries"] = [[m.field.format(x) for x in row] for row in m.rows]
+    except ValueError:
+        # name the first entry that the interpreter refuses to write
+        for i, row in enumerate(m.rows):
+            for j, x in enumerate(row):
+                try:
+                    m.field.format(x)
+                except ValueError:
+                    raise DigitLimit(
+                        f"entry (row {i}, column {j}) holds an integer of more than "
+                        f"{sys.get_int_max_str_digits()} digits, the most the interpreter writes as text"
+                    ) from None
+        raise
     return doc
 
 

@@ -10,13 +10,14 @@ Five fields are supported, each with an involutive conjugation:
 * complex surds (surd real + surd imaginary part).
 
 All values are immutable and kept in canonical form, so ``==`` is exact
-mathematical equality.  Surd fields only support division by single-term
-divisors; nothing in this package needs more.
+mathematical equality.  The surd types add, subtract and multiply but do
+not divide: every matrix operation runs on rational parts, so nothing in
+this package divides two surds.
 
 Rationals are stdlib ``fractions.Fraction``, the one rational type
 (``RAT`` names it).  ``GaussianRational`` and ``SurdComplex`` share their
 arithmetic through the private base ``_ComplexPair``: a value is a pair
-(re, im), and only construction, coercion and division differ.
+(re, im), and only construction and coercion differ.
 
 Entry strings have one reader, ``read_entries``, which returns them as
 integers laid out as an integer form; ``Field.parse`` is that reader on
@@ -42,7 +43,6 @@ from .errors import (
     FieldMismatch,
     MalformedWire,
     NonInvertibleScalar,
-    NonInvertibleSurd,
     wire_field,
 )
 
@@ -172,7 +172,7 @@ def _is_prime(p: int) -> bool:
 
 class _ComplexPair:
     """re + i*im over a real field; a subclass gives ``__init__`` (which
-    makes re and im canonical), ``_coerce`` and ``__truediv__``."""
+    makes re and im canonical) and ``_coerce``."""
 
     __slots__ = ("re", "im")
 
@@ -216,12 +216,6 @@ class _ComplexPair:
         )
 
     __rmul__ = __mul__
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def conjugate(self):
         return type(self)(self.re, -self.im)
@@ -273,6 +267,12 @@ class GaussianRational(_ComplexPair):
             (self.re * o.re + self.im * o.im) / norm,
             (self.im * o.re - self.re * o.im) / norm,
         )
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o / self
 
 
 I_GAUSS = GaussianRational(0, 1)
@@ -402,12 +402,6 @@ class SurdReal:
         object.__setattr__(out, "_terms", tuple(pairs))
         return out
 
-    @classmethod
-    def sqrt_int(cls, m: int) -> SurdReal:
-        """Exact sqrt(m) for a positive integer m."""
-        s, f = squarefree_split(m)
-        return cls({f: RAT(s)})
-
     @property
     def terms(self):
         return self._terms
@@ -486,30 +480,6 @@ class SurdReal:
 
     __rmul__ = __mul__
 
-    def _reciprocal(self) -> SurdReal:
-        if not self._terms:
-            raise DivisionByZero("division by zero surd")
-        if len(self._terms) > 1:
-            raise NonInvertibleSurd(
-                "can only divide by a single-term surd, got "
-                f"{len(self._terms)} terms"
-            )
-        d, q = self._terms[0]
-        # 1/(q*sqrt(d)) = sqrt(d)/(q*d)
-        return SurdReal._raw([(d, 1 / (q * d))])
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o._reciprocal()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self._reciprocal()
-
     def conjugate(self) -> SurdReal:
         return self
 
@@ -558,21 +528,6 @@ class SurdComplex(_ComplexPair):
             return SurdComplex(SurdReal(x.re), SurdReal(x.im))
         return None
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o.re and not o.im:
-            raise DivisionByZero("division by zero complex surd")
-        if o.re and o.im:
-            raise NonInvertibleSurd("divisor must be purely real or purely imaginary")
-        if o.re:
-            r = o.re._reciprocal()
-            return SurdComplex(self.re * r, self.im * r)
-        # 1/(t*i) = -i/t
-        r = o.im._reciprocal()
-        return SurdComplex(self.im * r, -(self.re * r))
-
 
 def conjugate(x):
     """Field conjugation: identity on real fields, negated imaginary part
@@ -589,21 +544,6 @@ def rational_value(x):
     if isinstance(x, (GaussianRational, SurdComplex)):
         return None if x.im else rational_value(x.re)
     return x.coefficient(1) if all(d == 1 for d, _ in x.terms) else None
-
-
-def field_arith(x, y, op: str):
-    """Apply one of add | sub | mul | div to two scalars of the same field."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        if isinstance(y, RATIONAL_TYPES) and not y:
-            raise DivisionByZero("division by zero")
-        return x / y
-    raise ValueError(f"unknown operation {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +720,8 @@ class Field:
     """Descriptor for one of the supported exact fields.
 
     Instances are shared singletons (one per prime for GF), so identity
-    comparison is field equality.
+    comparison is field equality.  Every field defines ``from_int``,
+    ``coerce``, ``parse`` (``read_entries`` on one string) and ``format``.
     """
 
     tag: str = ""
@@ -796,27 +737,13 @@ class Field:
     def imaginary_unit(self):
         raise FieldMismatch(f"{self.tag} has no imaginary unit")
 
-    def from_int(self, k: int):
-        raise NotImplementedError
-
     def inv_int(self, k: int):
         """1/k in the field; NonInvertibleScalar when k vanishes here."""
-        kf = self.from_int(k)
-        if not kf:
+        if not self.from_int(k):
             raise NonInvertibleScalar(
                 f"{k} is not invertible in {self.describe()}"
             )
-        return self.one() / kf
-
-    def coerce(self, x):
-        raise NotImplementedError
-
-    def parse(self, s: str):
-        """The scalar of one entry string: ``read_entries`` on [s]."""
-        raise NotImplementedError
-
-    def format(self, x) -> str:
-        raise NotImplementedError
+        return self.coerce(RAT(1, k))
 
     def sample(self, rng):
         """Small random element; drives deterministic test data."""

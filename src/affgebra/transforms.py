@@ -247,17 +247,6 @@ def block_target(spec: MatrixClassSpec) -> BlockTarget:
 # -- the three isomorphism mechanisms -----------------------------------
 
 
-def shift_map(c, c_prime, m: Matrix) -> Matrix:
-    """Renormalisation between sum-c and sum-c' classes:
-    m + (c' - c) * identity."""
-    field = m.field
-    spec = MatrixClassSpec(ClassKind.GA_C, m.size - 1, field, c=field.coerce(c))
-    if not contains(spec, m):
-        raise ClassViolation(f"input is not in {spec.describe()}")
-    delta = field.coerce(c_prime) - field.coerce(c)
-    return m + Matrix.identity(field, m.size).scale(delta)
-
-
 def required_via(spec: MatrixClassSpec) -> str:
     """The mandatory conjugation route: only the orthonormal basis
     preserves antisymmetry / anti-hermitianity."""

@@ -19,9 +19,7 @@ from affgebra.affine import (
     retract_scale,
     retract_sub,
     translate,
-    vector_bracket,
 )
-from affgebra.errors import NotIdempotent
 from affgebra.matrix import Matrix
 from affgebra.scalars import GF, QI, QQ
 
@@ -63,7 +61,7 @@ class TestAction:
         assert action(0, CYCLE, SWAP) == CYCLE
 
     def test_at_zero_base_is_scaling(self):
-        z = Matrix.zeros(QQ, 3)
+        z = Matrix(QQ, [[0] * 3] * 3)
         assert action(2, z, SWAP) == SWAP.scale(2)
 
     def test_over_prime_field(self):
@@ -100,7 +98,7 @@ class TestRetractOps:
         assert retract_sub(o, CYCLE, CYCLE) == o
 
     def test_retract_at_zero_is_matrix_arithmetic(self):
-        z = Matrix.zeros(QQ, 3)
+        z = Matrix(QQ, [[0] * 3] * 3)
         assert retract_add(z, CYCLE, SWAP) == CYCLE + SWAP
         assert retract_scale(z, Fraction(5, 2), CYCLE) == CYCLE.scale(Fraction(5, 2))
 
@@ -113,7 +111,7 @@ class TestRetractOps:
         o, obar = SWAP, Matrix.identity(QQ, 3)
         assert translate(o, o, CYCLE) == CYCLE
         assert translate(o, obar, o) == obar
-        z = Matrix.zeros(QQ, 3)
+        z = Matrix(QQ, [[0] * 3] * 3)
         j = Matrix.ones(QQ, 3)
         assert translate(z, j, CYCLE) == CYCLE + j
 
@@ -149,7 +147,7 @@ class TestLieRetract:
 
 class TestAssociativeProduct:
     def test_zero_origin_is_matrix_product(self):
-        z = Matrix.zeros(QQ, 3)
+        z = Matrix(QQ, [[0] * 3] * 3)
         assert assoc_retract_product(z, CYCLE, SWAP) == CYCLE @ SWAP
 
     @given(mats3(), mats3())
@@ -177,30 +175,6 @@ class TestAssociativeProduct:
         lhs = lie_retract_bracket(COMMUTATOR, o, a, b)
         rhs = retract_sub(o, assoc_retract_product(o, a, b), assoc_retract_product(o, b, a))
         assert lhs == rhs
-
-
-class TestVectorBracket:
-    def test_alternating_gives_zero_matrix(self):
-        assert vector_bracket(COMMUTATOR, CYCLE, CYCLE) == Matrix.zeros(QQ, 3)
-
-    def test_commuting_gives_zero_matrix(self):
-        a = Matrix.diagonal(QQ, [1, 2, 3])
-        b = Matrix.diagonal(QQ, [4, 5, 6])
-        assert vector_bracket(COMMUTATOR, a, b) == Matrix.zeros(QQ, 3)
-
-    def test_cycle_swap_value(self):
-        expected = Matrix(QQ, [[1, 0, -1], [0, -1, 1], [-1, 1, 0]])
-        assert vector_bracket(COMMUTATOR, CYCLE, SWAP) == expected
-
-    def test_zeta_is_idempotent_so_defined(self):
-        z = Zeta(Fraction(2))
-        assert vector_bracket(z, CYCLE, CYCLE) == Matrix.zeros(QQ, 3)
-
-    def test_non_idempotent_bracket_rejected(self):
-        shift = Matrix.identity(QQ, 3)
-        broken = lambda a, b: b + shift
-        with pytest.raises(NotIdempotent):
-            vector_bracket(broken, CYCLE, SWAP)
 
 
 class TestKindWire:

@@ -11,7 +11,6 @@ from affgebra.checks import (
     all_passed,
     applicable_checks,
     replay,
-    run_all,
     run_check,
     run_corollary,
 )
@@ -66,10 +65,6 @@ class TestCatalogue:
     def test_unknown_check(self):
         with pytest.raises(UnknownCheck):
             run_check("nope", spec(ClassKind.GNA, 1), COMMUTATOR, 0, 1)
-
-    def test_run_all_unknown_check(self):
-        with pytest.raises(UnknownCheck, match="nope"):
-            run_all([spec(ClassKind.GNA, 1)], [COMMUTATOR], 0, 1, checks=["nope"])
 
 
 class TestChecksPass:
@@ -182,24 +177,6 @@ class TestDeterminism:
         b = run_check("antisym", spec(ClassKind.SNA, 2), COMMUTATOR, seed=12, trials=10).to_wire()
         a.pop("elapsed_ms"), b.pop("elapsed_ms")
         assert a == b
-
-    def test_run_all_order_and_determinism(self):
-        specs = [spec(ClassKind.GNA, 1)]
-        kinds = [COMMUTATOR, Zeta(Fraction(2))]
-        r1 = run_all(specs, kinds, seed=4, trials=3)
-        r2 = run_all(specs, kinds, seed=4, trials=3)
-        names1 = [r.check for r in r1]
-        assert names1 == [r.check for r in r2]
-        assert [r.to_wire()["counterexample"] for r in r1] == [
-            r.to_wire()["counterexample"] for r in r2
-        ]
-        # catalogue order is respected
-        order = list(CATALOGUE)
-        assert names1 == sorted(names1, key=order.index)
-        assert all_passed(r1)
-
-    def test_run_all_empty(self):
-        assert run_all([], [COMMUTATOR], seed=0) == []
 
 
 class TestAdvisory:

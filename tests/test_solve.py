@@ -82,7 +82,7 @@ class TestSumSystems:
         # row and column sums zero on 3x3: rank 5, nullity 4
         space = solve_affine_system(row_col_sum_constraints(3, 0), 3, QQ)
         assert space.dimension == 4
-        assert space.particular == Matrix.zeros(QQ, 3)
+        assert space.particular == Matrix(QQ, [[0] * 3] * 3)
 
     def test_antisymmetric_unit_diagonal(self):
         # sums 1 + unit diagonal + antisymmetry on 3x3 leaves one parameter

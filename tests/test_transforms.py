@@ -18,7 +18,6 @@ from affgebra.transforms import (
     from_block,
     orthonormal_change_of_basis,
     required_via,
-    shift_map,
     to_block,
     verify_theorem,
 )
@@ -150,45 +149,6 @@ class TestCornerConjugation:
             assert contains(ga0, image)
 
 
-class TestShiftMap:
-    def test_identity_when_equal(self):
-        m = Matrix.ones(QQ, 3).scale(Fraction(1, 3))
-        assert shift_map(1, 1, m) == m
-
-    def test_to_zero_normalisation(self):
-        m = Matrix.ones(QQ, 3).scale(Fraction(1, 3))
-        shifted = shift_map(1, 0, m)
-        assert shifted == m - Matrix.identity(QQ, 3)
-        assert contains(MatrixClassSpec(ClassKind.GA_C, 2, QQ, c=Fraction(0)), shifted)
-
-    def test_roundtrip(self):
-        s = spec(ClassKind.GNA, 2)
-        for idx in range(5):
-            m = sample(s, 3, idx)
-            c, c_prime = Fraction(1), Fraction(-3, 7)
-            assert shift_map(c_prime, c, shift_map(c, c_prime, m)) == m
-
-    def test_bracket_preserved(self):
-        s = spec(ClassKind.GNA, 2)
-        a, b = sample(s, 4, 0), sample(s, 4, 1)
-        c, c_prime = Fraction(1), Fraction(2)
-        f = lambda x: shift_map(c, c_prime, x)
-        assert f(bracket(COMMUTATOR, a, b)) == bracket(COMMUTATOR, f(a), f(b))
-
-    def test_heap_and_action_preserved(self):
-        s = spec(ClassKind.GNA, 2)
-        a, b, m = sample(s, 4, 0), sample(s, 4, 1), sample(s, 4, 2)
-        c, c_prime = Fraction(1), Fraction(-2, 5)
-        f = lambda x: shift_map(c, c_prime, x)
-        assert f(heap(a, b, m)) == heap(f(a), f(b), f(m))
-        alpha = Fraction(7, 3)
-        assert f(action(alpha, a, b)) == action(alpha, f(a), f(b))
-
-    def test_rejects_non_member(self):
-        with pytest.raises(ClassViolation):
-            shift_map(1, 0, Matrix(QQ, [[1, 1], [0, 0]]))
-
-
 class TestBlockTargets:
     def test_kinds_and_bases(self):
         t = block_target(spec(ClassKind.GNA, 2))
@@ -306,14 +266,6 @@ class TestVerifyTheorem:
         for inner in (spec(ClassKind.UNA, 2), spec(ClassKind.SUNA, 2)):
             for idx in range(5):
                 assert contains(ga_i, sample(inner, 17, idx))
-
-    def test_shift_between_normalisations(self):
-        ga_i = spec(ClassKind.GA_C, 2, QI, c=QI.parse("1i"))
-        one, eye = QI.one(), QI.parse("1i")
-        m = sample(spec(ClassKind.GNA, 2, QI), 23, 0)
-        shifted = shift_map(one, eye, m)
-        assert contains(ga_i, shifted)
-        assert shift_map(eye, one, shifted) == m
 
     def test_deterministic(self):
         s = spec(ClassKind.SNA, 2)

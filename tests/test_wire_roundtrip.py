@@ -73,9 +73,9 @@ def test_bracket_and_retract_outputs_read_back(data, field, n):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.sampled_from(FIELDS[:-1]), st.sampled_from(["P", "Pinv"]), st.integers(1, 8))
+@given(st.sampled_from([QQ, QI, GF(2), GF(7), GF(101), SURD]), st.sampled_from(["P", "Pinv"]), st.integers(1, 8))
 def test_emit_matrix_outputs_read_back(field, which, n):
-    if field is SURD:
+    if field is SURD:  # U, the one matrix emitted over a surd field
         assert printed("emit-matrix", "--which", "U", "--n", str(n)) == [orthonormal_change_of_basis(n)]
         return
     assume(which == "P" or (n + 1) % (field.characteristic or n + 2))

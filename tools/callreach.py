@@ -29,6 +29,7 @@ every call direct, or no call at all.
 """
 from __future__ import annotations
 
+import importlib
 import os
 import sys
 import threading
@@ -39,7 +40,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "affgebra"
 _PROJECT_DIRS = {"tests", "perfbench", "tools"}
 
-_targets: dict[int, tuple[str, object]] = {}  # id(code) -> (name, code)
+_targets: dict[int, tuple[str, object]] = {}  # id(code) -> (name, code), which keeps the id unique
 _counts: dict[str, Counter] = {}
 _kinds: dict[str, str | None] = {}  # co_filename -> "src:<module>", a project dir, or None
 _last: list = [None, None]  # the last caller frame and its (origin, chain)
@@ -82,7 +83,7 @@ def _reach(caller) -> tuple[str, str]:
 
 def _trace_calls(frame, event, arg):
     target = _targets.get(id(frame.f_code))
-    if target is not None and target[1] is frame.f_code:
+    if target is not None:
         caller = frame.f_back
         if caller is not _last[0]:
             _last[0], _last[1] = caller, _reach(caller)
@@ -123,15 +124,10 @@ def _functions(module):
 
 
 def _resolve(spec: str) -> dict[str, object]:
-    import importlib
-
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.stem != "__init__":
-            importlib.import_module(f"affgebra.{path.stem}")
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        module = sys.modules["affgebra" if path.stem == "__init__" else f"affgebra.{path.stem}"]
-        found.update(_functions(module))
+        name = "affgebra" if path.stem == "__init__" else f"affgebra.{path.stem}"
+        found.update(_functions(importlib.import_module(name)))
     if spec == "all":
         return found
     names = [name.strip() for name in spec.split(",") if name.strip()]

@@ -177,6 +177,25 @@ class TestAssociativeProduct:
         assert lhs == rhs
 
 
+class TestVectorBracket:
+    """[a, b]_v = [a, b] - b, the vector-valued bracket of an idempotent
+    bracket ([x, x] = x)."""
+
+    def test_alternating_gives_zero_matrix(self):
+        assert bracket(COMMUTATOR, CYCLE, CYCLE) - CYCLE == Matrix(QQ, [[0] * 3] * 3)
+
+    def test_commuting_gives_zero_matrix(self):
+        a, b = Matrix.diagonal(QQ, [1, 2, 3]), Matrix.diagonal(QQ, [4, 5, 6])
+        assert bracket(COMMUTATOR, a, b) - b == Matrix(QQ, [[0] * 3] * 3)
+
+    def test_cycle_swap_value(self):
+        expected = Matrix(QQ, [[1, 0, -1], [0, -1, 1], [-1, 1, 0]])
+        assert bracket(COMMUTATOR, CYCLE, SWAP) - SWAP == expected
+
+    def test_zeta_is_idempotent_so_defined(self):
+        assert bracket(Zeta(Fraction(2)), CYCLE, CYCLE) == CYCLE
+
+
 class TestKindWire:
     def test_roundtrip(self):
         assert kind_from_wire(kind_to_wire(COMMUTATOR, QQ), QQ) == COMMUTATOR

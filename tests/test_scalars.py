@@ -141,6 +141,21 @@ class TestPrimeField:
         with pytest.raises(NonInvertibleScalar):
             GF(5).inv_int(10)
 
+    def test_prime_field_mul(self):
+        gf5 = GF(5)
+        assert gf5.coerce(3) * gf5.coerce(4) == gf5.coerce(2)
+
+
+@pytest.mark.parametrize("field", [QQ, QI, SURD, SURD_C, GF(7), GF(101)], ids=lambda f: f.describe())
+def test_inv_int_is_the_reciprocal_in_the_field(field):
+    for k in range(1, 40):
+        if not field.from_int(k):
+            continue
+        x = field.inv_int(k)
+        assert type(x) is type(field.one())
+        assert x * field.from_int(k) == field.one()
+        assert field.parse(field.format(x)) == x
+
 
 class TestSurdReal:
     def test_spec_product(self):
@@ -352,6 +367,11 @@ class TestReflectedOperators:
     @given(st.integers(min_value=-50, max_value=50), surds(min_terms=1).filter(bool))
     def test_surd_field(self, k, x):
         assert k - x == SURD.from_int(k) - x
+
+    @pytest.mark.parametrize("x", [SurdReal({2: 1}), SurdComplex(SurdReal({2: 1}), SurdReal(1))], ids=repr)
+    def test_surd_values_do_not_divide(self, x):
+        with pytest.raises(TypeError):
+            x / x
 
     @pytest.mark.parametrize("x", [PrimeFieldElement(3, 7), SurdReal({2: Fraction(1, 2)})], ids=repr)
     def test_foreign_operand_is_a_type_error(self, x):

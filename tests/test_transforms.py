@@ -149,6 +149,42 @@ class TestCornerConjugation:
             assert contains(ga0, image)
 
 
+class TestShiftMap:
+    """m -> m + (c' - c) * identity renormalises a sum-c class to sum-c'
+    and preserves heap, action and the commutator bracket."""
+
+    @staticmethod
+    def shift(c, c_prime, m):
+        return m + Matrix.identity(m.field, m.size).scale(m.field.coerce(c_prime) - m.field.coerce(c))
+
+    def test_to_zero_normalisation(self):
+        m = Matrix.ones(QQ, 3).scale(Fraction(1, 3))
+        shifted = self.shift(1, 0, m)
+        assert shifted == m - Matrix.identity(QQ, 3)
+        assert contains(MatrixClassSpec(ClassKind.GA_C, 2, QQ, c=Fraction(0)), shifted)
+
+    def test_bracket_preserved(self):
+        s = spec(ClassKind.GNA, 2)
+        a, b = sample(s, 4, 0), sample(s, 4, 1)
+        f = lambda x: self.shift(1, 2, x)
+        assert f(bracket(COMMUTATOR, a, b)) == bracket(COMMUTATOR, f(a), f(b))
+
+    def test_heap_and_action_preserved(self):
+        s = spec(ClassKind.GNA, 2)
+        a, b, m = sample(s, 4, 0), sample(s, 4, 1), sample(s, 4, 2)
+        f = lambda x: self.shift(1, Fraction(-2, 5), x)
+        assert f(heap(a, b, m)) == heap(f(a), f(b), f(m))
+        assert f(action(Fraction(7, 3), a, b)) == action(Fraction(7, 3), f(a), f(b))
+
+    def test_shift_between_normalisations(self):
+        ga_i = spec(ClassKind.GA_C, 2, QI, c=QI.parse("1i"))
+        one, eye = QI.one(), QI.parse("1i")
+        m = sample(spec(ClassKind.GNA, 2, QI), 23, 0)
+        shifted = self.shift(one, eye, m)
+        assert contains(ga_i, shifted)
+        assert self.shift(eye, one, shifted) == m
+
+
 class TestBlockTargets:
     def test_kinds_and_bases(self):
         t = block_target(spec(ClassKind.GNA, 2))

@@ -282,28 +282,28 @@ COROLLARY = CheckDef(
 CATALOGUE: dict[str, CheckDef] = {
     c.name: c
     for c in [
-        _identity("heap-assoc", ("a", "b", "c", "d", "e"), (), _ev_heap_assoc, uses_bracket=False),
-        _identity("malcev", ("a", "b"), (), _ev_malcev, uses_bracket=False),
-        _identity("heap-comm", ("a", "b", "c"), (), _ev_heap_comm, uses_bracket=False),
-        _identity("act-add", ("a", "b"), ("alpha", "beta", "gamma"), _ev_act_add, uses_bracket=False),
-        _identity("act-heap", ("a", "b", "c", "d"), ("alpha",), _ev_act_heap, uses_bracket=False),
-        _identity("act-assoc", ("a", "b"), ("alpha", "beta"), _ev_act_assoc, uses_bracket=False),
-        _identity("act-unit", ("a", "b"), (), _ev_act_unit, uses_bracket=False),
-        _identity("act-zero", ("a", "b"), (), _ev_act_zero, uses_bracket=False),
-        _identity("act-base-change", ("a", "b", "c"), ("alpha",), _ev_act_base_change, uses_bracket=False),
+        _identity("heap-assoc", ("a", "b", "c", "d", "e"), (), _ev_heap_assoc),
+        _identity("malcev", ("a", "b"), (), _ev_malcev),
+        _identity("heap-comm", ("a", "b", "c"), (), _ev_heap_comm),
+        _identity("act-add", ("a", "b"), ("alpha", "beta", "gamma"), _ev_act_add),
+        _identity("act-heap", ("a", "b", "c", "d"), ("alpha",), _ev_act_heap),
+        _identity("act-assoc", ("a", "b"), ("alpha", "beta"), _ev_act_assoc),
+        _identity("act-unit", ("a", "b"), (), _ev_act_unit),
+        _identity("act-zero", ("a", "b"), (), _ev_act_zero),
+        _identity("act-base-change", ("a", "b", "c"), ("alpha",), _ev_act_base_change),
         _identity("bracket-left-affine", ("a", "b", "c", "d"), ("alpha",), _ev_bracket_left_affine),
         _identity("bracket-right-affine", ("a", "b", "c", "d"), ("alpha",), _ev_bracket_right_affine),
         _identity("antisym", ("a", "b"), (), _ev_antisym),
         _identity("jacobi", ("a", "b", "c"), (), _ev_jacobi, default_trials=50),
         _identity("closure", ("x", "y", "z"), ("alpha",), _ev_closure),
         _identity("idempotent", ("a",), (), _ev_idempotent),
-        _identity("retract-group", ("o", "a", "b", "c"), (), _ev_retract_group, uses_bracket=False),
-        _identity("retract-vector", ("o", "a", "b"), ("alpha", "beta"), _ev_retract_vector, uses_bracket=False),
+        _identity("retract-group", ("o", "a", "b", "c"), (), _ev_retract_group),
+        _identity("retract-vector", ("o", "a", "b"), ("alpha", "beta"), _ev_retract_vector),
         _identity("retract-lie", ("o", "a", "b", "c"), ("alpha",), _ev_retract_lie),
         _identity("zeta-retract-trivial", ("o", "a", "b"), (), _ev_zeta_retract_trivial, applies=_is_zeta),
         _identity("bullet-assoc", ("o", "a", "b", "c"), (), _ev_bullet_assoc, applies=_is_commutator),
         _identity("bullet-commutator", ("o", "a", "b"), (), _ev_bullet_commutator, applies=_is_commutator),
-        _identity("translate-group-iso", ("o", "obar", "a", "b"), (), _ev_translate_group_iso, uses_bracket=False),
+        _identity("translate-group-iso", ("o", "obar", "a", "b"), (), _ev_translate_group_iso),
         _identity("translate-lie-iso", ("o", "obar", "a", "b"), (), _ev_translate_lie_iso, advisory=True),
         THEOREM,
         COROLLARY,

@@ -40,7 +40,6 @@ from .scalars import (
     field_from_wire,
     sample_numerators,
     sample_residues,
-    widen_scalar,
 )
 from .solve import AffineSubspace, constraint_table, satisfies, solve_affine_system
 
@@ -117,14 +116,13 @@ class MatrixClassSpec:
             return QQ
         return self.field
 
-    def normalisation(self, field: Field | None = None):
-        """The common value of all row and column sums, in ``field``."""
-        field = field or self.field
+    def normalisation(self):
+        """The common value of all row and column sums."""
         if self.kind is ClassKind.GA_C:
-            return widen_scalar(self.c, self.field, field)
+            return self.c
         if self.kind in _COMPLEX_ONLY:
-            return field.imaginary_unit()
-        return field.one()
+            return self.field.imaginary_unit()
+        return self.field.one()
 
     def describe(self) -> str:
         inner = f"{self.n}, {self.field.describe()}"

@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from .affine import COMMUTATOR, Zeta, bracket, lie_retract_bracket
@@ -204,7 +205,14 @@ def _cmd_replay(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors raise, so that ``main`` reports them
-    as one line with exit 2 (``--help`` still exits 0)."""
+    as one line with exit 2 (``--help`` still exits 0).  An argument that
+    starts with '-' and a digit is a value, as in ``--c -1/2``: no flag
+    has that shape."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only a plain negative number for a value
+        self._negative_number_matcher = re.compile(r"-\d")
 
     def error(self, message):
         raise ValueError(message)

@@ -111,7 +111,6 @@ class Matrix:
 
     @classmethod
     def diagonal(cls, field: Field, entries) -> Matrix:
-        entries = [field.coerce(x) for x in entries]
         z = field.zero()
         m = len(entries)
         return cls(field, [[entries[i] if i == j else z for j in range(m)] for i in range(m)])
@@ -150,7 +149,6 @@ class Matrix:
         return self.rows[i][j]
 
     def with_entry(self, i: int, j: int, value) -> Matrix:
-        value = self.field.coerce(value)
         rows = [list(row) for row in self.rows]
         rows[i][j] = value
         return Matrix(self.field, rows)

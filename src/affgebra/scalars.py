@@ -206,10 +206,6 @@ class _ComplexPair:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o.im:
-            return type(self)(self.re * o.re, self.im * o.re)
-        if not self.im:
-            return type(self)(self.re * o.re, self.re * o.im)
         return type(self)(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
@@ -439,14 +435,7 @@ class SurdReal:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        acc = dict(self._terms)
-        for d, q in o._terms:
-            s = acc.get(d, 0) - q
-            if s:
-                acc[d] = s
-            else:
-                acc.pop(d, None)
-        return SurdReal._raw(sorted(acc.items()))
+        return self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -461,12 +450,6 @@ class SurdReal:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if len(o._terms) == 1 and o._terms[0][0] == 1:
-            r = o._terms[0][1]
-            return SurdReal._raw((d, q * r) for d, q in self._terms)
-        if len(self._terms) == 1 and self._terms[0][0] == 1:
-            r = self._terms[0][1]
-            return SurdReal._raw((d, q * r) for d, q in o._terms)
         acc = {}
         for d, q in self._terms:
             for e, r in o._terms:
@@ -720,13 +703,30 @@ class Field:
     """Descriptor for one of the supported exact fields.
 
     Instances are shared singletons (one per prime for GF), so identity
-    comparison is field equality.  Every field defines ``from_int``,
-    ``coerce``, ``parse`` (``read_entries`` on one string) and ``format``.
+    comparison is field equality.  A value enters a field by one rule,
+    ``coerce``: first the operand rule of the field's element type
+    (``_operand``: an element, or a value of a field that embeds in this
+    one), then a string through ``parse`` (``read_entries`` on one
+    string); anything else is a ``FieldMismatch``.  Every field defines
+    ``parse`` and ``format``.
     """
 
     tag: str = ""
     characteristic: int = 0
     is_complex: bool = False
+    # how the FieldMismatch of ``coerce`` names the field
+    _as: str = ""
+
+    def coerce(self, x):
+        o = self._operand(x)
+        if o is not None:
+            return o
+        if isinstance(x, str):
+            return self.parse(x)
+        raise FieldMismatch(f"cannot take {type(x).__name__} {self._as}")
+
+    def from_int(self, k):
+        return self.coerce(k)
 
     def zero(self):
         return self.from_int(0)
@@ -761,16 +761,13 @@ class Field:
 
 class RationalField(Field):
     tag = "Q"
+    _as = "as a rational"
 
-    def from_int(self, k):
-        return RAT(k)
-
-    def coerce(self, x):
+    @staticmethod
+    def _operand(x):
         if isinstance(x, RATIONAL_TYPES):
             return x if type(x) is RAT else RAT(x)
-        if isinstance(x, str):
-            return self.parse(x)
-        raise FieldMismatch(f"cannot take {type(x).__name__} as a rational")
+        return None
 
     def parse(self, s):
         parts, den = read_entries(self, [s])
@@ -787,21 +784,11 @@ class RationalField(Field):
 class GaussianField(Field):
     tag = "Qi"
     is_complex = True
-
-    def from_int(self, k):
-        return GaussianRational(k)
+    _as = "as a Gaussian rational"
+    _operand = staticmethod(GaussianRational._coerce)
 
     def imaginary_unit(self):
         return I_GAUSS
-
-    def coerce(self, x):
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, RATIONAL_TYPES):
-            return GaussianRational(x)
-        if isinstance(x, str):
-            return self.parse(x)
-        raise FieldMismatch(f"cannot take {type(x).__name__} as a Gaussian rational")
 
     def parse(self, s):
         parts, den = read_entries(self, [s])
@@ -829,24 +816,21 @@ class PrimeField(Field):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.characteristic = p
+        self._as = f"in GF({p})"
 
     tag = "GF"
 
-    def from_int(self, k):
-        return PrimeFieldElement(k, self.p)
-
-    def coerce(self, x):
+    def _operand(self, x):
+        # an element of another GF(q) is refused, a rational is divided out
         if isinstance(x, PrimeFieldElement):
             if x.p != self.p:
                 raise FieldMismatch(f"GF({x.p}) element in GF({self.p})")
             return x
         if isinstance(x, int):
             return PrimeFieldElement(x, self.p)
-        if isinstance(x, RATIONAL_TYPES):
-            return self.from_int(int(x.numerator)) / self.from_int(int(x.denominator))
-        if isinstance(x, str):
-            return self.parse(x)
-        raise FieldMismatch(f"cannot take {type(x).__name__} in GF({self.p})")
+        if isinstance(x, RAT):
+            return PrimeFieldElement(x.numerator, self.p) / PrimeFieldElement(x.denominator, self.p)
+        return None
 
     def parse(self, s):
         parts, _ = read_entries(self, [s])
@@ -865,18 +849,8 @@ class PrimeField(Field):
 
 class SurdRealField(Field):
     tag = "surd"
-
-    def from_int(self, k):
-        return SurdReal(k)
-
-    def coerce(self, x):
-        if isinstance(x, SurdReal):
-            return x
-        if isinstance(x, RATIONAL_TYPES):
-            return SurdReal(x)
-        if isinstance(x, str):
-            return self.parse(x)
-        raise FieldMismatch(f"cannot take {type(x).__name__} as a real surd")
+    _as = "as a real surd"
+    _operand = staticmethod(SurdReal._coerce)
 
     def parse(self, s):
         parts, den = read_entries(self, [s])
@@ -889,21 +863,11 @@ class SurdRealField(Field):
 class SurdComplexField(Field):
     tag = "surd_c"
     is_complex = True
-
-    def from_int(self, k):
-        return SurdComplex(k)
+    _as = "as a complex surd"
+    _operand = staticmethod(SurdComplex._coerce)
 
     def imaginary_unit(self):
         return SurdComplex(0, 1)
-
-    def coerce(self, x):
-        if isinstance(x, SurdComplex):
-            return x
-        if isinstance(x, (SurdReal, GaussianRational, *RATIONAL_TYPES)):
-            return SurdComplex._coerce(x)
-        if isinstance(x, str):
-            return self.parse(x)
-        raise FieldMismatch(f"cannot take {type(x).__name__} as a complex surd")
 
     def parse(self, s):
         parts, den = read_entries(self, [s])
@@ -922,6 +886,9 @@ SURD_C = SurdComplexField()
 # the field of the rational parts of a surd matrix (``Matrix.rational_parts``)
 PART_FIELDS = {SURD: QQ, SURD_C: QI}
 
+# the fields of the wire tags but GF, whose field depends on p
+_TAGGED = {field.tag: field for field in (QQ, QI, SURD, SURD_C)}
+
 _prime_fields: dict[int, PrimeField] = {}
 
 
@@ -937,19 +904,13 @@ def field_by_tag(tag: str, p: int | None = None) -> Field:
     None with every other tag."""
     if p is not None and tag != "GF":
         raise ValueError(f"a prime p is only for the field GF, not {tag!r}")
-    if tag == "Q":
-        return QQ
-    if tag == "Qi":
-        return QI
-    if tag == "surd":
-        return SURD
-    if tag == "surd_c":
-        return SURD_C
     if tag == "GF":
         if type(p) is not int:
             raise ValueError("GF needs an integer prime p")
         return GF(p)
-    raise ValueError(f"unknown field tag {tag!r}")
+    if tag not in _TAGGED:
+        raise ValueError(f"unknown field tag {tag!r}")
+    return _TAGGED[tag]
 
 
 def field_from_wire(doc: dict, what: str) -> Field:
@@ -959,22 +920,12 @@ def field_from_wire(doc: dict, what: str) -> Field:
     return field_by_tag(tag, wire_field(doc, "p", int, what) if tag == "GF" or "p" in doc else None)
 
 
-# widening: which fields embed into which
-_WIDENINGS = {
-    ("Q", "Q"), ("Q", "Qi"), ("Q", "surd"), ("Q", "surd_c"),
-    ("Qi", "Qi"), ("Qi", "surd_c"),
-    ("surd", "surd"), ("surd", "surd_c"),
-    ("surd_c", "surd_c"),
-    ("GF", "GF"),
-}
+# widening: the other fields each field embeds into (a GF(p) into none)
+_WIDER = {QQ: (QI, SURD, SURD_C), QI: (SURD_C,), SURD: (SURD_C,)}
 
 
 def can_widen(src: Field, dst: Field) -> bool:
-    if (src.tag, dst.tag) not in _WIDENINGS:
-        return False
-    if src.tag == "GF":
-        return src is dst
-    return True
+    return src is dst or dst in _WIDER.get(src, ())
 
 
 def widen_scalar(x, src: Field, dst: Field):

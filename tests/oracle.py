@@ -111,7 +111,7 @@ def plain_contains(spec, m):
     """Class membership entry by entry: every row and column sum is the
     normalisation, plus the trace, unit diagonal, antisymmetry and
     anti-hermitian conditions of the class."""
-    target = spec.normalisation(m.field)
+    target = widen_scalar(spec.normalisation(), spec.field, m.field)
     rows, size = m.rows, m.size
     zero = m.field.zero()
     if any(sum(row, zero) != target for row in rows):

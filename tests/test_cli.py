@@ -474,6 +474,13 @@ class TestSample:
         assert (code, out) == (2, "")
         assert err == f"error: count must be at least 1, got {count}\n"
 
+    @pytest.mark.parametrize("flags", [("--c", "-1/2"), ("--field", "Qi", "--c", "-1+2i")])
+    def test_a_value_that_starts_with_a_minus_and_a_digit(self, capsys, flags):
+        *head, _, c = flags
+        code, out, err = run_cli(capsys, "sample", "--class", "ga_c", "--n", "1", *flags)
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run_cli(capsys, "sample", "--class", "ga_c", "--n", "1", *head, f"--c={c}")
+
     def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv("AFFGEBRA_SEED", "42")
         code, out_env, _ = run_cli(capsys, "sample", "--class", "sna", "--n", "2", "--count", "2")

@@ -13,7 +13,9 @@ stack outward from it.  The call is counted under two keys:
 
 * its origin: where the outermost frame of the checkout on the stack
   lives, ``tests``, ``perfbench``, ``tools`` or ``src`` (``src`` when
-  no frame outside the package called in, as at import time);
+  no frame outside the package called in, and when the package makes
+  the call while it loads: the hook is installed before the package is
+  imported, and the walk stops at a module body of the package);
 * its chain: the package frames between the target and the nearest
   frame outside the package, written as the function that was entered
   first and the package modules in calling order.  A call straight
@@ -44,6 +46,7 @@ _targets: dict[int, tuple[str, object]] = {}  # id(code) -> (name, code), which 
 _counts: dict[str, Counter] = {}
 _kinds: dict[str, str | None] = {}  # co_filename -> "src:<module>", a project dir, or None
 _last: list = [None, None]  # the last caller frame and its (origin, chain)
+_loading: dict[int, tuple[object, Counter]] = {}  # id(code) -> (code, counts) of calls while the package loads
 
 
 def _kind(filename: str) -> str | None:
@@ -68,6 +71,9 @@ def _reach(caller) -> tuple[str, str]:
                 entry = frame.f_code
                 if not modules or modules[-1] != kind[4:]:
                     modules.append(kind[4:])
+                if entry.co_name == "<module>":
+                    origin = "src"  # the package loading, whoever imported it
+                    break
             else:
                 origin = "src"  # a package frame outside the project frame that called in
         elif kind is not None:
@@ -79,6 +85,15 @@ def _reach(caller) -> tuple[str, str]:
         return origin, "direct"
     name = getattr(entry, "co_qualname", entry.co_name)
     return origin, f"via {modules[-1]}.{name} [{' > '.join(reversed(modules))}]"
+
+
+def _trace_load(frame, event, arg):
+    # before the targets are known: count every call of package code, by code
+    code = frame.f_code
+    kind = _kind(code.co_filename)
+    if kind is not None and kind.startswith("src:"):
+        _loading.setdefault(id(code), (code, Counter()))[1][_reach(frame.f_back)] += 1
+    return None
 
 
 def _trace_calls(frame, event, arg):
@@ -150,9 +165,15 @@ def pytest_configure(config):
         # the stack walks slow the tests down; timing limits would misfire
         settings.register_profile("callreach", deadline=None, suppress_health_check=[HealthCheck.too_slow])
         settings.load_profile("callreach")
-    for name, code in _resolve(config.getoption("callreach")).items():
+    sys.settrace(_trace_load)
+    try:
+        targets = _resolve(config.getoption("callreach"))
+    finally:
+        sys.settrace(None)
+    for name, code in targets.items():
         _targets[id(code)] = (name, code)
-        _counts[name] = Counter()
+        _counts[name] = _loading[id(code)][1] if id(code) in _loading else Counter()
+    _loading.clear()
     threading.settrace(_trace_calls)
     sys.settrace(_trace_calls)
 

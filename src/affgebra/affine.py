@@ -77,15 +77,21 @@ BracketKind = Zeta | AffineCommutator
 COMMUTATOR = AffineCommutator()
 
 
-def bracket(kind, a: Matrix, b: Matrix) -> Matrix:
-    """Evaluate a bracket.  ``kind`` is Zeta, AffineCommutator, or any
-    callable (a, b) -> point for experimenting with custom brackets."""
+def is_zeta(kind) -> bool:
+    return isinstance(kind, Zeta)
+
+
+def is_commutator(kind) -> bool:
+    return isinstance(kind, AffineCommutator)
+
+
+def bracket(kind: BracketKind, a: Matrix, b: Matrix) -> Matrix:
+    """Evaluate a bracket (TypeError for anything but a Zeta or the
+    AffineCommutator)."""
     if isinstance(kind, Zeta):
         return action(kind.zeta, a, b)
     if isinstance(kind, AffineCommutator):
         return commutator_shift(a, b)
-    if callable(kind):
-        return kind(a, b)
     raise TypeError(f"not a bracket kind: {kind!r}")
 
 

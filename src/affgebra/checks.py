@@ -18,7 +18,7 @@ import time
 from typing import Callable
 
 from . import affine
-from .affine import COMMUTATOR, AffineCommutator, BracketKind, Zeta
+from .affine import COMMUTATOR, BracketKind, is_commutator, is_zeta
 from .classes import MatrixClassSpec, contains as class_contains, spec_from_wire  # noqa: F401  (public alias)
 from .errors import MalformedWire, UnknownCheck, wire_field
 from .report import (
@@ -256,14 +256,6 @@ def _ev_corollary(cr, context, v):
     return True, {}
 
 
-def _is_zeta(kind) -> bool:
-    return isinstance(kind, Zeta)
-
-
-def _is_commutator(kind) -> bool:
-    return isinstance(kind, AffineCommutator)
-
-
 def _identity(name, points, scalars, evaluate, **options) -> CheckDef:
     """A catalogue identity: points, then scalars, drawn from the carrier."""
     inputs = tuple((p, POINT) for p in points) + tuple((s, SCALAR) for s in scalars)
@@ -276,7 +268,7 @@ COROLLARY = CheckDef(
     _ev_corollary,
     context=Context(),
     trial_stream="corollary",
-    applies=_is_commutator,
+    applies=is_commutator,
 )
 
 CATALOGUE: dict[str, CheckDef] = {
@@ -300,9 +292,9 @@ CATALOGUE: dict[str, CheckDef] = {
         _identity("retract-group", ("o", "a", "b", "c"), (), _ev_retract_group),
         _identity("retract-vector", ("o", "a", "b"), ("alpha", "beta"), _ev_retract_vector),
         _identity("retract-lie", ("o", "a", "b", "c"), ("alpha",), _ev_retract_lie),
-        _identity("zeta-retract-trivial", ("o", "a", "b"), (), _ev_zeta_retract_trivial, applies=_is_zeta),
-        _identity("bullet-assoc", ("o", "a", "b", "c"), (), _ev_bullet_assoc, applies=_is_commutator),
-        _identity("bullet-commutator", ("o", "a", "b"), (), _ev_bullet_commutator, applies=_is_commutator),
+        _identity("zeta-retract-trivial", ("o", "a", "b"), (), _ev_zeta_retract_trivial, applies=is_zeta),
+        _identity("bullet-assoc", ("o", "a", "b", "c"), (), _ev_bullet_assoc, applies=is_commutator),
+        _identity("bullet-commutator", ("o", "a", "b"), (), _ev_bullet_commutator, applies=is_commutator),
         _identity("translate-group-iso", ("o", "obar", "a", "b"), (), _ev_translate_group_iso),
         _identity("translate-lie-iso", ("o", "obar", "a", "b"), (), _ev_translate_lie_iso, advisory=True),
         THEOREM,

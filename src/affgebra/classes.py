@@ -34,8 +34,6 @@ from .scalars import (
     Field,
     QI,
     QQ,
-    SURD,
-    SURD_C,
     can_widen,
     field_from_wire,
     sample_numerators,
@@ -53,7 +51,22 @@ class ClassKind(str, Enum):
     GA_C = "ga_c"
 
 
-_COMPLEX_ONLY = (ClassKind.UNA, ClassKind.SUNA)
+# The paper's correspondence: the classical Lie algebra the block form of
+# each class lands in.  Every other fact of a class follows from it.
+BLOCK_KIND = {
+    ClassKind.GNA: "gl",
+    ClassKind.GA_C: "gl",
+    ClassKind.SNA: "sl",
+    ClassKind.ONA: "o",
+    ClassKind.UNA: "u",
+    ClassKind.SUNA: "su",
+}
+# (anti)symmetry is only real-linear: action scalars over Q, route U
+REAL_LINEAR = frozenset({"o", "u", "su"})
+# anti-hermitian: fields Q(i) and surd_c, normalisation i, CLI field Qi
+COMPLEX = frozenset({"u", "su"})
+# zero trace
+TRACELESS = frozenset({"sl", "su"})
 
 # The largest block size n of a class: above every size the tests, the
 # acceptance criteria and the benchmark use (n <= 9), and small enough
@@ -81,21 +94,22 @@ class MatrixClassSpec:
     c: object = None
 
     def __post_init__(self):
+        kind = ClassKind(self.kind)
+        object.__setattr__(self, "kind", kind)
         check_block_size(self.n)
-        if self.kind is ClassKind.ONA:
-            if self.field not in (QQ, SURD):
-                raise FieldMismatch(f"{self.kind.value} needs a real field")
-        elif self.kind in _COMPLEX_ONLY:
-            if self.field not in (QI, SURD_C):
-                raise FieldMismatch(f"{self.kind.value} needs a complex field")
-        elif self.field in (SURD, SURD_C):
-            raise FieldMismatch(f"{self.kind.value} is not defined over surd fields here")
-        if self.kind is ClassKind.GA_C:
+        if self.block_kind in REAL_LINEAR:
+            # the class field, or its surd field
+            complex_ = self.block_kind in COMPLEX
+            if PART_FIELDS.get(self.field, self.field) is not (QI if complex_ else QQ):
+                raise FieldMismatch(f"{kind.value} needs a {'complex' if complex_ else 'real'} field")
+        elif self.field in PART_FIELDS:
+            raise FieldMismatch(f"{kind.value} is not defined over surd fields here")
+        if kind is ClassKind.GA_C:
             if self.c is None:
                 raise ValueError("ga_c needs the normalisation scalar c")
             object.__setattr__(self, "c", self.field.coerce(self.c))
         elif self.c is not None:
-            raise ValueError(f"{self.kind.value} does not take a scalar c")
+            raise ValueError(f"{kind.value} does not take a scalar c")
         # the hash the dataclass would compute, once: every cached
         # per-class lookup hashes the spec, and hashing c is not cheap
         object.__setattr__(self, "_hash", hash((self.kind, self.n, self.field, self.c)))
@@ -108,25 +122,26 @@ class MatrixClassSpec:
         return self.n + 1
 
     @property
+    def block_kind(self) -> str:
+        """The block algebra of the class: gl, sl, o, u or su."""
+        return BLOCK_KIND[self.kind]
+
+    @property
     def scalar_field(self) -> Field:
         """Field of the affine action.  The antisymmetry / anti-hermitian
         conditions are only real-linear, so those classes are affine
         spaces over the rationals even though entries may be complex."""
-        if self.kind in (ClassKind.ONA, ClassKind.UNA, ClassKind.SUNA):
-            return QQ
-        return self.field
+        return QQ if self.block_kind in REAL_LINEAR else self.field
 
     def normalisation(self):
         """The common value of all row and column sums."""
-        if self.kind is ClassKind.GA_C:
+        if self.c is not None:
             return self.c
-        if self.kind in _COMPLEX_ONLY:
-            return self.field.imaginary_unit()
-        return self.field.one()
+        return self.field.imaginary_unit() if self.block_kind in COMPLEX else self.field.one()
 
     def describe(self) -> str:
         inner = f"{self.n}, {self.field.describe()}"
-        if self.kind is ClassKind.GA_C:
+        if self.c is not None:
             inner += f", c={self.field.format(self.c)}"
         return f"{self.kind.value}({inner})"
 
@@ -170,26 +185,17 @@ def _membership_table(spec: MatrixClassSpec, field: Field) -> tuple:
 
 
 def base_point(spec: MatrixClassSpec) -> Matrix:
-    """A distinguished member of the class (NonInvertibleScalar when the
-    required 1/n or 1/(n+1) does not exist in the field)."""
-    field = spec.field
-    m = spec.ambient
-    J = Matrix.ones(field, m)
-    if spec.kind is ClassKind.GNA:
-        return J.scale(field.inv_int(m))
-    if spec.kind is ClassKind.GA_C:
-        return J.scale(spec.c * field.inv_int(m))
-    if spec.kind is ClassKind.SNA:
-        return (J - Matrix.identity(field, m)).scale(field.inv_int(spec.n))
-    if spec.kind is ClassKind.ONA:
+    """A distinguished member of the class for its normalisation c: I for
+    o, c·(J − I)/n for the traceless classes and c·J/(n+1) otherwise, J
+    all ones (NonInvertibleScalar when the required 1/n or 1/(n+1) does
+    not exist in the field)."""
+    field, m, c = spec.field, spec.ambient, spec.normalisation()
+    if spec.block_kind == "o":
         return Matrix.identity(field, m)
-    if spec.kind is ClassKind.UNA:
-        return J.scale(field.imaginary_unit() * field.inv_int(m))
-    if spec.kind is ClassKind.SUNA:
-        return (J - Matrix.identity(field, m)).scale(
-            field.imaginary_unit() * field.inv_int(spec.n)
-        )
-    raise ValueError(f"unhandled kind {spec.kind}")
+    J = Matrix.ones(field, m)
+    if spec.block_kind in TRACELESS:
+        return (J - Matrix.identity(field, m)).scale(c * field.inv_int(spec.n))
+    return J.scale(c * field.inv_int(m))
 
 
 def constraint_system(spec: MatrixClassSpec):
@@ -201,16 +207,16 @@ def constraint_system(spec: MatrixClassSpec):
             "surd fields are conjugation targets"
         )
     m = spec.ambient
-    if spec.kind in _COMPLEX_ONLY:
+    if spec.block_kind in COMPLEX:
         return _hermitian_constraints(spec, m), True
     c = spec.normalisation()
     constraints = []
     for l in range(m):
         constraints.append(({(l, k): 1 for k in range(m)}, c))
         constraints.append(({(k, l): 1 for k in range(m)}, c))
-    if spec.kind is ClassKind.SNA:
+    if spec.block_kind in TRACELESS:
         constraints.append(({(k, k): 1 for k in range(m)}, 0))
-    if spec.kind is ClassKind.ONA:
+    if spec.block_kind == "o":
         for k in range(m):
             constraints.append(({(k, k): 1}, 1))
             for l in range(k + 1, m):
@@ -231,7 +237,7 @@ def _hermitian_constraints(spec: MatrixClassSpec, m: int):
         for l in range(k + 1, m):
             constraints.append(({(k, l, 0): 1, (l, k, 0): 1}, 0))
             constraints.append(({(k, l, 1): 1, (l, k, 1): -1}, 0))
-    if spec.kind is ClassKind.SUNA:
+    if spec.block_kind in TRACELESS:
         constraints.append(({(k, k, 1): 1 for k in range(m)}, 0))
     return constraints
 
@@ -317,7 +323,7 @@ def spec_to_wire(spec: MatrixClassSpec) -> dict:
     doc: dict = {"kind": spec.kind.value, "n": spec.n, "field": spec.field.tag}
     if spec.field.tag == "GF":
         doc["p"] = spec.field.p
-    if spec.kind is ClassKind.GA_C:
+    if spec.c is not None:
         doc["c"] = spec.field.format(spec.c)
     return doc
 

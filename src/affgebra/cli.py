@@ -18,7 +18,7 @@ import sys
 
 from .affine import COMMUTATOR, Zeta, bracket, lie_retract_bracket
 from .checks import CATALOGUE, all_passed, applicable_checks, replay, run_check, run_corollary
-from .classes import ClassKind, MatrixClassSpec, check_block_size, dimension, sample, spec_to_wire
+from .classes import BLOCK_KIND, COMPLEX, ClassKind, MatrixClassSpec, check_block_size, dimension, sample, spec_to_wire
 from .errors import AffgebraError, MalformedWire
 from .matrix import common_field, matrix_from_wire, matrix_to_wire
 from .report import BRACKET
@@ -33,16 +33,6 @@ from .transforms import (
     orthonormal_change_of_basis,
     verify_theorem,
 )
-
-_DEFAULT_FIELDS = {
-    ClassKind.GNA: "Q",
-    ClassKind.SNA: "Q",
-    ClassKind.ONA: "Q",
-    ClassKind.UNA: "Qi",
-    ClassKind.SUNA: "Qi",
-    ClassKind.GA_C: "Q",
-}
-
 
 def _add_class_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--class", dest="klass", required=True, choices=[k.value for k in ClassKind])
@@ -59,7 +49,7 @@ def _add_seed_flags(p: argparse.ArgumentParser) -> None:
 
 def _spec_from_args(args) -> MatrixClassSpec:
     kind = ClassKind(args.klass)
-    tag = args.field or _DEFAULT_FIELDS[kind]
+    tag = args.field or ("Qi" if BLOCK_KIND[kind] in COMPLEX else "Q")
     field = field_by_tag(tag, args.p)
     c = field.parse(args.c) if args.c is not None else None
     return MatrixClassSpec(kind=kind, n=args.n, field=field, c=c)

@@ -21,8 +21,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .affine import COMMUTATOR, AffineCommutator, action, bracket, heap
-from .classes import ClassKind, MatrixClassSpec, base_point, contains, contains_parts, draw_form
+from .affine import COMMUTATOR, action, bracket, heap, is_commutator
+from .classes import REAL_LINEAR, TRACELESS, MatrixClassSpec, base_point, contains, contains_parts, draw_form
 from .errors import ClassViolation, FieldMismatch, SizeMismatch, wire_field
 from .matrix import Matrix, graded, sandwich, sandwich_form, staircase
 from .report import (
@@ -125,15 +125,6 @@ def orthonormal_change_of_basis(n: int) -> Matrix:
 
 # -- block targets ------------------------------------------------------
 
-_BLOCK_KINDS = {
-    ClassKind.GNA: "gl",
-    ClassKind.GA_C: "gl",
-    ClassKind.SNA: "sl",
-    ClassKind.ONA: "o",
-    ClassKind.UNA: "u",
-    ClassKind.SUNA: "su",
-}
-
 
 @dataclass(frozen=True)
 class BlockTarget:
@@ -188,9 +179,9 @@ def _block_table(kind: str, n: int, radicals, halves: int) -> tuple:
     rows = []
     for h in range(halves):
         rows += [({(n, k, h): 1}, 0) for k in range(size)] + [({(k, n, h): 1}, 0) for k in range(n)]
-        if kind in ("sl", "su"):
+        if kind in TRACELESS:
             rows.append(({(k, k, h): 1 for k in range(n)}, 0))
-    if kind in ("o", "u", "su"):
+    if kind in REAL_LINEAR:
         for k in range(n):
             for l in range(k, n):
                 rows.append(({(l, k, 0): f[l], (k, l, 0): f[k]}, 0))
@@ -213,11 +204,11 @@ def _block_generators(kind: str, n: int, halves: int, scale: int = 1) -> tuple:
         return h * mm + i * size + j
 
     def diagonal(k, h):
-        if kind in ("gl", "u"):
+        if kind not in TRACELESS:
             return {at(k, k, h): 1}
         return {} if k == n - 1 else {at(k, k, h): 1, at(n - 1, n - 1, h): -1}
 
-    if kind in ("gl", "sl"):
+    if kind not in REAL_LINEAR:
         gens = [diagonal(i, h) if i == j else {at(i, j, h): 1}
                 for i in range(n) for j in range(n) for h in range(halves)]
     elif kind == "o":
@@ -235,8 +226,8 @@ def block_target(spec: MatrixClassSpec) -> BlockTarget:
     """The target of the class: its base is diag(h, ..., h, c) for the
     normalisation c, with h = 0 for gl and u, c for o and -c/n for sl and
     su (NonInvertibleScalar when n is 0 in the field)."""
-    kind, c = _BLOCK_KINDS[spec.kind], spec.normalisation()
-    if kind in ("sl", "su"):
+    kind, c = spec.block_kind, spec.normalisation()
+    if kind in TRACELESS:
         head = -(c * spec.field.inv_int(spec.n))
     else:
         head = c if kind == "o" else spec.field.zero()
@@ -250,9 +241,7 @@ def block_target(spec: MatrixClassSpec) -> BlockTarget:
 def required_via(spec: MatrixClassSpec) -> str:
     """The mandatory conjugation route: only the orthonormal basis
     preserves antisymmetry / anti-hermitianity."""
-    if spec.kind in (ClassKind.ONA, ClassKind.UNA, ClassKind.SUNA):
-        return VIA_U
-    return VIA_P
+    return VIA_U if spec.block_kind in REAL_LINEAR else VIA_P
 
 
 def _route(spec: MatrixClassSpec, via: str | None) -> str:
@@ -494,7 +483,7 @@ THEOREM = CheckDef(
     lambda cr, via, inputs: evaluate_theorem_case(cr.spec, via, inputs),
     context=_Route(),
     trial_stream="theorem",
-    applies=lambda kind: isinstance(kind, AffineCommutator),
+    applies=is_commutator,
     default_trials=50,
 )
 

@@ -84,10 +84,10 @@ class TestBracket:
         z = Zeta(Fraction(7, 2))
         assert bracket(z, CYCLE, CYCLE) == CYCLE
 
-    def test_custom_callable(self):
-        assert bracket(lambda a, b: a, CYCLE, SWAP) == CYCLE
-        with pytest.raises(TypeError):
-            bracket("commutator", CYCLE, SWAP)
+    def test_unknown_kind_is_a_type_error(self):
+        for kind in (lambda a, b: a, "commutator"):
+            with pytest.raises(TypeError, match="^not a bracket kind: "):
+                bracket(kind, CYCLE, SWAP)
 
 
 class TestRetractOps:

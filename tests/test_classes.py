@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -19,15 +20,80 @@ from affgebra.classes import (
     subspace,
     _sampling_data,
 )
+from affgebra.cli import main
 from affgebra.errors import FieldMismatch, MalformedWire, NonInvertibleScalar, SizeMismatch
-from affgebra.matrix import Matrix
+from affgebra.matrix import Matrix, matrix_to_wire
 from affgebra.scalars import GF, QI, QQ, SURD, GaussianRational
+from affgebra.transforms import block_target, required_via
 
 
 def spec(kind, n, field=None, c=None):
     if field is None:
         field = QI if kind in (ClassKind.UNA, ClassKind.SUNA) else QQ
     return MatrixClassSpec(kind, n, field, c=c)
+
+
+# The class catalogue, one row per kind: block algebra, action field,
+# route, normalisation, base point for n = 2 over Q or Q(i) (c = -1/2 for
+# ga_c), over GF(7) (c = 3; None where the kind refuses GF(7)), and the
+# field ``affgebra sample`` takes when --field is omitted.
+THIRDS = [["1/3"] * 3] * 3
+CATALOGUE_ROWS = {
+    "gna": ("gl", "Q", "P", "1", THIRDS, [["5"] * 3] * 3, "Q"),
+    "sna": ("sl", "Q", "P", "1",
+            [["0", "1/2", "1/2"], ["1/2", "0", "1/2"], ["1/2", "1/2", "0"]],
+            [["0", "4", "4"], ["4", "0", "4"], ["4", "4", "0"]], "Q"),
+    "ona": ("o", "Q", "U", "1", [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], None, "Q"),
+    "una": ("u", "Q", "U", "1i", [["1/3i"] * 3] * 3, None, "Qi"),
+    "suna": ("su", "Q", "U", "1i",
+             [["0", "1/2i", "1/2i"], ["1/2i", "0", "1/2i"], ["1/2i", "1/2i", "0"]], None, "Qi"),
+    "ga_c": ("gl", "Q", "P", "-1/2", [["-1/6"] * 3] * 3, [["1"] * 3] * 3, "Q"),
+}
+
+REFUSED = [
+    ("ona", QI, "ona needs a real field"),
+    ("ona", GF(7), "ona needs a real field"),
+    ("una", QQ, "una needs a complex field"),
+    ("suna", QQ, "suna needs a complex field"),
+    ("gna", SURD, "gna is not defined over surd fields here"),
+]
+
+
+def _wire(field, entries):
+    doc = {"field": field.tag, "n": 3, "entries": entries}
+    if field.characteristic:
+        doc = {"field": "GF", "p": field.p, "n": 3, "entries": entries}
+    return doc
+
+
+class TestClassCatalogue:
+    @pytest.mark.parametrize("kind", sorted(CATALOGUE_ROWS))
+    def test_row(self, kind, capsys):
+        algebra, action_field, route, norm, base, base_gf7, cli_field = CATALOGUE_ROWS[kind]
+        field = QI if cli_field == "Qi" else QQ
+        s = MatrixClassSpec(ClassKind(kind), 2, field, c="-1/2" if kind == "ga_c" else None)
+        assert block_target(s).block_kind == algebra
+        assert s.scalar_field.describe() == action_field
+        assert required_via(s) == route
+        assert field.format(s.normalisation()) == norm
+        assert matrix_to_wire(base_point(s)) == _wire(field, base)
+        c7 = "3" if kind == "ga_c" else None
+        if base_gf7 is None:
+            with pytest.raises(FieldMismatch):
+                MatrixClassSpec(ClassKind(kind), 2, GF(7), c=c7)
+        else:
+            s7 = MatrixClassSpec(ClassKind(kind), 2, GF(7), c=c7)
+            assert block_target(s7).block_kind == algebra
+            assert s7.scalar_field is GF(7) and required_via(s7) == route
+            assert matrix_to_wire(base_point(s7)) == _wire(GF(7), base_gf7)
+        argv = ["sample", "--class", kind, "--n", "2"] + (["--c=2"] if kind == "ga_c" else [])
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["field"] == cli_field
+
+    @pytest.mark.parametrize("kind, field, message", REFUSED)
+    def test_refused_field(self, kind, field, message):
+        with pytest.raises(FieldMismatch, match=f"^{message}$"):
+            MatrixClassSpec(ClassKind(kind), 2, field)
 
 
 class TestSpecValidation:
@@ -38,6 +104,16 @@ class TestSpecValidation:
             MatrixClassSpec(ClassKind.UNA, 2, QQ)
         with pytest.raises(FieldMismatch):
             MatrixClassSpec(ClassKind.GNA, 2, SURD)
+
+    def test_kind_is_read_through_class_kind(self):
+        s = MatrixClassSpec("gna", 2, QQ)
+        assert s.kind is ClassKind.GNA and s == spec(ClassKind.GNA, 2) and hash(s) == hash(spec(ClassKind.GNA, 2))
+        assert s.describe() == "gna(2, Q)"
+        assert base_point(s) == base_point(spec(ClassKind.GNA, 2))
+        with pytest.raises(ValueError, match="^'bogus' is not a valid ClassKind$"):
+            MatrixClassSpec("bogus", 2, QQ)
+        with pytest.raises(FieldMismatch, match="^ona needs a real field$"):
+            MatrixClassSpec("ona", 2, QI)
 
     def test_block_size_is_an_int_from_1_to_max_n(self):
         assert MatrixClassSpec(ClassKind.GNA, MAX_N, QQ).n == MAX_N

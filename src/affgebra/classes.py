@@ -97,6 +97,8 @@ class MatrixClassSpec:
         kind = ClassKind(self.kind)
         object.__setattr__(self, "kind", kind)
         check_block_size(self.n)
+        if not isinstance(self.field, Field):
+            raise TypeError(f"field must be a Field, got {type(self.field).__name__} {self.field!r}")
         if self.block_kind in REAL_LINEAR:
             # the class field, or its surd field
             complex_ = self.block_kind in COMPLEX

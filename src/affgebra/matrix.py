@@ -19,27 +19,35 @@ reader for every field (``_read_parts``: a rational entry is the single
 term (1, x), a GF(p) entry its residue); every other matrix is built
 from its parts by ``_from_parts``, which makes the canonical scalar
 entries with one list comprehension per field and builds no matrix per
-part.  Every matrix-valued method runs on the parts: the heap, the
-action, the affine commutator, the sum, the difference, the negation
-and the product are integer loops with one normalisation per part of
-the result (``graded``: combine each part, drop the zero parts, then
-build); ``sandwich`` multiplies by two conjugators of the shape
-staircase times diagonal plus a partial permutation, through their
-``staircase`` encodings, in O(m²); ``scale`` is the product with
-alpha*I; the transpose and ``dagger`` permute each form (and negate its
-imaginary half); ``widen`` pads each form with a zero imaginary half
-from a real into a complex field; the inverse is the integer
-elimination of ``solve.row_reduce``.  Entries are read only at the
-boundary: by ``_read_parts``, ``entry``, ``with_entry``, ``trace`` (a
-scalar), ``repr`` and ``matrix_to_wire``; ``matrix_from_wire`` builds
+part.  Those entries are canonical by construction, so it builds them
+with the raw constructors that skip ``__init__`` and its checks:
+``GaussianRational._raw`` and ``SurdComplex._raw`` (of ``_ComplexPair``),
+``PrimeFieldElement._raw`` and ``SurdReal._raw``.  Every matrix-valued
+method runs on the parts: the heap, the action, the affine commutator,
+the sum, the difference, the negation and the product are integer loops
+with one normalisation per part of the result (``graded``: combine each
+part, drop the zero parts, then build).  The product of two forms is
+``_product``: over a real form ``_real_product``, which slices each row
+and each column once per product, and over a complex form Gauss's three
+real products Ar·Br, Ai·Bi and (Ar + Ai)·(Br + Bi) in place of four
+(Knuth, TAOCP vol. 2, §4.6.4).  ``sandwich`` multiplies by two
+conjugators of the shape staircase times diagonal plus a partial
+permutation, through their ``staircase`` encodings, in O(m²); ``scale``
+is the product with alpha*I; the transpose and ``dagger`` permute each
+form (and negate its imaginary half); ``widen`` pads each form with a
+zero imaginary half from a real into a complex field; the inverse is the
+integer elimination of ``solve.row_reduce``.  Entries are read only at
+the boundary: by ``_read_parts``, ``entry``, ``with_entry``, ``trace``
+(a scalar), ``repr`` and ``matrix_to_wire``; ``matrix_from_wire`` builds
 the parts from the integers that ``scalars.read_entries`` reads from
-the entry strings, with one ``graded`` call.  Every zero numerator of
-a form over Q or Q(i) becomes one shared rational zero, not a fresh
-``Fraction(0, den)``: fractions are immutable, so values, hashes and
-wire strings do not change.  The numerators are a list, never mutated,
-and gcd/lcm fold over them with ``reduce``: CPython keeps freed tuples
-of up to 19 items in per-size free lists, so short-lived tuples of
-those sizes would raise the peak memory of a long run.
+the entry strings, with one ``graded`` call, and names the row, the
+column and the string of an entry that does not read.  Every zero
+numerator of a form over Q or Q(i) becomes one shared rational zero,
+not a fresh ``Fraction(0, den)``: fractions are immutable, so values,
+hashes and wire strings do not change.  The numerators are a list, never
+mutated, and gcd/lcm fold over them with ``reduce``: CPython keeps freed
+tuples of up to 19 items in per-size free lists, so short-lived tuples
+of those sizes would raise the peak memory of a long run.
 """
 from __future__ import annotations
 
@@ -47,7 +55,7 @@ import sys
 from functools import reduce
 from itertools import accumulate
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 
 from .errors import DigitLimit, FieldMismatch, MalformedWire, SingularMatrix, SizeMismatch, wire_field
 from .scalars import (
@@ -301,18 +309,20 @@ def _from_parts(field: Field, m: int, parts: tuple) -> Matrix:
             for xs in zip(*[nums for _, (nums, _) in parts])
         ]
         if field.is_complex:
-            flat = [SurdComplex(x, y) for x, y in zip(flat, flat[m * m :])]
+            raw = SurdComplex._raw
+            flat = [raw(x, y) for x, y in zip(flat, flat[m * m :])]
     else:
         ((_, (nums, den)),) = parts
         if field.characteristic:
-            p = field.p
-            flat = [PrimeFieldElement(x, p) for x in nums]
+            p, raw = field.p, PrimeFieldElement._raw
+            flat = [raw(x, p) for x in nums]
         elif field is QQ:
             flat = [RAT(x, den) if x else _ZERO for x in nums]
         else:
             # real parts first; zip stops after the m*m of them
+            raw = GaussianRational._raw
             flat = [
-                GaussianRational(RAT(x, den) if x else _ZERO, RAT(y, den) if y else _ZERO)
+                raw(RAT(x, den) if x else _ZERO, RAT(y, den) if y else _ZERO)
                 for x, y in zip(nums, nums[m * m :])
             ]
     out = object.__new__(Matrix)
@@ -373,17 +383,21 @@ def _product(complex_: bool, m: int, a, b) -> list[int]:
     of their denominators), each with a real and an imaginary half for
     ``complex_``."""
     if complex_:
+        # Gauss's three products: (ar + i ai)(br + i bi) has real part
+        # ar·br - ai·bi and imaginary part (ar + ai)(br + bi) - ar·br - ai·bi
         mm = m * m
         ar, ai, br, bi = a[:mm], a[mm:], b[:mm], b[mm:]
-        re = [x - y for x, y in zip(_real_product(m, ar, br), _real_product(m, ai, bi))]
-        return re + [x + y for x, y in zip(_real_product(m, ar, bi), _real_product(m, ai, br))]
+        rr, ii = _real_product(m, ar, br), _real_product(m, ai, bi)
+        ss = _real_product(m, list(map(add, ar, ai)), list(map(add, br, bi)))
+        return [x - y for x, y in zip(rr, ii)] + [z - x - y for x, y, z in zip(rr, ii, ss)]
     return _real_product(m, a, b)
 
 
 def _real_product(m: int, a, b) -> list[int]:
-    # the m x m integer matrix product of two flat row-major lists
+    # the m x m integer matrix product of two flat row-major lists; each
+    # row and each column sliced once
     cols = [b[j::m] for j in range(m)]
-    return [sum(map(mul, a[i : i + m], col)) for i in range(0, m * m, m) for col in cols]
+    return [sum(map(mul, row, col)) for row in [a[i : i + m] for i in range(0, m * m, m)] for col in cols]
 
 
 def staircase(nums, m: int) -> tuple:
@@ -546,9 +560,22 @@ def matrix_to_wire(m: Matrix) -> dict:
     return doc
 
 
+def _first_refused(field: Field, entries):
+    # (row, column, entry, error) of the first entry that ``read_entries``
+    # refuses on its own
+    for i, row in enumerate(entries):
+        for j, s in enumerate(row):
+            try:
+                read_entries(field, [s])
+            except (ValueError, ZeroDivisionError) as exc:
+                return i, j, s, exc
+
+
 def matrix_from_wire(doc: dict) -> Matrix:
     """The matrix of a wire document: its entries through
-    ``read_entries``, then one ``graded`` call."""
+    ``read_entries``, then one ``graded`` call.  An entry that does not
+    read raises the reader's error type, its message led by the row, the
+    column and the entry."""
     if not isinstance(doc, dict):
         raise MalformedWire("a matrix document must be a JSON object")
     field = field_from_wire(doc, "matrix")
@@ -558,7 +585,11 @@ def matrix_from_wire(doc: dict) -> Matrix:
         raise MalformedWire("entries must be a list of rows")
     if len(entries) != n:
         raise SizeMismatch("entry rows do not match declared size")
-    parts, den = read_entries(field, [s for row in entries for s in row])
+    try:
+        parts, den = read_entries(field, [s for row in entries for s in row])
+    except (ValueError, ZeroDivisionError):
+        i, j, s, exc = _first_refused(field, entries)
+        raise type(exc)(f"entry (row {i}, column {j}) {s!r}: {exc}") from None
     if n < 1 or any(len(row) != n for row in entries):
         raise SizeMismatch("matrix must be square and nonempty")
     return graded(field, n, [(g, 1, (nums, den)) for g, nums in parts.items()])

@@ -49,6 +49,12 @@ from .errors import (
 RAT = Fraction
 RATIONAL_TYPES = (int, Fraction)
 
+# the ``_raw`` constructors build a value of canonical parts without
+# ``__init__``: they set its slots through the slot descriptors
+# (``_set_re`` and the like, bound after each class), which skip the
+# immutability guard of ``__setattr__``
+_new = object.__new__
+
 
 def common_denominator(values) -> tuple[list[int], int]:
     """(numerators, den): the rationals ``values`` (ints allowed) as
@@ -179,6 +185,15 @@ class _ComplexPair:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    @classmethod
+    def _raw(cls, re, im):
+        # re and im already canonical: RAT for GaussianRational, SurdReal
+        # for SurdComplex
+        out = _new(cls)
+        _set_re(out, re)
+        _set_im(out, im)
+        return out
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -235,6 +250,9 @@ class _ComplexPair:
         return f"{type(self).__name__}({self.re!r}, {self.im!r})"
 
 
+_set_re, _set_im = _ComplexPair.re.__set__, _ComplexPair.im.__set__
+
+
 class GaussianRational(_ComplexPair):
     """a + bi with rational a, b."""
 
@@ -285,6 +303,14 @@ class PrimeFieldElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("PrimeFieldElement is immutable")
+
+    @classmethod
+    def _raw(cls, residue: int, p: int) -> PrimeFieldElement:
+        # residue already in [0, p)
+        out = _new(cls)
+        _set_residue(out, residue)
+        _set_p(out, p)
+        return out
 
     def _coerce(self, x):
         if isinstance(x, PrimeFieldElement):
@@ -363,6 +389,9 @@ class PrimeFieldElement:
         return f"PrimeFieldElement({self.residue}, {self.p})"
 
 
+_set_residue, _set_p = PrimeFieldElement.residue.__set__, PrimeFieldElement.p.__set__
+
+
 class SurdReal:
     """Finite sum of q_d * sqrt(d) terms, squarefree d, rational q_d.
 
@@ -394,8 +423,8 @@ class SurdReal:
     @classmethod
     def _raw(cls, pairs) -> SurdReal:
         # pairs already sorted, squarefree, nonzero
-        out = object.__new__(cls)
-        object.__setattr__(out, "_terms", tuple(pairs))
+        out = _new(cls)
+        _set_terms(out, tuple(pairs))
         return out
 
     @property
@@ -490,6 +519,9 @@ class SurdReal:
 
     def __repr__(self):
         return f"SurdReal({dict(self._terms)!r})"
+
+
+_set_terms = SurdReal._terms.__set__
 
 
 class SurdComplex(_ComplexPair):

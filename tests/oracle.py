@@ -9,9 +9,11 @@ rational parts.  ``plain_parse`` reads an entry string by splitting it
 with per-field string loops into tokens for ``Fraction``, as the
 scalar parsers once did.  ``plain_row_reduce`` and ``plain_sandwich_form``
 are the dense integer loops that the sparse ``solve.row_reduce`` and
-the staircase ``matrix.sandwich_form`` replaced.  The one exception to
-exact arithmetic is ``float_gram_schmidt``:
-the floating-point basis that the only tolerance-based check in the
+the staircase ``matrix.sandwich_form`` replaced; ``plain_real_product``
+and ``plain_complex_product`` are the entry-by-entry and four-product
+forms of ``matrix._real_product`` and ``matrix._product``.  The one
+exception to exact arithmetic is ``float_gram_schmidt``: the
+floating-point basis that the only tolerance-based check in the
 repository compares the exact orthonormal basis with.  It is imported
 by the test modules, from the tests directory.
 """
@@ -21,7 +23,7 @@ from math import gcd
 
 from affgebra.classes import ClassKind
 from affgebra.errors import DivisionByZero, MalformedWire
-from affgebra.matrix import Matrix, _real_product
+from affgebra.matrix import Matrix
 from affgebra.scalars import (
     MAX_RADICAND,
     QI,
@@ -301,6 +303,23 @@ def plain_parse(field, s):
     return SurdComplex(_parse_surd_real(re_part), _parse_surd_real(rest[2:-2]))
 
 
+def plain_real_product(m: int, a, b) -> list[int]:
+    """The m x m integer matrix product of two flat row-major lists, one
+    entry at a time by its index."""
+    return [sum(a[i * m + k] * b[k * m + j] for k in range(m)) for i in range(m) for j in range(m)]
+
+
+def plain_complex_product(m: int, a, b) -> list[int]:
+    """The product of two complex integer forms (real half, then
+    imaginary half) from four real products: (ar·br - ai·bi) and
+    (ar·bi + ai·br)."""
+    mm = m * m
+    ar, ai, br, bi = a[:mm], a[mm:], b[:mm], b[mm:]
+    rr, ii = plain_real_product(m, ar, br), plain_real_product(m, ai, bi)
+    ri, ir = plain_real_product(m, ar, bi), plain_real_product(m, ai, br)
+    return [x - y for x, y in zip(rr, ii)] + [x + y for x, y in zip(ri, ir)]
+
+
 def plain_sandwich_form(left, nums, right, m: int) -> list[int]:
     """Numerators of L·X·R for the numerators of real integer forms L
     and R (over Q, or over the GF(p) of X) and the numerators of a form
@@ -309,7 +328,7 @@ def plain_sandwich_form(left, nums, right, m: int) -> list[int]:
     return [
         v
         for k in range(0, len(nums), mm)
-        for v in _real_product(m, _real_product(m, left, nums[k : k + mm]), right)
+        for v in plain_real_product(m, plain_real_product(m, left, nums[k : k + mm]), right)
     ]
 
 

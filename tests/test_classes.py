@@ -115,6 +115,13 @@ class TestSpecValidation:
         with pytest.raises(FieldMismatch, match="^ona needs a real field$"):
             MatrixClassSpec("ona", 2, QI)
 
+    def test_field_is_a_field(self):
+        # a tag names a field but is not one
+        with pytest.raises(TypeError, match="^field must be a Field, got str 'Q'$"):
+            MatrixClassSpec("gna", 2, "Q")
+        with pytest.raises(TypeError, match="^field must be a Field, got NoneType None$"):
+            MatrixClassSpec(ClassKind.UNA, 2, None)
+
     def test_block_size_is_an_int_from_1_to_max_n(self):
         assert MatrixClassSpec(ClassKind.GNA, MAX_N, QQ).n == MAX_N
         for n in (0, -1, MAX_N + 1):

@@ -267,7 +267,7 @@ class TestBracketAndRetract:
         code, out, err = run_cli(capsys, "bracket", bad, good)
         assert code == 2
         assert out == ""
-        assert err == "error: DivisionByZero: zero denominator in '1/0'\n"
+        assert err == "error: DivisionByZero: entry (row 0, column 0) '1/0': zero denominator in '1/0'\n"
 
     def test_non_string_entry_is_usage_error(self, capsys):
         good = json.dumps(matrix_to_wire(Matrix.identity(QQ, 1)))
@@ -275,7 +275,7 @@ class TestBracketAndRetract:
         code, out, err = run_cli(capsys, "bracket", bad, good)
         assert code == 2
         assert out == ""
-        assert err == "error: MalformedWire: a scalar must be a string, got int 1\n"
+        assert err == "error: MalformedWire: entry (row 0, column 0) 1: a scalar must be a string, got int 1\n"
 
     def test_entries_not_a_list_of_rows_is_usage_error(self, capsys):
         good = json.dumps(matrix_to_wire(Matrix.identity(QQ, 1)))
@@ -290,12 +290,17 @@ class TestBracketAndRetract:
             ('{"field":"Q","n":2,"entries":[["1","2"]]}', "SizeMismatch: entry rows do not match declared size"),
             ('{"field":"Q","n":2,"entries":[["1","2"],["3"]]}', "SizeMismatch: matrix must be square and nonempty"),
             ('{"field":"Q","n":0,"entries":[]}', "SizeMismatch: matrix must be square and nonempty"),
-            ('{"field":"Qi","n":1,"entries":[["1+1/0i"]]}', "DivisionByZero: zero denominator in '1/0'"),
-            ('{"field":"surd","n":1,"entries":[["1+2/0*sqrt(2)"]]}', "DivisionByZero: zero denominator in '2/0'"),
-            ('{"field":"surd_c","n":1,"entries":[["(1)+(1/0)i"]]}', "DivisionByZero: zero denominator in '1/0'"),
+            ('{"field":"Qi","n":1,"entries":[["1+1/0i"]]}',
+             "DivisionByZero: entry (row 0, column 0) '1+1/0i': zero denominator in '1/0'"),
+            ('{"field":"surd","n":2,"entries":[["1","0"],["0","1+2/0*sqrt(2)"]]}',
+             "DivisionByZero: entry (row 1, column 1) '1+2/0*sqrt(2)': zero denominator in '2/0'"),
+            ('{"field":"surd_c","n":1,"entries":[["(1)+(1/0)i"]]}',
+             "DivisionByZero: entry (row 0, column 0) '(1)+(1/0)i': zero denominator in '1/0'"),
+            ('{"field":"Q","n":2,"entries":[["1","2"],["x","1"]]}',
+             "entry (row 1, column 0) 'x': Invalid literal for Fraction: 'x'"),
         ],
         ids=["rows other than n", "ragged row", "no rows", "Qi zero denominator", "surd zero denominator",
-             "surd_c zero denominator"],
+             "surd_c zero denominator", "Q junk"],
     )
     def test_malformed_entries_are_usage_errors(self, capsys, bad, message):
         good = json.dumps(matrix_to_wire(Matrix.identity(QQ, 1)))
@@ -369,7 +374,8 @@ class TestBracketAndRetract:
         code, out, err = run_cli(capsys, "bracket", bad, good)
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (2, "")
-        assert err == f"error: a radicand must be at most {MAX_RADICAND}, got {d}\n"
+        entry = f"'1+sqrt({d})'"
+        assert err == f"error: entry (row 0, column 0) {entry}: a radicand must be at most {MAX_RADICAND}, got {d}\n"
 
     @pytest.mark.parametrize("field", ["Q", "Qi", "surd"])
     @pytest.mark.parametrize("entry", ["1e999999999", "-1E-999_999_999"])
@@ -381,7 +387,8 @@ class TestBracketAndRetract:
         code, out, err = run_cli(capsys, "bracket", bad, good)
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
-        assert err == f"error: an exponent must be at most {MAX_EXPONENT} in absolute value, got {entry!r}\n"
+        limit = f"an exponent must be at most {MAX_EXPONENT} in absolute value"
+        assert err == f"error: entry (row 0, column 0) {entry!r}: {limit}, got {entry!r}\n"
         # [a, b] = b for 1 x 1 matrices, so a reads and is not written out
         at_bound = json.dumps({"field": field, "n": 1, "entries": [[f"-1e{MAX_EXPONENT}"]]})
         code, out, err = run_cli(capsys, "bracket", at_bound, good)
@@ -393,7 +400,7 @@ class TestBracketAndRetract:
         bad = '{"field":"surd_c","n":1,"entries":[["((1)+(2)i"]]}'
         code, out, err = run_cli(capsys, "bracket", bad, good)
         assert (code, out) == (2, "")
-        assert err == "error: malformed complex surd string '((1)+(2)i'\n"
+        assert err == "error: entry (row 0, column 0) '((1)+(2)i': malformed complex surd string '((1)+(2)i'\n"
 
     @pytest.mark.parametrize(
         "field, entry",
@@ -407,7 +414,8 @@ class TestBracketAndRetract:
         bad = json.dumps({"field": field, "n": 1, "entries": [[entry]]})
         code, out, err = run_cli(capsys, "bracket", bad, good)
         assert (code, out) == (2, "")
-        assert err == q_err and err.count("\n") == 1
+        # the same message, naming the surd entry where Q's names ''
+        assert err == q_err.replace("''", repr(entry), 1) and err.count("\n") == 1
         code, out, err = run_cli(capsys, "bracket", bad.replace(json.dumps(entry), '"0"'), good)
         assert (code, err) == (0, "")
 
@@ -424,7 +432,7 @@ class TestBracketAndRetract:
         bad = json.dumps({"field": field, "n": 1, "entries": [[entry]]})
         code, out, err = run_cli(capsys, "bracket", bad, good)
         assert (code, out) == (2, "")
-        assert err == f"error: {message}\n"
+        assert err == f"error: entry (row 0, column 0) {entry!r}: {message}\n"
 
 
 class TestDims:

@@ -345,6 +345,6 @@ def test_forms_with_zero_numerators_match_entrywise(field, m, den, shape, data):
     assert got.rational_parts() == want.rational_parts()
     assert got.integer_form() == got.rational_parts()[0][1]
     for x, y in zip(sum(got.rows, ()), sum(want.rows, ())):
-        assert type(x) is type(y) and hash(x) == hash(y)
+        assert type(x) is type(y) and hash(x) == hash(y) and repr(x) == repr(y)
         if field is QI:
             assert type(x.re) is type(x.im) is Fraction

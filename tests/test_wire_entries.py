@@ -109,9 +109,25 @@ def outcome(build):
 
 
 def pinned(exc) -> bool:
+    # a matrix error leads with the entry, so its pinned messages are searched for
     text = str(exc)
-    return (isinstance(exc, (DivisionByZero, MalformedWire)) or text.startswith("a radicand must be at most")
-            or text.startswith("malformed complex surd string"))
+    return (isinstance(exc, (DivisionByZero, MalformedWire)) or "a radicand must be at most" in text
+            or "malformed complex surd string" in text)
+
+
+def plain_matrix(field, entries):
+    """The oracle's matrix of ``entries``: the first entry (row by row)
+    that ``plain_parse`` refuses raises its error type, the message led
+    by the row, the column and the entry, as ``matrix_from_wire`` does."""
+    rows = []
+    for i, row in enumerate(entries):
+        rows.append([])
+        for j, s in enumerate(row):
+            try:
+                rows[-1].append(plain_parse(field, s))
+            except Exception as exc:
+                raise type(exc)(f"entry (row {i}, column {j}) {s!r}: {exc}") from None
+    return Matrix(field, rows)
 
 
 def assert_agrees(got, want, seen, text=None):
@@ -145,7 +161,7 @@ def test_fast_path_matches_field_parse(field, data):
     n = data.draw(st.integers(1, 3), label="n")
     entries = data.draw(st.lists(st.lists(entries_of(field, dirty), min_size=n, max_size=n),
                                  min_size=n, max_size=n), label="entries")
-    want = outcome(lambda: Matrix(field, [[plain_parse(field, s) for s in row] for row in entries]))
+    want = outcome(lambda: plain_matrix(field, entries))
     if dirty:
         got = outcome(lambda: matrix_from_wire(doc_of(field, entries)))
     else:
@@ -172,7 +188,7 @@ def test_edge_spellings_match_the_oracle(field):
         want = outcome(lambda: plain_parse(field, text))
         assert_agrees(outcome(lambda: field.parse(text)), want, lambda x: (x, type(x), field.format(x)), text)
         assert_agrees(outcome(lambda: matrix_from_wire(doc_of(field, [[text]]))),
-                      outcome(lambda: Matrix(field, [[want]])), matrix_seen, text)
+                      outcome(lambda: plain_matrix(field, [[text]])), matrix_seen, text)
 
 
 @pytest.mark.parametrize("field, plain, odd", [
@@ -192,11 +208,16 @@ def test_one_odd_entry_among_plain_ones(field, plain, odd):
 
 
 def test_first_refused_entry_names_the_error():
-    # as entry by entry: a non-string entry after a refused string does not win
-    with pytest.raises(ValueError, match="^Invalid literal for Fraction: 'x'$"):
+    # as entry by entry: a non-string entry after a refused string does not
+    # win; the message names the row, the column and the whole entry
+    with pytest.raises(ValueError, match=r"^entry \(row 0, column 0\) 'x': Invalid literal for Fraction: 'x'$"):
         matrix_from_wire(doc_of(QQ, [["x", 5], ["1", "2"]]))
-    with pytest.raises(MalformedWire, match="^a scalar must be a string, got int 5$"):
+    with pytest.raises(MalformedWire, match=r"^entry \(row 0, column 1\) 5: a scalar must be a string, got int 5$"):
         matrix_from_wire(doc_of(QI, [["1+i", 5], ["x", "2"]]))
+    with pytest.raises(ValueError, match=r"^entry \(row 1, column 1\) '1-2i': Invalid literal for Fraction: '-2i'$"):
+        matrix_from_wire(doc_of(SURD, [["1", "2"], ["3", "1-2i"]]))
+    with pytest.raises(DivisionByZero, match=r"^entry \(row 1, column 0\) ' 3/0': zero denominator in '3/0'$"):
+        matrix_from_wire(doc_of(QQ, [["1", "2"], [" 3/0", "x"]]))
 
 
 def test_reader_patterns_compile_on_python_3_10():

@@ -22,32 +22,35 @@ entries with one list comprehension per field and builds no matrix per
 part.  Those entries are canonical by construction, so it builds them
 with the raw constructors that skip ``__init__`` and its checks:
 ``GaussianRational._raw`` and ``SurdComplex._raw`` (of ``_ComplexPair``),
-``PrimeFieldElement._raw`` and ``SurdReal._raw``.  Every matrix-valued
-method runs on the parts: the heap, the action, the affine commutator,
-the sum, the difference, the negation and the product are integer loops
-with one normalisation per part of the result (``graded``: combine each
-part, drop the zero parts, then build).  The product of two forms is
-``_product``: over a real form ``_real_product``, which slices each row
-and each column once per product, and over a complex form Gauss's three
-real products Ar·Br, Ai·Bi and (Ar + Ai)·(Br + Bi) in place of four
-(Knuth, TAOCP vol. 2, §4.6.4).  ``sandwich`` multiplies by two
-conjugators of the shape staircase times diagonal plus a partial
+``PrimeFieldElement._raw`` and ``SurdReal._raw``, and each rational
+x/den with ``scalars.raw_rational``, which reduces by gcd(x, den) and
+sets the two slots of ``Fraction`` without ``Fraction.__new__``.  Every
+matrix-valued method runs on the parts: the heap, the action, the affine
+commutator, the sum, the difference, the negation and the product are
+integer loops with one normalisation per part of the result (``graded``:
+combine each part, drop the zero parts, then build).  The product of
+two forms is ``_product``: over a real form ``_real_product``, which
+slices each row and each column once per product, and over a complex
+form Gauss's three real products Ar·Br, Ai·Bi and (Ar + Ai)·(Br + Bi)
+in place of four (Knuth, TAOCP vol. 2, §4.6.4).  ``sandwich`` multiplies
+by two conjugators of the shape staircase times diagonal plus a partial
 permutation, through their ``staircase`` encodings, in O(m²); ``scale``
-is the product with alpha*I; the transpose and ``dagger`` permute each
-form (and negate its imaginary half); ``widen`` pads each form with a
-zero imaginary half from a real into a complex field; the inverse is the
-integer elimination of ``solve.row_reduce``.  Entries are read only at
-the boundary: by ``_read_parts``, ``entry``, ``with_entry``, ``trace``
-(a scalar), ``repr`` and ``matrix_to_wire``; ``matrix_from_wire`` builds
-the parts from the integers that ``scalars.read_entries`` reads from
-the entry strings, with one ``graded`` call, and names the row, the
-column and the string of an entry that does not read.  Every zero
-numerator of a form over Q or Q(i) becomes one shared rational zero,
-not a fresh ``Fraction(0, den)``: fractions are immutable, so values,
-hashes and wire strings do not change.  The numerators are a list, never
-mutated, and gcd/lcm fold over them with ``reduce``: CPython keeps freed
-tuples of up to 19 items in per-size free lists, so short-lived tuples
-of those sizes would raise the peak memory of a long run.
+multiplies each part by each rational part of alpha; the transpose and
+``dagger`` permute each form (and negate its imaginary half); ``widen``
+pads each form with a zero imaginary half from a real into a complex
+field; the inverse is the integer elimination of ``solve.row_reduce``.
+Entries are read only at the boundary: by ``_read_parts``, ``entry``,
+``with_entry``, ``trace`` (a scalar), ``repr`` and ``matrix_to_wire``;
+``matrix_from_wire`` builds the parts from the integers that
+``scalars.read_entries`` reads from the entry strings, with one
+``graded`` call, and names the row, the column and the string of an
+entry that does not read.  Every zero numerator of a form over Q or
+Q(i) becomes one shared rational zero, not a fresh ``Fraction(0, den)``:
+fractions are immutable, so values, hashes and wire strings do not
+change.  The numerators are a list, never mutated, and gcd/lcm fold
+over them with ``reduce``: CPython keeps freed tuples of up to 19 items
+in per-size free lists, so short-lived tuples of those sizes would raise
+the peak memory of a long run.
 """
 from __future__ import annotations
 
@@ -57,7 +60,15 @@ from itertools import accumulate
 from math import gcd, lcm
 from operator import add, itemgetter, mul
 
-from .errors import DigitLimit, FieldMismatch, MalformedWire, SingularMatrix, SizeMismatch, wire_field
+from .errors import (
+    DigitLimit,
+    FieldMismatch,
+    MalformedWire,
+    NonInvertibleScalar,
+    SingularMatrix,
+    SizeMismatch,
+    wire_field,
+)
 from .scalars import (
     PART_FIELDS,
     RAT,
@@ -71,6 +82,7 @@ from .scalars import (
     can_widen,
     common_denominator,
     field_from_wire,
+    raw_rational,
     read_entries,
     surd_basis_product,
 )
@@ -189,7 +201,22 @@ class Matrix:
         return combine(((-1, self),))
 
     def scale(self, alpha) -> Matrix:
-        return Matrix.diagonal(self.field, [alpha] * self.size) @ self
+        """alpha * self, part by part: each rational part of alpha (as a
+        1 x 1 matrix) times each part of self, sqrt(h)*sqrt(g) =
+        s*sqrt(k); over a complex field (ar + i ai)(X + iY) =
+        (ar·X - ai·Y) + i(ar·Y + ai·X)."""
+        field, mm = self.field, self.size * self.size
+        terms = []
+        for h, (a, da) in _read_parts(field, ((field.coerce(alpha),),)):
+            for g, (nums, d) in self.rational_parts():
+                s, k = surd_basis_product(h, g)
+                if field.is_complex:
+                    (ar, ai), x, y = a, nums[:mm], nums[mm:]
+                    nums = [ar * u - ai * v for u, v in zip(x, y)] + [ar * v + ai * u for u, v in zip(x, y)]
+                else:
+                    nums = [a[0] * u for u in nums]
+                terms.append((k, s, (nums, da * d)))
+        return graded(field, self.size, terms)
 
     def __matmul__(self, other):
         self._guard(other)
@@ -292,6 +319,8 @@ def _reduced(field: Field, nums, den: int) -> tuple[list[int], int]:
     # else divided by the gcd of the numerators and the denominator
     if field.characteristic:
         p = field.p
+        if not den % p:
+            raise NonInvertibleScalar(f"the denominator {den} is not invertible in {field.describe()}")
         inv = pow(den, -1, p)
         return [x * inv % p for x in nums], 1
     g = reduce(gcd, nums, den)
@@ -305,7 +334,7 @@ def _from_parts(field: Field, m: int, parts: tuple) -> Matrix:
     if field in PART_FIELDS:
         keys, dens = [g for g, _ in parts], [d for _, (_, d) in parts]
         flat = [
-            SurdReal._raw([(g, RAT(x, d)) for g, d, x in zip(keys, dens, xs) if x])
+            SurdReal._raw([(g, raw_rational(x, d)) for g, d, x in zip(keys, dens, xs) if x])
             for xs in zip(*[nums for _, (nums, _) in parts])
         ]
         if field.is_complex:
@@ -317,12 +346,12 @@ def _from_parts(field: Field, m: int, parts: tuple) -> Matrix:
             p, raw = field.p, PrimeFieldElement._raw
             flat = [raw(x, p) for x in nums]
         elif field is QQ:
-            flat = [RAT(x, den) if x else _ZERO for x in nums]
+            flat = [raw_rational(x, den) if x else _ZERO for x in nums]
         else:
             # real parts first; zip stops after the m*m of them
             raw = GaussianRational._raw
             flat = [
-                raw(RAT(x, den) if x else _ZERO, RAT(y, den) if y else _ZERO)
+                raw(raw_rational(x, den) if x else _ZERO, raw_rational(y, den) if y else _ZERO)
                 for x, y in zip(nums, nums[m * m :])
             ]
     out = object.__new__(Matrix)

@@ -54,6 +54,18 @@ RATIONAL_TYPES = (int, Fraction)
 # (``_set_re`` and the like, bound after each class), which skip the
 # immutability guard of ``__setattr__``
 _new = object.__new__
+_set_numerator, _set_denominator = RAT._numerator.__set__, RAT._denominator.__set__
+
+
+def raw_rational(x: int, den: int) -> Fraction:
+    """x / den for ints x and den > 0, reduced: the value of
+    ``Fraction(x, den)``, built through its slots without the type
+    dispatch of ``Fraction.__new__``."""
+    g = gcd(x, den)
+    out = _new(RAT)
+    _set_numerator(out, x // g)
+    _set_denominator(out, den // g)
+    return out
 
 
 def common_denominator(values) -> tuple[list[int], int]:
@@ -803,14 +815,14 @@ class RationalField(Field):
 
     def parse(self, s):
         parts, den = read_entries(self, [s])
-        return RAT(parts[1][0], den)
+        return raw_rational(parts[1][0], den)
 
     def format(self, x):
         return str(x)
 
     def sample(self, rng):
         (x,) = sample_numerators(rng, 1)
-        return RAT(x, SAMPLE_DEN)
+        return raw_rational(x, SAMPLE_DEN)
 
 
 class GaussianField(Field):
@@ -825,7 +837,7 @@ class GaussianField(Field):
     def parse(self, s):
         parts, den = read_entries(self, [s])
         re, im = parts[1]
-        return GaussianRational(RAT(re, den), RAT(im, den))
+        return GaussianRational._raw(raw_rational(re, den), raw_rational(im, den))
 
     def format(self, x):
         if not x.im:
@@ -837,7 +849,7 @@ class GaussianField(Field):
 
     def sample(self, rng):
         re, im = sample_numerators(rng, 2)
-        return GaussianRational(RAT(re, SAMPLE_DEN), RAT(im, SAMPLE_DEN))
+        return GaussianRational._raw(raw_rational(re, SAMPLE_DEN), raw_rational(im, SAMPLE_DEN))
 
 
 class PrimeField(Field):
@@ -886,7 +898,7 @@ class SurdRealField(Field):
 
     def parse(self, s):
         parts, den = read_entries(self, [s])
-        return SurdReal({g: RAT(x, den) for g, (x,) in parts.items()})
+        return SurdReal({g: raw_rational(x, den) for g, (x,) in parts.items()})
 
     def format(self, x):
         return _format_surd_real(x)
@@ -903,7 +915,7 @@ class SurdComplexField(Field):
 
     def parse(self, s):
         parts, den = read_entries(self, [s])
-        re, im = ({g: RAT(halves[k], den) for g, halves in parts.items()} for k in (0, 1))
+        re, im = ({g: raw_rational(halves[k], den) for g, halves in parts.items()} for k in (0, 1))
         return SurdComplex(SurdReal(re), SurdReal(im))
 
     def format(self, x):

@@ -22,14 +22,16 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from affgebra.affine import COMMUTATOR, Zeta, action, bracket, heap, heap5, lie_retract_bracket
 from affgebra.checks import replay, run_check
 from affgebra.classes import ClassKind, MatrixClassSpec, contains, sample
 from affgebra.cli import main
-from affgebra.matrix import Matrix, commutator_shift, matrix_to_wire
-from affgebra.scalars import GF, QI, QQ, GaussianRational
+from affgebra.errors import NonInvertibleScalar
+from affgebra.matrix import Matrix, commutator_shift, graded, matrix_to_wire
+from affgebra.scalars import GF, QI, QQ, SURD, SURD_C, GaussianRational, SurdComplex, SurdReal
 from oracle import (
     plain_action,
     plain_add,
@@ -272,6 +274,12 @@ def test_prime_field_equality_is_entrywise_equality(case):
     assert Matrix.from_integer_form(field, a.size, [3 * x for x in a.integer_form()[0]], 3) == a
 
 
+@pytest.mark.parametrize("p, den", [(7, 7), (7, 14), (101, 202)])
+def test_prime_field_denominator_divisible_by_p_is_not_invertible(p, den):
+    with pytest.raises(NonInvertibleScalar, match=rf"^the denominator {den} is not invertible in GF\({p}\)$"):
+        Matrix.from_integer_form(GF(p), 1, [0], den)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from((ClassKind.GNA, ClassKind.SNA, ClassKind.GA_C)),
@@ -306,45 +314,66 @@ numerators = st.tuples(st.integers(min_value=0, max_value=9), st.integers(min_va
 @settings(max_examples=200, deadline=None)
 @given(
     # a prime above every drawn denominator, so each one is invertible
-    field=st.sampled_from((QQ, QI, GF(2521))),
+    field=st.sampled_from((QQ, QI, GF(2521), SURD, SURD_C)),
     m=st.integers(min_value=1, max_value=5),
     den=st.integers(min_value=1, max_value=2520),
     shape=st.sampled_from(("mixed", "zero", "real", "imaginary")),
+    radicals=st.sets(st.sampled_from((2, 3, 6)), max_size=2),
     data=st.data(),
 )
-def test_forms_with_zero_numerators_match_entrywise(field, m, den, shape, data):
-    """``from_integer_form`` (every zero numerator one shared zero) gives
+def test_forms_with_zero_numerators_match_entrywise(field, m, den, shape, radicals, data):
+    """``from_integer_form`` (every zero numerator one shared zero), and
+    over the surd fields ``graded`` on a rational part per radical, give
     the rows, wire bytes, hash and parts of the matrix built entry by
     entry from ``Fraction(x, den)`` (over GF(p), x / den in the field);
-    about 60% of the numerators are zero, and over Q(i) a form may be
-    all zero, purely real or purely imaginary."""
+    about 60% of the numerators are zero, and over the complex fields a
+    form may be all zero, purely real or purely imaginary."""
     mm = m * m
-    halves = 2 if field is QI else 1
-    nums = data.draw(st.lists(numerators, min_size=halves * mm, max_size=halves * mm))
-    if shape == "zero":
-        nums = [0] * len(nums)
-    elif shape == "real":
-        nums = nums[:mm] + [0] * (len(nums) - mm)
-    elif shape == "imaginary" and field is QI:
-        nums = [0] * mm + nums[mm:]
-    got = Matrix.from_integer_form(field, m, nums, den)
-    if field is QQ:
-        rows = [[Fraction(nums[i * m + j], den) for j in range(m)] for i in range(m)]
-    elif field is QI:
-        rows = [
-            [GaussianRational(Fraction(nums[i * m + j], den), Fraction(nums[mm + i * m + j], den)) for j in range(m)]
-            for i in range(m)
-        ]
+    halves = 2 if field.is_complex else 1
+    surd = field in (SURD, SURD_C)
+    forms = {}
+    for g in (1, *sorted(radicals)) if surd else (1,):
+        nums = data.draw(st.lists(numerators, min_size=halves * mm, max_size=halves * mm))
+        if shape == "zero":
+            nums = [0] * len(nums)
+        elif shape == "real":
+            nums = nums[:mm] + [0] * (len(nums) - mm)
+        elif shape == "imaginary" and field.is_complex:
+            nums = [0] * mm + nums[mm:]
+        forms[g] = nums
+    if surd:
+        got = graded(field, m, [(g, 1, (nums, den)) for g, nums in forms.items()])
     else:
-        rows = [[field.from_int(nums[i * m + j]) / field.from_int(den) for j in range(m)] for i in range(m)]
-    want = Matrix(field, rows)
+        got = Matrix.from_integer_form(field, m, forms[1], den)
+
+    def coefficients(k):
+        return SurdReal({g: Fraction(nums[k], den) for g, nums in forms.items()})
+
+    def entry(k):
+        nums = forms[1]
+        if field is QQ:
+            return Fraction(nums[k], den)
+        if field is QI:
+            return GaussianRational(Fraction(nums[k], den), Fraction(nums[mm + k], den))
+        if field is SURD:
+            return coefficients(k)
+        if field is SURD_C:
+            return SurdComplex(coefficients(k), coefficients(mm + k))
+        return field.from_int(nums[k]) / field.from_int(den)
+
+    want = Matrix(field, [[entry(i * m + j) for j in range(m)] for i in range(m)])
     assert got == want
     assert got.rows == want.rows
     assert json.dumps(matrix_to_wire(got)) == json.dumps(matrix_to_wire(want))
     assert hash(got) == hash(want)
     assert got.rational_parts() == want.rational_parts()
-    assert got.integer_form() == got.rational_parts()[0][1]
+    if not surd:
+        assert got.integer_form() == got.rational_parts()[0][1]
     for x, y in zip(sum(got.rows, ()), sum(want.rows, ())):
         assert type(x) is type(y) and hash(x) == hash(y) and repr(x) == repr(y)
         if field is QI:
             assert type(x.re) is type(x.im) is Fraction
+        if field is SURD:
+            assert all(type(q) is Fraction for _, q in x.terms)
+        if field is SURD_C:
+            assert all(type(q) is Fraction for _, q in x.re.terms + x.im.terms)

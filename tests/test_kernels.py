@@ -6,18 +6,32 @@ per product; the oracle is the entry-by-entry loop and the four-product
 formula of ``tests/oracle.py``, and, on whole matrices, the plain
 entrywise product over Q, Q(i), GF(p) and surd_c.  ``_from_parts``
 builds its canonical entries with ``_raw`` constructors that skip
-``__init__``: a raw value must equal, hash and print as the value
-``__init__`` builds (``from_integer_form`` is held to entries built
-entry by entry in ``tests/test_integer_form.py``).  Numerators run from
-negative to above 2**64.
+``__init__``, and its rationals with ``scalars.raw_rational``, which
+skips ``Fraction.__new__``: a raw value must equal, hash and print as
+the value ``__init__`` (or ``Fraction(x, den)``) builds
+(``from_integer_form`` is held to entries built entry by entry in
+``tests/test_integer_form.py``).  Numerators run from negative to above
+2**64.
 """
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from affgebra.matrix import Matrix, _product, _real_product, commutator_shift
-from affgebra.scalars import GF, QI, QQ, SURD_C, GaussianRational, PrimeFieldElement, SurdComplex, SurdReal
+from affgebra.scalars import (
+    GF,
+    QI,
+    QQ,
+    SURD_C,
+    GaussianRational,
+    PrimeFieldElement,
+    SurdComplex,
+    SurdReal,
+    raw_rational,
+)
 from oracle import plain_commutator_shift, plain_complex_product, plain_matmul, plain_real_product
 
 # zeros and small values, and integers of 65 to 71 bits of either sign
@@ -109,3 +123,26 @@ def test_raw_prime_field_element_is_the_init_value(x, p):
     raw = PrimeFieldElement._raw(x % p, p)
     assert_built_alike(raw, PrimeFieldElement(x, p))
     assert raw == x
+
+
+def test_fraction_keeps_the_slots_raw_rational_sets():
+    # raw_rational writes these two slots; an interpreter whose Fraction
+    # stores its value elsewhere fails here first
+    assert "_numerator" in Fraction.__slots__ and "_denominator" in Fraction.__slots__
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.just(0) | st.integers(-(2**70), 2**70), den=st.integers(1, 2**70), other=st.integers(-9, 9) | rationals)
+def test_raw_rational_is_the_fraction_value(x, den, other):
+    raw, built = raw_rational(x, den), Fraction(x, den)
+    assert type(raw) is Fraction
+    assert raw == built and hash(raw) == hash(built)
+    assert (repr(raw), str(raw)) == (repr(built), str(built))
+    assert (raw.numerator, raw.denominator) == (built.numerator, built.denominator)
+    assert type(raw.numerator) is type(raw.denominator) is int
+    for twin in (pickle.loads(pickle.dumps(raw)), copy.copy(raw), copy.deepcopy(raw)):
+        assert type(twin) is Fraction and twin == built and repr(twin) == repr(built)
+    # arithmetic and order against ints and Fractions, on either side
+    assert (raw + other, other + raw) == (built + other, other + built)
+    assert (raw * other, other * raw) == (built * other, other * built)
+    assert ((raw < other), (other < raw)) == ((built < other), (other < built))

@@ -238,8 +238,8 @@ gaussians = st.builds(GaussianRational, small, small)
 
 
 @st.composite
-def surd_reals(draw):
-    keys = draw(st.sets(st.sampled_from((1, 2, 3, 5, 6)), max_size=3))
+def surd_reals(draw, min_size=0):
+    keys = draw(st.sets(st.sampled_from((1, 2, 3, 5, 6)), min_size=min_size, max_size=3))
     return SurdReal({d: draw(small) for d in sorted(keys)})
 
 
@@ -289,6 +289,24 @@ def test_methods_on_forms_match_entrywise(field, data):
             assert str(got.value) == str(exc)
         else:
             assert_same(a.widen(wide), want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=st.sampled_from(FIELDS), data=st.data())
+def test_scale_is_the_product_with_alpha_times_identity(field, data):
+    # scale runs part by part; the reference is the product with the
+    # diagonal matrix alpha*I, which coerces its entries
+    n = data.draw(st.integers(1, 4))
+    a = Matrix(field, [[data.draw(entries(field)) for _ in range(n)] for _ in range(n)])
+    several = surd_reals(min_size=2)
+    alpha = data.draw({
+        SURD: st.one_of(alphas(SURD), several),
+        SURD_C: st.one_of(alphas(SURD_C), several, st.builds(SurdComplex, several, several)),
+    }.get(field, alphas(field)))
+    got, want = a.scale(alpha), Matrix.diagonal(field, [alpha] * n) @ a
+    assert got == want and hash(got) == hash(want)
+    assert got.rational_parts() == want.rational_parts()
+    assert [[repr(x) for x in row] for row in got.rows] == [[repr(x) for x in row] for row in want.rows]
 
 
 class TestDataModel:

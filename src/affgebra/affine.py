@@ -42,13 +42,9 @@ def action(alpha, base: Matrix, b: Matrix) -> Matrix:
     base._guard(b)
     field = base.field
     alpha = field.coerce(alpha)
-    if field.characteristic:
-        # alpha a residue: alpha*b + (1 - alpha)*base
-        a = alpha.residue
-        return combine(((a, b), (1 - a, base)))
-    r = rational_value(alpha)
+    r = alpha.residue if field.characteristic else rational_value(alpha)
     if r is not None:
-        # alpha = p/q: (p*b + (q - p)*base) / q
+        # alpha = p/q: (p*b + (q - p)*base) / q; a residue r is r/1
         p, q = int(r.numerator), int(r.denominator)
         return combine(((p, b), (q - p, base)), q)
     # a non-real or irrational alpha: alpha·(b - base) + base

@@ -10,14 +10,22 @@ Five fields are supported, each with an involutive conjugation:
 * complex surds (surd real + surd imaginary part).
 
 All values are immutable and kept in canonical form, so ``==`` is exact
-mathematical equality.  The surd types add, subtract and multiply but do
-not divide: every matrix operation runs on rational parts, so nothing in
-this package divides two surds.
+mathematical equality, and it agrees with ``hash``: values of two
+families compare in the complex surds, where both embed, and a GF(p)
+element equals only an element of the same GF(p), never an int.
 
 Rationals are stdlib ``fractions.Fraction``, the one rational type
-(``RAT`` names it).  ``GaussianRational`` and ``SurdComplex`` share their
-arithmetic through the private base ``_ComplexPair``: a value is a pair
-(re, im), and only construction and coercion differ.
+(``RAT`` names it).  The other four types share the private base
+``_Scalar``, which writes the immutability guard, ``+ - * /`` with their
+reflected forms, ``==`` and the identity ``conjugate`` once.  Each
+operator takes its operand through the type's ``_coerce`` (None for a
+foreign operand), then calls the type's primitives: ``_add``, ``_mul``,
+``_key`` (the canonical parts that ``==`` compares) and ``_inverse``,
+which only ``GaussianRational`` and ``PrimeFieldElement`` have: the surd
+types do not divide, as every matrix operation runs on rational parts.
+``GaussianRational`` and ``SurdComplex`` share theirs through
+``_ComplexPair``: a value is a pair (re, im), and only construction and
+coercion differ.
 
 Entry strings have one reader, ``read_entries``, which returns them as
 integers laid out as an integer form; ``Field.parse`` is that reader on
@@ -188,14 +196,83 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class _ComplexPair:
-    """re + i*im over a real field; a subclass gives ``__init__`` (which
-    makes re and im canonical) and ``_coerce``."""
+class _Scalar:
+    """The operators of the four scalar types (see the module docstring)."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ()
+    _inverse = None
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _coerce(cls, x):
+        # a value of the type or a rational; PrimeFieldElement and
+        # SurdComplex take other operands
+        if isinstance(x, cls):
+            return x
+        if isinstance(x, RATIONAL_TYPES):
+            return cls(x)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._add(o)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._add(-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o._add(-self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._mul(o)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None or self._inverse is None:
+            return NotImplemented
+        return self._mul(o._inverse())
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None or self._inverse is None:
+            return NotImplemented
+        return o._mul(self._inverse())
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is not None:
+            return self._key == o._key
+        # scalars of two families compare in the complex surds, where both
+        # embed, so that equality stays transitive
+        o = SurdComplex._coerce(other)
+        return NotImplemented if o is None else SurdComplex._coerce(self) == o
+
+    def conjugate(self):
+        return self
+
+
+class _ComplexPair(_Scalar):
+    """re + i*im over a real field; a subclass gives ``__init__``, which
+    makes re and im canonical."""
+
+    __slots__ = ("re", "im")
 
     @classmethod
     def _raw(cls, re, im):
@@ -206,48 +283,21 @@ class _ComplexPair:
         _set_im(out, im)
         return out
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @property
+    def _key(self):
+        return self.re, self.im
+
+    def _add(self, o):
         return type(self)(self.re + o.re, self.im + o.im)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return type(self)(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    def _mul(self, o):
+        return type(self)(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     def __neg__(self):
         return type(self)(-self.re, -self.im)
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return type(self)(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
-
     def conjugate(self):
         return type(self)(self.re, -self.im)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
 
     def __hash__(self):
         # a real value hashes like its real part; SurdReal parts hash like
@@ -274,37 +324,17 @@ class GaussianRational(_ComplexPair):
         object.__setattr__(self, "re", re if type(re) is RAT else RAT(re))
         object.__setattr__(self, "im", im if type(im) is RAT else RAT(im))
 
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, RATIONAL_TYPES):
-            return GaussianRational(x)
-        return None
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        norm = o.re * o.re + o.im * o.im
+    def _inverse(self):
+        norm = self.re * self.re + self.im * self.im
         if not norm:
             raise DivisionByZero("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / norm,
-            (self.im * o.re - self.re * o.im) / norm,
-        )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        return GaussianRational(self.re / norm, -self.im / norm)
 
 
 I_GAUSS = GaussianRational(0, 1)
 
 
-class PrimeFieldElement:
+class PrimeFieldElement(_Scalar):
     """Residue in GF(p)."""
 
     __slots__ = ("residue", "p")
@@ -312,9 +342,6 @@ class PrimeFieldElement:
     def __init__(self, residue: int, p: int):
         object.__setattr__(self, "residue", residue % p)
         object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrimeFieldElement is immutable")
 
     @classmethod
     def _raw(cls, residue: int, p: int) -> PrimeFieldElement:
@@ -333,63 +360,27 @@ class PrimeFieldElement:
             return PrimeFieldElement(x, self.p)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _add(self, o):
         return PrimeFieldElement(self.residue + o.residue, self.p)
 
-    __radd__ = __add__
+    def _mul(self, o):
+        return PrimeFieldElement(self.residue * o.residue, self.p)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return PrimeFieldElement(self.residue - o.residue, self.p)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    def _inverse(self):
+        if not self.residue:
+            raise DivisionByZero(f"division by zero in GF({self.p})")
+        # Fermat inverse; p is prime by field construction.
+        return PrimeFieldElement(pow(self.residue, self.p - 2, self.p), self.p)
 
     def __neg__(self):
         return PrimeFieldElement(-self.residue, self.p)
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return PrimeFieldElement(self.residue * o.residue, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.residue == 0:
-            raise DivisionByZero(f"division by zero in GF({self.p})")
-        # Fermat inverse; p is prime by field construction.
-        inv = pow(o.residue, self.p - 2, self.p)
-        return PrimeFieldElement(self.residue * inv, self.p)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def conjugate(self) -> PrimeFieldElement:
-        return self
-
     def __eq__(self, other):
-        if isinstance(other, PrimeFieldElement) and other.p != self.p:
-            return False
-        o = self._coerce(other)
-        if o is None:
+        # never equal to an int: no hash agrees with equality mod p, as k
+        # and k + p hash apart; compare with ``GF(p).coerce(k)``
+        if type(other) is not PrimeFieldElement:
             return NotImplemented
-        return self.residue == o.residue
+        return self.p == other.p and self.residue == other.residue
 
     def __hash__(self):
         return hash((self.residue, self.p))
@@ -404,7 +395,7 @@ class PrimeFieldElement:
 _set_residue, _set_p = PrimeFieldElement.residue.__set__, PrimeFieldElement.p.__set__
 
 
-class SurdReal:
+class SurdReal(_Scalar):
     """Finite sum of q_d * sqrt(d) terms, squarefree d, rational q_d.
 
     The key d = 1 carries the rational part.  Terms with zero
@@ -429,9 +420,6 @@ class SurdReal:
             clean.append((d, q))
         object.__setattr__(self, "_terms", tuple(clean))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SurdReal is immutable")
-
     @classmethod
     def _raw(cls, pairs) -> SurdReal:
         # pairs already sorted, squarefree, nonzero
@@ -443,6 +431,8 @@ class SurdReal:
     def terms(self):
         return self._terms
 
+    _key = terms
+
     def coefficient(self, d: int):
         for key, q in self._terms:
             if key == d:
@@ -450,68 +440,26 @@ class SurdReal:
         return RAT(0)
 
     @staticmethod
-    def _coerce(x):
-        if isinstance(x, SurdReal):
-            return x
-        if isinstance(x, RATIONAL_TYPES):
-            return SurdReal(x)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        acc = dict(self._terms)
-        for d, q in o._terms:
-            s = acc.get(d, 0) + q
-            if s:
-                acc[d] = s
-            else:
-                acc.pop(d, None)
-        return SurdReal._raw(sorted(acc.items()))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + -o
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return SurdReal._raw((d, -q) for d, q in self._terms)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _collect(terms) -> SurdReal:
+        # the sum of the terms (d, q), like radicands collected
         acc = {}
+        for d, q in terms:
+            acc[d] = acc.get(d, 0) + q
+        return SurdReal._raw(sorted((d, q) for d, q in acc.items() if q))
+
+    def _add(self, o):
+        return self._collect(self._terms + o._terms)
+
+    def _mul(self, o):
+        terms = []
         for d, q in self._terms:
             for e, r in o._terms:
                 s, f = surd_basis_product(d, e)
-                v = acc.get(f, 0) + q * r * s
-                if v:
-                    acc[f] = v
-                else:
-                    acc.pop(f, None)
-        return SurdReal._raw(sorted(acc.items()))
+                terms.append((f, q * r * s))
+        return self._collect(terms)
 
-    __rmul__ = __mul__
-
-    def conjugate(self) -> SurdReal:
-        return self
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._terms == o._terms
+    def __neg__(self):
+        return SurdReal._raw((d, -q) for d, q in self._terms)
 
     def __hash__(self):
         # a rational value hashes like the rational it equals

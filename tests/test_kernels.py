@@ -122,7 +122,7 @@ def test_raw_surd_complex_is_the_init_value(re, im):
 def test_raw_prime_field_element_is_the_init_value(x, p):
     raw = PrimeFieldElement._raw(x % p, p)
     assert_built_alike(raw, PrimeFieldElement(x, p))
-    assert raw == x
+    assert raw == PrimeFieldElement(x, p)
 
 
 def test_fraction_keeps_the_slots_raw_rational_sets():

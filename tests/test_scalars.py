@@ -38,6 +38,21 @@ def surds(min_terms=0, max_terms=3):
     return st.dictionaries(squarefree, rationals, min_size=min_terms, max_size=max_terms).map(SurdReal)
 
 
+# values of every scalar type over a few small parts, so that equal values
+# of different types are drawn often: ints, Fractions and elements of
+# Q(i), GF(7), GF(11), surd and surd_c
+_parts = st.sampled_from([0, 1, -1, Fraction(1, 2)])
+_small_surds = st.dictionaries(st.sampled_from([1, 2]), _parts, max_size=2).map(SurdReal)
+scalar_values = st.one_of(
+    st.integers(min_value=-1, max_value=12),
+    _parts.map(Fraction),
+    st.builds(GaussianRational, _parts, _parts),
+    st.builds(PrimeFieldElement, st.integers(min_value=0, max_value=12), st.sampled_from([7, 11])),
+    _small_surds,
+    st.builds(SurdComplex, _small_surds, _small_surds),
+)
+
+
 class TestSquarefree:
     def test_basis_product_examples(self):
         assert surd_basis_product(2, 2) == (2, 1)
@@ -327,9 +342,40 @@ class TestHashAgreesWithEquality:
             with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
                 x.re = 0
 
+    @pytest.mark.parametrize("x", [PrimeFieldElement(3, 7), SurdReal({2: 1})], ids=repr)
+    def test_real_types_are_immutable(self, x):
+        with pytest.raises(AttributeError, match=f"^{type(x).__name__} is immutable$"):
+            x.residue = 0
+
     def test_mixed_sets_collapse(self):
         values = {1, Fraction(1), GaussianRational(1), SurdReal(1), SurdComplex(1)}
         assert len(values) == 1
+
+    @given(st.lists(scalar_values, max_size=6).flatmap(lambda xs: st.tuples(st.just(xs), st.permutations(xs))))
+    def test_equality_is_an_equivalence_that_hash_respects(self, values):
+        xs, shuffled = values
+        for a in xs:
+            for b in xs:
+                if a == b:
+                    assert b == a
+                    assert hash(a) == hash(b)
+                    assert all(a == c for c in xs if b == c)
+        assert len(set(xs)) == len(set(shuffled))
+
+    def test_prime_field_element_equals_only_its_own_field(self):
+        x = PrimeFieldElement(3, 7)
+        assert x != 3 and 3 != x and x != 10
+        assert x == GF(7).coerce(10) and x != PrimeFieldElement(3, 11)
+        assert {x: "x"}.get(GF(7).coerce(10)) == "x"
+        assert len({3, x}) == 2
+
+    def test_equality_across_families_is_transitive(self):
+        half = Fraction(1, 2)
+        g, s = GaussianRational(half), SurdReal(half)
+        assert g == s and s == g
+        assert len({half, g, s}) == len({g, s, half}) == 1
+        assert GaussianRational(0, 1) != SurdReal({2: 1})
+        assert SurdReal({2: 1}) == SurdComplex(SurdReal({2: 1}))
 
 
 class TestParseErrors:
@@ -345,9 +391,10 @@ class TestParseErrors:
 
 
 class TestReflectedOperators:
-    """``k - x`` and ``k / x`` with an integer k on the left reach the
-    reflected operators, which must agree with the field's own k (the
-    surd types do not divide)."""
+    """``k + x``, ``k - x``, ``k * x`` and ``k / x`` with an integer k on
+    the left reach the reflected operators, and ``x + k`` and ``x * k``
+    the forward ones; each must agree with the field's own k (the surd
+    types do not divide)."""
 
     primes = st.sampled_from([2, 7, 101])
 
@@ -356,22 +403,29 @@ class TestReflectedOperators:
     ))
     def test_prime_field(self, k, x):
         field = GF(x.p)
+        assert k + x == x + k == field.from_int(k) + x
+        assert k * x == x * k == field.from_int(k) * x
         assert k - x == field.from_int(k) - x
         assert k / x == field.from_int(k) / x
 
     @given(st.integers(min_value=-50, max_value=50), st.builds(GaussianRational, rationals, rationals).filter(bool))
     def test_gaussian_field(self, k, x):
+        assert k + x == x + k == QI.from_int(k) + x
+        assert k * x == x * k == QI.from_int(k) * x
         assert k - x == QI.from_int(k) - x
         assert k / x == QI.from_int(k) / x
 
     @given(st.integers(min_value=-50, max_value=50), surds(min_terms=1).filter(bool))
     def test_surd_field(self, k, x):
+        assert k + x == x + k == SURD.from_int(k) + x
+        assert k * x == x * k == SURD.from_int(k) * x
         assert k - x == SURD.from_int(k) - x
 
     @pytest.mark.parametrize("x", [SurdReal({2: 1}), SurdComplex(SurdReal({2: 1}), SurdReal(1))], ids=repr)
     def test_surd_values_do_not_divide(self, x):
-        with pytest.raises(TypeError):
-            x / x
+        for a, b in ((x, x), (2, x), (x, 2)):
+            with pytest.raises(TypeError):
+                a / b
 
     @pytest.mark.parametrize("x", [PrimeFieldElement(3, 7), SurdReal({2: Fraction(1, 2)})], ids=repr)
     def test_foreign_operand_is_a_type_error(self, x):

@@ -12,12 +12,12 @@ commutator-style bracket:
 * ``ga_c`` -- row/column sums equal to an arbitrary fixed scalar c.
 
 Each class is written once, as the linear equations of
-``constraint_system``.  The solver parameterises the class from them,
-and sampling draws small rational coefficients of its directions as
-integers straight into the integer form (``draw_form``).  Membership
-tests the same equations, compiled once into a ``solve.constraint_table``,
-on the integer form of a matrix over Q, Q(i) and GF(p), and on the
-integer form of each rational part over the surd fields.
+``constraint_system`` on the halves (i, j, h) of the entries.  The
+solver parameterises the class from them, and sampling draws small
+rational coefficients of its directions as integers straight into the
+integer form (``draw_form``).  Membership tests the same equations,
+compiled once into a ``solve.constraint_table``, on the integer form of
+a matrix over Q, Q(i) and GF(p), and of each part over the surd fields.
 """
 from __future__ import annotations
 
@@ -180,10 +180,14 @@ def contains_parts(spec: MatrixClassSpec, field: Field, forms) -> bool:
 def _membership_table(spec: MatrixClassSpec, field: Field) -> tuple:
     """The equations of ``constraint_system``, the ones the solver
     solves, compiled for integer forms over ``field``; a spec over a
-    surd field uses the same class over its part field."""
+    surd field uses the same class over its part field, and a real
+    class over Q(i) puts each on the imaginary half too, constant 0."""
     if spec.field in PART_FIELDS:
         spec = replace(spec, field=PART_FIELDS[spec.field])
-    return constraint_table(constraint_system(spec)[0], spec.ambient, field)
+    constraints = constraint_system(spec)
+    if field is QI and spec.field is QQ:
+        constraints += [({(i, j, 1): x for (i, j, _), x in coeffs.items()}, 0) for coeffs, _ in constraints]
+    return constraint_table(constraints, spec.ambient)
 
 
 def base_point(spec: MatrixClassSpec) -> Matrix:
@@ -200,47 +204,33 @@ def base_point(spec: MatrixClassSpec) -> Matrix:
     return J.scale(c * field.inv_int(m))
 
 
-def constraint_system(spec: MatrixClassSpec):
-    """The defining equations as (constraints, realify) ready for
-    ``solve_affine_system``."""
+def constraint_system(spec: MatrixClassSpec) -> list:
+    """The defining equations for ``solve_affine_system``, on the halves
+    (i, j, h) of the entries: each half's row and column sums are that
+    half of c; sl and su have zero trace on each half (su's real one is
+    zero already); o, u and su are antisymmetric on the real half, with
+    diagonal 1 for o, and over Q(i) symmetric on the imaginary half."""
     if spec.field in PART_FIELDS:
         raise FieldMismatch(
             f"{spec.describe()} is parameterised over Q / Qi only; "
             "surd fields are conjugation targets"
         )
-    m = spec.ambient
-    if spec.block_kind in COMPLEX:
-        return _hermitian_constraints(spec, m), True
-    c = spec.normalisation()
+    m, kind, c = spec.ambient, spec.block_kind, spec.normalisation()
+    c_halves = (c.re, c.im) if spec.field is QI else (c.residue if spec.field.characteristic else c,)
     constraints = []
-    for l in range(m):
-        constraints.append(({(l, k): 1 for k in range(m)}, c))
-        constraints.append(({(k, l): 1 for k in range(m)}, c))
-    if spec.block_kind in TRACELESS:
-        constraints.append(({(k, k): 1 for k in range(m)}, 0))
-    if spec.block_kind == "o":
+    for h, ch in enumerate(c_halves):
+        for l in range(m):
+            constraints.append(({(l, k, h): 1 for k in range(m)}, ch))
+            constraints.append(({(k, l, h): 1 for k in range(m)}, ch))
+        if kind in TRACELESS and (h or kind not in COMPLEX):
+            constraints.append(({(k, k, h): 1 for k in range(m)}, 0))
+    if kind in REAL_LINEAR:
         for k in range(m):
-            constraints.append(({(k, k): 1}, 1))
+            constraints.append(({(k, k, 0): 1}, 1 if kind == "o" else 0))
             for l in range(k + 1, m):
-                constraints.append(({(k, l): 1, (l, k): 1}, 0))
-    return constraints, False
-
-
-def _hermitian_constraints(spec: MatrixClassSpec, m: int):
-    # unknowns are rational re/im parts; row/col sums equal i
-    constraints = []
-    for l in range(m):
-        constraints.append(({(l, k, 0): 1 for k in range(m)}, 0))
-        constraints.append(({(l, k, 1): 1 for k in range(m)}, 1))
-        constraints.append(({(k, l, 0): 1 for k in range(m)}, 0))
-        constraints.append(({(k, l, 1): 1 for k in range(m)}, 1))
-    for k in range(m):
-        constraints.append(({(k, k, 0): 1}, 0))
-        for l in range(k + 1, m):
-            constraints.append(({(k, l, 0): 1, (l, k, 0): 1}, 0))
-            constraints.append(({(k, l, 1): 1, (l, k, 1): -1}, 0))
-    if spec.block_kind in TRACELESS:
-        constraints.append(({(k, k, 1): 1 for k in range(m)}, 0))
+                constraints.append(({(k, l, 0): 1, (l, k, 0): 1}, 0))
+                if len(c_halves) == 2:
+                    constraints.append(({(k, l, 1): 1, (l, k, 1): -1}, 0))
     return constraints
 
 
@@ -248,21 +238,21 @@ def _solve(spec: MatrixClassSpec) -> AffineSubspace:
     # surface the characteristic obstruction before solving: sampling and
     # dimensions are only offered where the base point exists
     base_point(spec)
-    constraints, realify = constraint_system(spec)
-    return solve_affine_system(constraints, spec.ambient, spec.field, realify=realify)
+    return solve_affine_system(constraint_system(spec), spec.ambient, spec.field)
 
 
 @lru_cache(maxsize=None)
 def subspace(spec: MatrixClassSpec) -> AffineSubspace:
     """The class as a particular solution plus direction matrices (built
-    from the solver's integer forms on first read).  Sampling and
-    ``dimension`` do not go through this cache."""
+    from the solver's integer forms on first read; v and i·v for each
+    complex direction v).  Sampling and ``dimension`` do not go through
+    this cache."""
     return _solve(spec)
 
 
 def dimension(spec: MatrixClassSpec) -> int:
-    """Dimension of the direction space (real dimension for the
-    realified hermitian-type classes)."""
+    """Dimension of the direction space over the action field (real
+    dimension for una and suna)."""
     return _sampling_data(spec)[0]
 
 
@@ -278,15 +268,11 @@ def _sampling_data(spec: MatrixClassSpec):
     and direction generators, flat integer vectors over its one common
     denominator laid out as in ``Matrix.integer_form``, so each sample
     is a single integer accumulation pass.  With complex coefficients
-    each direction v contributes the generators v and i*v, one per part
-    of its coefficient.  Only these integers are kept."""
+    the solver gives v and i·v, one per part of v's coefficient, and
+    ``dimension`` counts them once.  Only these integers are kept."""
     space = _solve(spec)
-    dirs = space.direction_forms
-    if spec.field is QI and not space.realified:
-        mm = spec.ambient ** 2
-        dirs = [g for v in dirs for g in (v, (*(-x for x in v[mm:]), *v[:mm]))]
-    gens = tuple(tuple((k, x) for k, x in enumerate(v) if x) for v in dirs)
-    return space.dimension, space.den, space.particular_form, gens
+    gens = tuple(tuple((k, x) for k, x in enumerate(v) if x) for v in space.direction_forms)
+    return space.dimension // (2 if spec.scalar_field is QI else 1), space.den, space.particular_form, gens
 
 
 def draw_element(spec: MatrixClassSpec, rng: random.Random) -> Matrix:

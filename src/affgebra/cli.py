@@ -67,7 +67,11 @@ def _kind_from_args(args, field):
 def _seed_of(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("AFFGEBRA_SEED", "0"))
+    text = os.environ.get("AFFGEBRA_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"AFFGEBRA_SEED must be an integer, got {text!r}") from None
 
 
 def _emit(doc: dict) -> None:

@@ -1,29 +1,29 @@
 """Exact solver for inhomogeneous linear systems on matrix entries.
 
-A system is a list of ``(coeffs, rhs)`` pairs.  In the plain case
-``coeffs`` maps entry positions ``(i, j)`` to field scalars.  In the
-realified case (needed for conjugate-linear conditions such as
-anti-hermitianity) the unknowns are the rational real/imaginary parts of
-each entry and ``coeffs`` maps ``(i, j, part)`` with part 0 = re,
-part 1 = im; the carrier field must then be the Gaussian rationals.
+A system is a list of ``(coeffs, rhs)`` pairs, one linear condition on
+the rational halves of the entries each: ``coeffs`` maps a key
+``(i, j, h)``, entry (i, j) and half h (0 real; 1 imaginary, over Q(i)
+only), to a rational coefficient, and ``rhs`` is a rational constant,
+both read modulo p over GF(p).  A complex-linear condition over Q(i) is
+two conditions, one per half; a conjugate-linear one (anti-hermitianity)
+is the real conditions it puts on each half.  An equation with no keys
+holds iff its constant is 0.  A half the field lacks, a value that is
+not rational, and the surd fields raise FieldMismatch.
 
 Elimination runs on sparse integer rows (``row_reduce``, which also
 carries ``Matrix.inverse``): each row is a dict of its nonzero entries,
 built from the constraint's own keys, and the work of an update follows
-the nonzeros of the pivot row, not the width of the system.  Over Q, and
-over the rational parts of a realified system, each row is scaled to
-integers over the denominators of its nonzeros; over GF(p) the rows hold
-residues.  Over Q(i) without realification the coefficients must be
-rational (every system ``classes.constraint_system`` builds is), and
-the right-hand side is carried as two integer columns, its real and its
-imaginary part.  A non-real coefficient there, and the surd fields,
-raise FieldMismatch.
+the nonzeros of the pivot row, not the width of the system.  Over Q and
+Q(i) each row is scaled to integers over the denominators of its
+nonzeros; over GF(p) the rows hold residues.
 
 The result is an affine parameterisation: the particular solution with
 every free unknown 0, and one direction per free unknown (that unknown
 1, the other free ones 0), in the order of the free unknowns.  These are
 read off the reduced row echelon form, which is unique, so they depend
-only on the solution space and the order of the unknowns.
+only on the solution space and the order of the unknowns.  The two
+halves of an entry are adjacent unknowns, so a complex-linear system
+over Q(i) lists each direction v of its real half followed by i·v.
 
 The same constraints also test membership without solving:
 ``constraint_table`` compiles them once into integer rows over the flat
@@ -44,18 +44,18 @@ from .scalars import PART_FIELDS, Field, QI, QQ, common_denominator
 
 @dataclass(frozen=True)
 class AffineSubspace:
-    """particular + span(directions).  The particular solution and each
-    direction are integer forms over the one positive denominator
-    ``den``, laid out as in ``Matrix.integer_form`` (over GF(p),
-    residues over 1) but not reduced; ``particular`` and ``directions``
-    build the matrices from them on first read."""
+    """particular + span(directions), over Q for a system over Q(i).  The
+    particular solution and each direction are integer forms over the
+    one positive denominator ``den``, laid out as in
+    ``Matrix.integer_form`` (over GF(p), residues over 1) but not
+    reduced; ``particular`` and ``directions`` build the matrices from
+    them on first read."""
 
     field: Field
     size: int
     den: int
     particular_form: tuple[int, ...]
     direction_forms: tuple[tuple[int, ...], ...]
-    realified: bool
 
     @property
     def dimension(self) -> int:
@@ -72,32 +72,23 @@ class AffineSubspace:
         )
 
 
-def solve_affine_system(constraints, size: int, field: Field, realify: bool = False) -> AffineSubspace:
-    if realify and field is not QI:
-        raise FieldMismatch("realified systems are solved over the Gaussian rationals")
+def solve_affine_system(constraints, size: int, field: Field) -> AffineSubspace:
     if field in PART_FIELDS:
         raise FieldMismatch(f"linear systems are solved over Q, Q(i) and GF(p), not {field.describe()}")
     p = field.characteristic
-    split = field is QI and not realify  # rational coefficients, complex right-hand side
-    scalar = QQ if realify else field
+    read = (lambda x: field.coerce(x).residue) if p else QQ.coerce
+    halves = 2 if field is QI else 1
     mm = size * size
-    ncols = 2 * mm if realify else mm
+    ncols = halves * mm
 
     rows = []
     for coeffs, rhs in constraints:
         row = {}
-        for pos, c in coeffs.items():
-            c = scalar.coerce(c)
-            if split:
-                if c.im:
-                    raise FieldMismatch("a system over Q(i) needs rational coefficients unless realified")
-                c = c.re
-            row[_flat_index(pos, size, realify)] = c.residue if p else c
-        rhs = scalar.coerce(rhs)
-        if split:
-            row[ncols], row[ncols + 1] = rhs.re, rhs.im
-        else:
-            row[ncols] = rhs.residue if p else rhs
+        for (i, j, h), c in coeffs.items():
+            if not 0 <= h < halves:
+                raise FieldMismatch(f"key {(i, j, h)}: {field.describe()} has no half {h}")
+            row[(i * size + j) * halves + h] = read(c)
+        row[ncols] = read(rhs)
         row = {j: x for j, x in row.items() if x}
         if not p:
             row = dict(zip(row, common_denominator(row.values())[0]))
@@ -110,9 +101,8 @@ def solve_affine_system(constraints, size: int, field: Field, realify: bool = Fa
 
     # pivot row r stands for row / a_r; s_r = den / a_r scales it to den
     den = reduce(lcm, (row[c] for c, row in zip(pivots, rows)), 1)
-    # form index of each unknown: realified unknowns interleave re and im
-    where = [k % 2 * mm + k // 2 for k in range(ncols)] if realify else range(ncols)
-    width = 2 * mm if field is QI else mm
+    # form index of each unknown: the real half, then the imaginary one
+    where = [k % halves * mm + k // halves for k in range(ncols)]
 
     pivot_set = set(pivots)
     # one direction per free unknown, in order: that unknown den, the
@@ -120,52 +110,32 @@ def solve_affine_system(constraints, size: int, field: Field, realify: bool = Fa
     directions = {}
     for free in range(ncols):
         if free not in pivot_set:
-            directions[free] = vec = [0] * width
+            directions[free] = vec = [0] * ncols
             vec[where[free]] = den
-    particular = [0] * width
+    particular = [0] * ncols
     for c, row in zip(pivots, rows):
         s = den // row[c]
         particular[where[c]] = row.get(ncols, 0) * s
-        if split:
-            particular[mm + c] = row.get(ncols + 1, 0) * s
         # a reduced row holds no pivot column but its own
         for j, x in row.items():
             if j < ncols and j != c:
                 directions[j][where[c]] = -x * s % p if p else -x * s
-    return AffineSubspace(field, size, den, tuple(particular), tuple(map(tuple, directions.values())), realify)
+    return AffineSubspace(field, size, den, tuple(particular), tuple(map(tuple, directions.values())))
 
 
-def _flat_index(pos, size: int, realify: bool) -> int:
-    if realify:
-        i, j, part = pos
-        return (i * size + j) * 2 + part
-    i, j = pos
-    return i * size + j
-
-
-def constraint_table(constraints, size: int, field: Field) -> tuple:
+def constraint_table(constraints, size: int) -> tuple:
     """A system with integer coefficients as the rows (idx, coefs, cnum,
     cden) that ``satisfies`` tests on integer forms of size x size
-    matrices over ``field`` (Q, Q(i) or GF(p)): the form indices of the
-    unknowns, their coefficients (None when all are 1) and the constant
-    cnum/cden, a residue over 1 over GF(p).  A realified key (i, j, part)
-    names the entry (i, j) of the half ``part``; over Q(i) a plain
-    constraint is one row on each half, its constant split between them."""
+    matrices: the form index h*size*size + i*size + j of each key
+    (i, j, h), the coefficients (None when all are 1) and the rational
+    constant cnum/cden, which ``satisfies`` reads modulo p over GF(p)."""
     mm = size * size
     table = []
     for coeffs, const in constraints:
-        const = field.coerce(const)
-        realified = len(next(iter(coeffs))) == 3
-        if field.characteristic:
-            consts = [QQ.coerce(const.residue)]
-        elif field is QI:
-            consts = [const.re] if realified else [const.re, const.im]
-        else:
-            consts = [const]
+        const = QQ.coerce(const)
         coefs = tuple(coeffs.values())
-        for h, c in enumerate(consts):
-            idx = tuple((pos[2] if realified else h) * mm + pos[0] * size + pos[1] for pos in coeffs)
-            table.append((idx, None if all(x == 1 for x in coefs) else coefs, c.numerator, c.denominator))
+        idx = tuple(h * mm + i * size + j for i, j, h in coeffs)
+        table.append((idx, None if all(x == 1 for x in coefs) else coefs, const.numerator, const.denominator))
     return tuple(table)
 
 

@@ -40,7 +40,6 @@ from .scalars import (
     PART_FIELDS,
     RAT,
     Field,
-    QI,
     QQ,
     SURD,
     SURD_C,
@@ -187,7 +186,7 @@ def _block_table(kind: str, n: int, radicals, halves: int) -> tuple:
                 rows.append(({(l, k, 0): f[l], (k, l, 0): f[k]}, 0))
                 if l > k and halves == 2:
                     rows.append(({(l, k, 1): f[l], (k, l, 1): -f[k]}, 0))
-    return constraint_table(rows, size, QI if halves == 2 else QQ)
+    return constraint_table(rows, size)
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,7 @@ from affgebra.classes import (
 from affgebra.cli import main
 from affgebra.errors import FieldMismatch, MalformedWire, NonInvertibleScalar, SizeMismatch
 from affgebra.matrix import Matrix, matrix_to_wire
-from affgebra.scalars import GF, QI, QQ, SURD, GaussianRational
+from affgebra.scalars import GF, QI, QQ, SURD, SURD_C, GaussianRational
 from affgebra.transforms import block_target, required_via
 
 
@@ -202,6 +202,20 @@ class TestContains:
         # right sums, not anti-hermitian
         assert not contains(s, Matrix(QI, [["1", "-1+1i"], ["-1+1i", "1"]]))
 
+    def test_real_class_over_a_complex_field_tests_the_imaginary_half(self):
+        # the imaginary half of a member of a real class meets the
+        # homogeneous equations: zero sums for gna, zero diagonal for ona
+        gna = spec(ClassKind.GNA, 1)
+        b = base_point(gna).widen(QI)
+        i = QI.imaginary_unit()
+        assert contains(gna, b)
+        assert not contains(gna, b + Matrix(QI, [[i, 0], [0, 0]]))
+        assert contains(gna, b + Matrix(QI, [[i, -i], [-i, i]]))
+        ona = spec(ClassKind.ONA, 2)
+        identity = Matrix.identity(SURD_C, 3)
+        assert contains(ona, identity)
+        assert not contains(ona, identity.with_entry(0, 0, SURD_C.one() + SURD_C.imaginary_unit()))
+
     def test_ga_c_with_unit_scalar_agrees_with_gna(self):
         ga1 = spec(ClassKind.GA_C, 2, QQ, c=Fraction(1))
         gna = spec(ClassKind.GNA, 2)
@@ -274,8 +288,9 @@ class TestDimension:
         assert dimension(spec(ClassKind.SNA, 3, GF(7))) == 8
 
     def test_agrees_with_the_solved_subspace(self):
-        # gna/sna over Qi have complex coefficients, so the sampling data
-        # holds two generators per direction; the dimension must not double
+        # gna/sna/ga_c over Qi have complex coefficients, so the solver
+        # lists v and i·v per direction; the dimension counts over the
+        # action field and must not double
         fields = {
             ClassKind.GNA: (QQ, QI, GF(7)),
             ClassKind.SNA: (QQ, QI, GF(7)),
@@ -288,7 +303,8 @@ class TestDimension:
             for field in kind_fields:
                 for n in range(1, 6):
                     s = spec(kind, n, field, c=field.coerce(3) if kind is ClassKind.GA_C else None)
-                    assert dimension(s) == subspace(s).dimension, s.describe()
+                    degree = 2 if s.scalar_field is QI else 1  # [action field : Q]
+                    assert subspace(s).dimension == dimension(s) * degree, s.describe()
 
     def test_sampling_and_dimension_leave_the_subspace_cache_empty(self):
         subspace.cache_clear()

@@ -498,6 +498,13 @@ class TestSample:
         )
         assert out_env == out_explicit
 
+    @pytest.mark.parametrize("seed", ["abc", "", "1.5"])
+    def test_malformed_env_seed_is_a_usage_error(self, capsys, monkeypatch, seed):
+        monkeypatch.setenv("AFFGEBRA_SEED", seed)
+        code, out, err = run_cli(capsys, "sample", "--class", "gna", "--n", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: AFFGEBRA_SEED must be an integer, got {seed!r}\n"
+
 
 class TestReproducibility:
     def test_verify_byte_identical_modulo_elapsed(self, capsys):

@@ -69,9 +69,11 @@ def _scalar(field, rng):
 
 def fraction_draw_element(s, rng):
     """The particular solution plus one drawn coefficient times each
-    direction, the coefficients rational for the realified classes."""
+    direction, the coefficients rational over Q(i): there the solver
+    lists v and i·v, so the draws of a coefficient's two parts scale
+    the pair."""
     space = subspace(s)
-    coeff_field = QQ if space.realified else s.field
+    coeff_field = s.field if s.field.characteristic else QQ
     m = space.particular
     for d in space.directions:
         m = m + d.scale(_scalar(coeff_field, rng))

@@ -3,7 +3,10 @@
 ``oracle_solve`` is the Gauss-Jordan elimination on field scalars that
 the solver ran before it moved to integer rows; the integer solver must
 give the same particular solution and directions on random systems and
-on every class system.  ``oracle.plain_row_reduce`` is the elimination
+on every class system.  ``oracle_solve_complex`` solves a system with
+complex constants over Q(i) on Q(i) scalars, as the solver once did; the
+solver must give its particular solution and its directions v, each
+followed by i·v, on the rewrite of the system as two half equations.  ``oracle.plain_row_reduce`` is the elimination
 on dense integer rows that ran before the rows became sparse;
 ``row_reduce`` must return its pivots and its rows.
 
@@ -28,6 +31,7 @@ import hashlib
 import io
 import json
 import random
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -48,7 +52,7 @@ from affgebra.cli import main
 from affgebra.errors import FieldMismatch, Infeasible
 from affgebra.matrix import Matrix, matrix_to_wire
 from affgebra.scalars import GF, QI, QQ, SURD, GaussianRational
-from affgebra.solve import row_reduce, satisfies, solve_affine_system
+from affgebra.solve import constraint_table, row_reduce, satisfies, solve_affine_system
 from affgebra.transforms import _block_generators, _block_table, block_target
 from oracle import plain_row_reduce
 
@@ -56,24 +60,34 @@ GOLDEN = Path(__file__).parent / "golden" / "solver.json"
 CLASS_SYSTEMS = Path(__file__).parent / "golden" / "class_systems.json"
 
 
-def row_col_sum_constraints(m, value):
+def row_col_sum_constraints(m, value, h=0):
     out = []
     for l in range(m):
-        out.append(({(l, k): 1 for k in range(m)}, value))
-        out.append(({(k, l): 1 for k in range(m)}, value))
+        out.append(({(l, k, h): 1 for k in range(m)}, value))
+        out.append(({(k, l, h): 1 for k in range(m)}, value))
     return out
 
 
-def evaluate(coeffs, mat, realify=False):
-    if not realify:
-        acc = mat.field.zero()
-        for (i, j), c in coeffs.items():
-            acc = acc + mat.field.coerce(c) * mat.entry(i, j)
-        return acc
-    acc = Fraction(0)
-    for (i, j, part), c in coeffs.items():
-        entry = mat.entry(i, j)
-        acc += Fraction(c) * (Fraction(entry.re) if part == 0 else Fraction(entry.im))
+def by_halves(constraints):
+    """A system with keys (i, j) and constants over Q(i) as the one
+    language's system: each equation once on each half, with that half
+    of its constant."""
+    out = []
+    for coeffs, rhs in constraints:
+        rhs = QI.coerce(rhs)
+        for h, part in enumerate((rhs.re, rhs.im)):
+            out.append(({(i, j, h): c for (i, j), c in coeffs.items()}, part))
+    return out
+
+
+def evaluate(coeffs, mat):
+    """The sum of c times half h of entry (i, j) over the keys (i, j, h):
+    a rational over Q(i), else a field scalar."""
+    if mat.field is QI:
+        return sum(Fraction(c) * (mat.entry(i, j).re, mat.entry(i, j).im)[h] for (i, j, h), c in coeffs.items())
+    acc = mat.field.zero()
+    for (i, j, _), c in coeffs.items():
+        acc = acc + mat.field.coerce(c) * mat.entry(i, j)
     return acc
 
 
@@ -89,15 +103,15 @@ class TestSumSystems:
         m = 3
         constraints = row_col_sum_constraints(m, 1)
         for k in range(m):
-            constraints.append(({(k, k): 1}, 1))
+            constraints.append(({(k, k, 0): 1}, 1))
             for l in range(k + 1, m):
-                constraints.append(({(k, l): 1, (l, k): 1}, 0))
+                constraints.append(({(k, l, 0): 1, (l, k, 0): 1}, 0))
         space = solve_affine_system(constraints, m, QQ)
         assert space.dimension == 1
 
     def test_infeasible(self):
         with pytest.raises(Infeasible):
-            solve_affine_system([({(0, 0): 1}, 0), ({(0, 0): 1}, 1)], 2, QQ)
+            solve_affine_system([({(0, 0, 0): 1}, 0), ({(0, 0, 0): 1}, 1)], 2, QQ)
 
     def test_empty_system_is_full_space(self):
         space = solve_affine_system([], 2, QQ)
@@ -135,6 +149,9 @@ class TestSolutionProperties:
 
 
 class TestRealified:
+    """Systems on the rational halves of the entries over Q(i) that are
+    not complex-linear: anti-hermitian matrices with row sums i."""
+
     def _anti_hermitian_system(self, m):
         constraints = []
         for l in range(m):
@@ -153,13 +170,12 @@ class TestRealified:
         # real dimension of the direction space is n^2 for ambient n+1
         for n in (1, 2, 3):
             m = n + 1
-            space = solve_affine_system(self._anti_hermitian_system(m), m, QI, realify=True)
-            assert space.realified
+            space = solve_affine_system(self._anti_hermitian_system(m), m, QI)
             assert space.dimension == n * n
 
     def test_realified_solution_is_anti_hermitian(self):
         m = 3
-        space = solve_affine_system(self._anti_hermitian_system(m), m, QI, realify=True)
+        space = solve_affine_system(self._anti_hermitian_system(m), m, QI)
         combos = [space.particular]
         rng = random.Random(11)
         combo = space.particular
@@ -172,25 +188,56 @@ class TestRealified:
                 row = sum((mat.entry(l, k) for k in range(m)), start=QI.zero())
                 assert row == QI.imaginary_unit()
 
-    def test_realify_requires_gaussian_field(self):
-        with pytest.raises(FieldMismatch):
-            solve_affine_system([], 2, QQ, realify=True)
-
 
 class TestNarrowedContract:
     def test_surd_fields_are_refused(self):
         with pytest.raises(FieldMismatch):
             solve_affine_system(row_col_sum_constraints(2, 1), 2, SURD)
 
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=lambda f: f.describe())
+    def test_imaginary_half_requires_gaussian_field(self, field):
+        with pytest.raises(FieldMismatch, match=rf"^key \(0, 0, 1\): {re.escape(field.describe())} has no half 1$"):
+            solve_affine_system([({(0, 0, 1): 1}, 1)], 2, field)
+        assert solve_affine_system([({(0, 0, 1): 1}, 1)], 2, QI).dimension == 7
+
     def test_non_real_coefficient_over_gaussian_field_is_refused(self):
         with pytest.raises(FieldMismatch):
-            solve_affine_system([({(0, 0): GaussianRational(1, 1)}, 0)], 2, QI)
+            solve_affine_system([({(0, 0, 0): GaussianRational(1, 1)}, 0)], 2, QI)
+
+    @pytest.mark.parametrize("field", [QQ, QI, GF(7)], ids=lambda f: f.describe())
+    def test_values_that_are_not_rational_are_refused(self, field):
+        # values of other fields, even real ones
+        for value in (GaussianRational(1, 1), GaussianRational(1), GF(11).one()):
+            with pytest.raises(FieldMismatch):
+                solve_affine_system([({(0, 0, 0): value}, 0)], 1, field)
+            with pytest.raises(FieldMismatch):
+                solve_affine_system([({(0, 0, 0): 1}, value)], 1, field)
+        with pytest.raises(FieldMismatch):
+            constraint_table([({(0, 0, 0): 1}, GaussianRational(1, 1))], 1)
+
+    def test_fractions_are_read_modulo_p(self):
+        # x/2 = 1/3 over GF(7): x = 2/3 = 2·5 = 3
+        space = solve_affine_system([({(0, 0, 0): Fraction(1, 2)}, Fraction(1, 3))], 1, GF(7))
+        assert space.dimension == 0
+        assert space.particular == Matrix(GF(7), [[3]])
+
+    @pytest.mark.parametrize("field", [QQ, QI, GF(7)], ids=lambda f: f.describe())
+    def test_empty_equation_holds_iff_its_constant_is_zero(self, field):
+        assert solve_affine_system([({}, 0)], 2, field) == solve_affine_system([], 2, field)
+        with pytest.raises(Infeasible):
+            solve_affine_system([({}, 1)], 2, field)
+        p = field.characteristic
+        assert constraint_table([({}, 0)], 2) == (((), None, 0, 1),)
+        assert satisfies(constraint_table([({}, 0)], 2), [5, 0, 0, 1], 3, p)
+        assert not satisfies(constraint_table([({}, Fraction(1, 2))], 2), [0] * 4, 1, p)
 
     def test_complex_right_hand_side_over_gaussian_field(self):
+        # four complex directions, each listed as v and i·v
         c = GaussianRational(Fraction(1, 2), -3)
-        space = solve_affine_system(row_col_sum_constraints(3, c), 3, QI)
-        assert space.dimension == 4
-        for coeffs, rhs in row_col_sum_constraints(3, c):
+        constraints = row_col_sum_constraints(3, c.re, 0) + row_col_sum_constraints(3, c.im, 1)
+        space = solve_affine_system(constraints, 3, QI)
+        assert space.dimension == 8
+        for coeffs, rhs in constraints:
             assert evaluate(coeffs, space.particular) == rhs
             for d in space.directions:
                 assert evaluate(coeffs, d) == 0
@@ -255,27 +302,11 @@ class TestRowReduceAgainstDense:
 # -- the field-scalar solver (oracle) ---------------------------------------
 
 
-def oracle_solve(constraints, size, field, realify=False):
-    """(particular, directions, realified) by Gauss-Jordan elimination on
-    field scalars, with the same unknowns, pivots and free variables as
-    ``solve_affine_system``; Infeasible when inconsistent."""
-    solve_field = QQ if realify else field
-    ncols = 2 * size * size if realify else size * size
-
-    def flat(pos):
-        if realify:
-            i, j, part = pos
-            return (i * size + j) * 2 + part
-        i, j = pos
-        return i * size + j
-
-    rows = []
-    for coeffs, rhs in constraints:
-        row = [solve_field.zero()] * ncols + [solve_field.coerce(rhs)]
-        for pos, c in coeffs.items():
-            row[flat(pos)] = solve_field.coerce(c)
-        rows.append(row)
-
+def oracle_eliminate(rows, ncols, scalar):
+    """(particular, directions) as vectors of ``scalar`` by Gauss-Jordan
+    elimination on rows of ncols coefficients and a constant, pivots
+    taken column by column from the first row with a nonzero entry;
+    Infeasible when inconsistent."""
     pivots = []
     r = 0
     for c in range(ncols):
@@ -283,7 +314,7 @@ def oracle_solve(constraints, size, field, realify=False):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = solve_field.one() / rows[r][c]
+        inv = scalar.one() / rows[r][c]
         rows[r] = [inv * x for x in rows[r]]
         for k in range(len(rows)):
             if k != r and rows[k][c]:
@@ -296,7 +327,7 @@ def oracle_solve(constraints, size, field, realify=False):
     if any(row[-1] for row in rows[len(pivots):]):
         raise Infeasible("inconsistent constraint system")
 
-    zero = solve_field.zero()
+    zero = scalar.zero()
     particular = [zero] * ncols
     for r, c in enumerate(pivots):
         particular[c] = rows[r][-1]
@@ -305,60 +336,113 @@ def oracle_solve(constraints, size, field, realify=False):
         if free in pivots:
             continue
         vec = [zero] * ncols
-        vec[free] = solve_field.one()
+        vec[free] = scalar.one()
         for r, c in enumerate(pivots):
             vec[c] = -rows[r][free]
         directions.append(vec)
+    return particular, directions
+
+
+def oracle_solve(constraints, size, field):
+    """(particular, directions) by Gauss-Jordan elimination on field
+    scalars, with the same unknowns, pivots and free variables as
+    ``solve_affine_system``: the halves (i, j, h) of the entries, the
+    two halves of an entry adjacent over Q(i), where the scalars are
+    rationals; Infeasible when inconsistent."""
+    halves, scalar = (2, QQ) if field is QI else (1, field)
+    ncols = halves * size * size
+    rows = []
+    for coeffs, rhs in constraints:
+        row = [scalar.zero()] * ncols + [scalar.coerce(rhs)]
+        for (i, j, h), c in coeffs.items():
+            row[(i * size + j) * halves + h] = scalar.coerce(c)
+        rows.append(row)
+    particular, directions = oracle_eliminate(rows, ncols, scalar)
 
     def build(vec):
-        if realify:
+        if halves == 2:
             vec = [GaussianRational(vec[k], vec[k + 1]) for k in range(0, ncols, 2)]
         return Matrix(field, [vec[i * size : (i + 1) * size] for i in range(size)])
 
-    return build(particular), tuple(build(v) for v in directions), realify
+    return build(particular), tuple(build(v) for v in directions)
 
 
-def assert_matches_oracle(constraints, size, field, realify=False):
+def oracle_solve_complex(constraints, size):
+    """(particular, directions v) of a system over Q(i) with keys (i, j),
+    rational coefficients and complex constants, by Gauss-Jordan
+    elimination on Q(i) scalars; Infeasible when inconsistent."""
+    ncols = size * size
+    rows = []
+    for coeffs, rhs in constraints:
+        row = [QI.zero()] * ncols + [QI.coerce(rhs)]
+        for (i, j), c in coeffs.items():
+            row[i * size + j] = QI.coerce(c)
+        rows.append(row)
+    particular, directions = oracle_eliminate(rows, ncols, QI)
+    build = lambda vec: Matrix(QI, [vec[i * size : (i + 1) * size] for i in range(size)])  # noqa: E731
+    return build(particular), tuple(build(v) for v in directions)
+
+
+def assert_same_solution(space, particular, directions):
+    assert space.particular == particular and space.directions == directions
+    wire = lambda mats: [matrix_to_wire(m) for m in mats]  # noqa: E731
+    assert wire((space.particular, *space.directions)) == wire((particular, *directions))
+    assert space.dimension == len(directions)
+
+
+def assert_matches_oracle(constraints, size, field):
     try:
-        want = oracle_solve(constraints, size, field, realify)
+        want = oracle_solve(constraints, size, field)
     except Infeasible:
         with pytest.raises(Infeasible):
-            solve_affine_system(constraints, size, field, realify)
+            solve_affine_system(constraints, size, field)
         return
-    space = solve_affine_system(constraints, size, field, realify)
-    got = (space.particular, space.directions, space.realified)
-    assert got[2] is want[2]
-    assert got[0] == want[0] and got[1] == want[1]
-    wire = lambda mats: [matrix_to_wire(m) for m in mats]  # noqa: E731
-    assert wire((got[0], *got[1])) == wire((want[0], *want[1]))
-    assert space.dimension == len(want[1])
+    assert_same_solution(solve_affine_system(constraints, size, field), *want)
 
 
-# (field, realify) of each system kind the oracle property covers
+def assert_matches_complex_oracle(constraints, size):
+    """The solver on the system's two half equations against the complex
+    oracle on the system: its particular solution, and its directions v,
+    each followed by i·v."""
+    try:
+        particular, directions = oracle_solve_complex(constraints, size)
+    except Infeasible:
+        with pytest.raises(Infeasible):
+            solve_affine_system(by_halves(constraints), size, QI)
+        return
+    i = QI.imaginary_unit()
+    both = tuple(w for v in directions for w in (v, v.scale(i)))
+    assert_same_solution(solve_affine_system(by_halves(constraints), size, QI), particular, both)
+
+
+# the field of each system kind the oracle property covers; the complex
+# kind has keys (i, j) and constants over Q(i)
 SYSTEM_KINDS = {
-    "Q": (QQ, False),
-    "GF(7)": (GF(7), False),
-    "GF(101)": (GF(101), False),
-    "Qi realified": (QI, True),
-    "Qi, complex rhs": (QI, False),
+    "Q": QQ,
+    "GF(7)": GF(7),
+    "GF(101)": GF(101),
+    "Qi": QI,
+    "Qi, complex rhs": QI,
 }
 
 
 @st.composite
-def sparse_systems(draw, field, realify):
-    """A random sparse system on size x size matrices (size 1..4); about
-    half the equations hold at a hidden point, the rest have a random
-    right-hand side."""
+def sparse_systems(draw, field, complex_rhs=False):
+    """A random sparse system on size x size matrices (size 1..4), on the
+    halves (i, j, h) of the entries, or with ``complex_rhs`` on the
+    entries (i, j) of a complex system; about half the equations hold at
+    a hidden point, the rest have a random right-hand side."""
     size = draw(st.integers(1, 4))
     cells = [(i, j) for i in range(size) for j in range(size)]
-    unknowns = [(i, j, part) for i, j in cells for part in (0, 1)] if realify else cells
+    halves = 2 if field is QI else 1
+    unknowns = cells if complex_rhs else [(i, j, h) for i, j in cells for h in range(halves)]
     if field.characteristic:
         value = st.integers(-12, 12)
         nonzero = value.filter(lambda x: x % field.p)
     else:
         value = st.fractions(-3, 3, max_denominator=4)
         nonzero = value.filter(bool)
-    scalar = QQ if realify else field
+    scalar = QI if complex_rhs else field if field.characteristic else QQ
     if scalar is QI:
         entry = st.builds(GaussianRational, value, value)
     else:
@@ -381,9 +465,13 @@ class TestAgainstFieldScalarOracle:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_random_sparse_systems(self, name, data):
-        field, realify = SYSTEM_KINDS[name]
-        size, constraints = data.draw(sparse_systems(field, realify))
-        assert_matches_oracle(constraints, size, field, realify)
+        field = SYSTEM_KINDS[name]
+        if name == "Qi, complex rhs":
+            size, constraints = data.draw(sparse_systems(field, complex_rhs=True))
+            assert_matches_complex_oracle(constraints, size)
+        else:
+            size, constraints = data.draw(sparse_systems(field))
+            assert_matches_oracle(constraints, size, field)
 
     def test_dependent_and_inconsistent_rows(self):
         rows = row_col_sum_constraints(3, 1)
@@ -394,8 +482,7 @@ class TestAgainstFieldScalarOracle:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_class_system(self, n):
         for s in class_specs(n):
-            constraints, realify = constraint_system(s)
-            assert_matches_oracle(constraints, s.ambient, s.field, realify)
+            assert_matches_oracle(constraint_system(s), s.ambient, s.field)
 
 
 def class_specs(n):

@@ -7,8 +7,9 @@ never picks an origin: the primitive operations are the ternary heap
 associated products are combinations of those two.
 
 ``Carrier`` is the space a check runs on; each retract operation is
-written once as its method, from the carrier's heap, action and bracket.
-The public retract functions are those methods on ``MatrixCarrier``.
+written once as its method, from the carrier's heap, action, bracket
+and product.  The public retract functions are those methods on
+``MatrixCarrier``.
 """
 from __future__ import annotations
 
@@ -97,10 +98,10 @@ def bracket(kind: BracketKind, a: Matrix, b: Matrix) -> Matrix:
 class Carrier:
     """A space under test: what the checks need from it, and its retracts.
 
-    A carrier defines sampling, ``heap``, ``action``, ``bracket``,
-    membership and the scalar units.  Every retract operation is written
-    once below, from those three operations alone, so a custom carrier
-    gets all of them; it may override ``heap5`` with a one-step version.
+    A carrier defines sampling, ``heap``, ``action``, ``bracket``, optionally
+    ``product``, membership and the scalar units.  Every retract operation
+    is written once below from those, so a custom carrier gets all of them
+    (the retract product needs ``product``); it may override ``heap5``.
     """
 
     def describe(self) -> str:
@@ -129,6 +130,9 @@ class Carrier:
 
     def scalar_one(self):
         raise NotImplementedError
+
+    def product(self, a, b):
+        raise ValueError(f"{self.describe()} has no product, which the retract product needs")
 
     def heap5(self, a, b, c, d, e):
         """<a, b, c, d, e> = <<a, b, c>, d, e>."""
@@ -160,6 +164,12 @@ class Carrier:
         bracket of the retract at o (the final o is the retract's zero)."""
         br = self.bracket
         return self.heap5(br(kind, a, b), br(kind, a, o), br(kind, o, o), br(kind, o, b), o)
+
+    def retract_product(self, o, a, b):
+        """a . b = <ab, ao, oo, ob, o> = o + (a - o)(b - o), the associative
+        product of the retract at o; o is its absorbing zero."""
+        p = self.product
+        return self.heap5(p(a, b), p(a, o), p(o, o), p(o, b), o)
 
     # wire helpers; only needed for counterexample serialisation
     def point_to_wire(self, x):
@@ -194,6 +204,9 @@ class MatrixCarrier(Carrier):
     def bracket(self, kind, a, b):
         return bracket(kind, a, b)
 
+    def product(self, a, b):
+        return a @ b
+
 
 _MATRICES = MatrixCarrier()
 retract_add = _MATRICES.retract_add
@@ -202,14 +215,7 @@ retract_sub = _MATRICES.retract_sub
 retract_scale = _MATRICES.retract_scale
 translate = _MATRICES.translate
 lie_retract_bracket = _MATRICES.lie_retract_bracket
-
-
-def assoc_retract_product(o: Matrix, a: Matrix, b: Matrix) -> Matrix:
-    """The associative product on the retract at o induced by the matrix
-    product: a . b = o + (a - o)(b - o), i.e. ab - ao + o^2 - ob + o in
-    ambient arithmetic; o is its absorbing zero.
-    """
-    return o + (a - o) @ (b - o)
+assoc_retract_product = _MATRICES.retract_product
 
 
 # -- bracket kind wire form --------------------------------------------

@@ -10,7 +10,8 @@ conjugation theorem and the retract corollary included, is a
 Checks run against a ``Carrier``.  The default carrier is a matrix
 class, but anything implementing the small protocol of ``affine.Carrier``
 (heap, action, bracket, sampling, equality through ``==``) can be verified
-with the catalogue identities; the retract operations come with it.
+with the catalogue identities; the retract operations come with it, and
+the retract product with a ``product``.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ from .report import (
     CheckReport,
     Context,
     MatrixClassCarrier,
-    class_of,
     failure,
     run_trials,
 )
@@ -206,16 +206,14 @@ def _ev_zeta_retract_trivial(cr, kind, v):
 
 
 def _ev_bullet_assoc(cr, kind, v):
-    class_of(cr)
     o, a, b, c = v["o"], v["a"], v["b"], v["c"]
-    p = lambda x, y: affine.assoc_retract_product(o, x, y)
+    p = lambda x, y: cr.retract_product(o, x, y)
     return _expect(("retract product associative", p(p(a, b), c), p(a, p(b, c))))
 
 
 def _ev_bullet_commutator(cr, kind, v):
-    class_of(cr)
     o, a, b = v["o"], v["a"], v["b"]
-    p = lambda x, y: affine.assoc_retract_product(o, x, y)
+    p = lambda x, y: cr.retract_product(o, x, y)
     lhs = cr.lie_retract_bracket(kind, o, a, b)
     rhs = cr.retract_sub(o, p(a, b), p(b, a))
     return _expect(("retract bracket is the product commutator", lhs, rhs))

@@ -32,13 +32,13 @@ combine each part, drop the zero parts, then build).  The product of
 two forms is ``_product``: over a real form ``_real_product``, which
 slices each row and each column once per product, and over a complex
 form Gauss's three real products Ar·Br, Ai·Bi and (Ar + Ai)·(Br + Bi)
-in place of four (Knuth, TAOCP vol. 2, §4.6.4).  ``sandwich`` multiplies
-by two conjugators of the shape staircase times diagonal plus a partial
-permutation, through their ``staircase`` encodings, in O(m²); ``scale``
-multiplies each part by each rational part of alpha; the transpose and
-``dagger`` permute each form (and negate its imaginary half); ``widen``
-pads each form with a zero imaginary half from a real into a complex
-field; the inverse is the integer elimination of ``solve.row_reduce``.
+in place of four (Knuth, TAOCP vol. 2, §4.6.4).  ``scale`` is the
+product with alpha·I.  Only ``commutator_shift`` (one fused pass) and
+``sandwich`` (by the ``staircase`` encodings of two conjugators, in
+O(m²)) multiply outside ``__matmul__``.  The transpose and ``dagger``
+permute each form (and negate its imaginary half); ``widen`` pads each
+form with a zero imaginary half from a real into a complex field; the
+inverse is the integer elimination of ``solve.row_reduce``.
 Entries are read only at the boundary: by ``_read_parts``, ``entry``,
 ``with_entry``, ``trace`` (a scalar), ``repr`` and ``matrix_to_wire``;
 ``matrix_from_wire`` builds the parts from the integers that
@@ -121,8 +121,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, m: int) -> Matrix:
-        z, o = field.zero(), field.one()
-        return cls(field, [[o if i == j else z for j in range(m)] for i in range(m)])
+        return cls.diagonal(field, [field.one()] * m)
 
     @classmethod
     def ones(cls, field: Field, m: int) -> Matrix:
@@ -201,22 +200,8 @@ class Matrix:
         return combine(((-1, self),))
 
     def scale(self, alpha) -> Matrix:
-        """alpha * self, part by part: each rational part of alpha (as a
-        1 x 1 matrix) times each part of self, sqrt(h)*sqrt(g) =
-        s*sqrt(k); over a complex field (ar + i ai)(X + iY) =
-        (ar·X - ai·Y) + i(ar·Y + ai·X)."""
-        field, mm = self.field, self.size * self.size
-        terms = []
-        for h, (a, da) in _read_parts(field, ((field.coerce(alpha),),)):
-            for g, (nums, d) in self.rational_parts():
-                s, k = surd_basis_product(h, g)
-                if field.is_complex:
-                    (ar, ai), x, y = a, nums[:mm], nums[mm:]
-                    nums = [ar * u - ai * v for u, v in zip(x, y)] + [ar * v + ai * u for u, v in zip(x, y)]
-                else:
-                    nums = [a[0] * u for u in nums]
-                terms.append((k, s, (nums, da * d)))
-        return graded(field, self.size, terms)
+        """alpha * self, the product of alpha·I with self."""
+        return Matrix.diagonal(self.field, [alpha] * self.size) @ self
 
     def __matmul__(self, other):
         self._guard(other)

@@ -124,14 +124,17 @@ def solve_affine_system(constraints, size: int, field: Field) -> AffineSubspace:
 
 
 def constraint_table(constraints, size: int) -> tuple:
-    """A system with integer coefficients as the rows (idx, coefs, cnum,
-    cden) that ``satisfies`` tests on integer forms of size x size
-    matrices: the form index h*size*size + i*size + j of each key
-    (i, j, h), the coefficients (None when all are 1) and the rational
+    """A system with ``int`` coefficients (else ValueError) as the rows
+    (idx, coefs, cnum, cden) that ``satisfies`` tests on integer forms of
+    size x size matrices: the form index h*size*size + i*size + j of each
+    key (i, j, h), the coefficients (None when all are 1) and the rational
     constant cnum/cden, which ``satisfies`` reads modulo p over GF(p)."""
     mm = size * size
     table = []
     for coeffs, const in constraints:
+        for key, x in coeffs.items():
+            if type(x) is not int:
+                raise ValueError(f"key {key}: coefficient {x!r} is not an integer")
         const = QQ.coerce(const)
         coefs = tuple(coeffs.values())
         idx = tuple(h * mm + i * size + j for i, j, h in coeffs)

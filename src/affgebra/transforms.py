@@ -16,7 +16,6 @@ with ``solve.satisfies``, and a generator table that
 """
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -43,6 +42,7 @@ from .scalars import (
     QQ,
     SURD,
     SURD_C,
+    SurdReal,
     can_widen,
     squarefree_split,
     surd_basis_product,
@@ -110,16 +110,10 @@ def _orthonormal_frame(n: int) -> tuple[Matrix, tuple]:
 @lru_cache(maxsize=None)
 def orthonormal_change_of_basis(n: int) -> Matrix:
     """The orthonormal counterpart of ``change_of_basis`` over the real
-    surd field, built from its rational frame: the part of √g of U = W·D
-    keeps the columns j of W with f_j = g.  Its transpose is its exact
-    inverse."""
+    surd field, built from its rational frame as U = W·D.  Its transpose
+    is its exact inverse."""
     w, radicals = _orthonormal_frame(n)
-    nums, den = w.integer_form()
-    m = n + 1
-    return graded(SURD, m, [
-        (g, 1, ([x if radicals[k % m] == g else 0 for k, x in enumerate(nums)], den))
-        for g in sorted({1, *radicals})
-    ])
+    return w.widen(SURD) @ Matrix.diagonal(SURD, [SurdReal({f: 1}) for f in radicals])
 
 
 # -- block targets ------------------------------------------------------
@@ -309,17 +303,13 @@ class Frame:
         """m = R·Z·R⁻¹."""
         return sandwich(self.right, self._admit(z), self.left)
 
-    def _split(self, x: Matrix, inverse: bool = False):
-        """The terms (k, c, (nums, den)) of D·x·D = sum_k √k·X_k, or of
-        D·x·D⁻¹ = D·(x·D⁻²)·D with ``inverse``, for x over the block field
-        or the class field: the part of √h of x gives, for each piece g,
-        the entries s_ij·x_ij with g_ij = g, and √g·√h = c·√k."""
-        f, m = self.radicals, x.size
+    def _split(self, x: Matrix):
+        """The terms (k, c, (nums, den)) of D·x·D = sum_k √k·X_k, for x
+        over the block field or the class field: the part of √h of x
+        gives, for each piece g, the entries s_ij·x_ij with g_ij = g, and
+        √g·√h = c·√k."""
+        m = x.size
         for h, (nums, den) in x.rational_parts():
-            if inverse:  # column j over f_j, on the denominator times lcm(f)
-                top = math.lcm(*f)
-                nums = [v * (top // f[at % m]) for at, v in enumerate(nums)]
-                den *= top
             for g, entries in self.pieces:
                 c, k = surd_basis_product(g, h)
                 xg = [0] * len(nums)
@@ -335,9 +325,9 @@ class Frame:
             yield k, c, (sandwich_form(w, nums, r, x.size), den * dw * dr)
 
     def materialise(self, z: Matrix) -> Matrix:
-        """The block matrix D·Z·D⁻¹; each entry is z_ij·√(f_i f_j)/f_j."""
-        z = z.widen(self.block_field)
-        return graded(self.block_field, z.size, list(self._split(z, inverse=True)))
+        """D·Z·D⁻¹ = D·(Z·D⁻²)·D; entry (i, j) is z_ij·√(f_i f_j)/f_j."""
+        z = (z @ Matrix.diagonal(z.field, [RAT(1, f) for f in self.radicals])).widen(self.block_field)
+        return graded(self.block_field, z.size, list(self._split(z)))
 
     def pull_back(self, y: Matrix) -> Matrix:
         """T·y·T⁻¹ for a block-field matrix y (surd-valued for U)."""
@@ -363,8 +353,7 @@ def _conjugators(n: int, field: Field, via: str) -> Frame:
         left, radicals, block = change_of_basis_inverse(n, base), (1,) * m, field
     else:
         outer, radicals = _orthonormal_frame(n)
-        nums, den = outer.integer_form()
-        right = Matrix.from_integer_form(QQ, m, [x * radicals[k % m] for k, x in enumerate(nums)], den)
+        right = outer @ Matrix.diagonal(QQ, radicals)
         left, block = outer.transpose(), SURD_C if field.is_complex else SURD
     by_radical: dict = {}
     for i, fi in enumerate(radicals):

@@ -22,6 +22,7 @@ from affgebra.affine import (
 )
 from affgebra.matrix import Matrix
 from affgebra.scalars import GF, QI, QQ
+from test_matrix import FIELDS, entries
 
 CYCLE = Matrix(QQ, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 SWAP = Matrix(QQ, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
@@ -157,9 +158,12 @@ class TestAssociativeProduct:
         assert assoc_retract_product(o, a, o) == o
         assert assoc_retract_product(o, o, a) == o
 
-    @given(mats3(), mats3(), mats3())
-    @settings(max_examples=30)
-    def test_shifted_product_form(self, o, a, b):
+    @given(field=st.sampled_from(FIELDS), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_shifted_product_form(self, field, data):
+        # <ab, ao, oo, ob, o> on every field, the surd fields included
+        n = data.draw(st.integers(1, 3))
+        o, a, b = (Matrix(field, [[data.draw(entries(field)) for _ in range(n)] for _ in range(n)]) for _ in "oab")
         assert assoc_retract_product(o, a, b) == o + (a - o) @ (b - o)
 
     @given(mats3(), mats3(), mats3())

@@ -16,8 +16,9 @@ Faults.  ``theorem-iso`` and ``corollary-retract`` take them through
 forbids, and a and b get one entry each in the last row and column, so
 the retract bracket leaves the block target.  The catalogue identities
 hold for every matrix, so no input can break them; their fault sits in
-the heap, the action, the bracket and the retract product instead.  The
-first of those calls in each evaluation returns its result with 1 added
+the heap, the action, the bracket and ``heap5`` (the last step of the
+retract product, after its four matrix products) instead.  The first of
+those calls in each evaluation returns its result with 1 added
 to the corner entry (``mutate`` arms it for each trial, and it is armed
 again for the replay, which therefore reproduces the failure).
 """
@@ -49,7 +50,7 @@ SPECS = [
     MatrixClassSpec(ClassKind.GNA, 2, GF(7)),
 ]
 KINDS = [COMMUTATOR, Zeta(Fraction(2))]
-FAULTED_OPERATIONS = ("heap", "action", "bracket", "assoc_retract_product")
+FAULTED_OPERATIONS = ("heap", "action", "bracket", "heap5")
 
 
 def _report(report):

@@ -250,9 +250,18 @@ class TestCustomCarrier:
             run_check("theorem-iso", PointLineCarrier(), COMMUTATOR, 0, 1)
 
 
+class CommutatorLineCarrier(PointLineCarrier):
+    """The line with the affine commutator, ab - ba + b = b, and still no
+    product."""
+
+    def bracket(self, kind, a, b):
+        return b if kind == COMMUTATOR else super().bracket(kind, a, b)
+
+
 class TestCustomCarrierRetracts:
     """A custom carrier inherits every retract operation from its heap,
-    action and bracket; the checks that need a matrix class refuse it."""
+    action and bracket, and the retract product from its product; the
+    bullet checks refuse a carrier without one."""
 
     def test_retract_checks_hold_on_the_line(self):
         z = Zeta(Fraction(5, 3))
@@ -262,8 +271,10 @@ class TestCustomCarrierRetracts:
 
     @pytest.mark.parametrize("name", ["bullet-assoc", "bullet-commutator"])
     def test_bullet_checks_refuse_custom_carrier(self, name):
-        with pytest.raises(ValueError, match="needs a matrix class"):
-            run_check(name, PointLineCarrier(), COMMUTATOR, 0, 1)
+        # bullet-commutator evaluates its retract bracket first
+        carrier = PointLineCarrier() if name == "bullet-assoc" else CommutatorLineCarrier()
+        with pytest.raises(ValueError, match="^rational-line has no product, which the retract product needs$"):
+            run_check(name, carrier, COMMUTATOR, 0, 1)
 
 
 class TestApplicability:

@@ -254,10 +254,14 @@ def entries(field):
 
 def alphas(field):
     """Scalars a matrix over ``field`` can be scaled by: GF residues,
-    rationals, Gaussian values and multi-term surds."""
+    rationals, Gaussian values and surds, with at least two terms in one
+    part or in both."""
+    several = surd_reals(min_size=2)
     return {
         QI: st.one_of(small, gaussians),
-        SURD_C: st.one_of(small, gaussians, surd_reals(), entries(SURD_C)),
+        SURD: st.one_of(small, entries(SURD), several),
+        SURD_C: st.one_of(small, gaussians, surd_reals(), entries(SURD_C), several,
+                          st.builds(SurdComplex, several, several)),
     }.get(field, st.one_of(small, entries(field)))
 
 
@@ -266,10 +270,11 @@ def assert_same(got, want):
     assert got == want
     assert got.rows == want.rows
     assert hash(got) == hash(want)
+    assert [[repr(x) for x in row] for row in got.rows] == [[repr(x) for x in row] for row in want.rows]
     assert json.dumps(matrix_to_wire(got)) == json.dumps(matrix_to_wire(want))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(field=st.sampled_from(FIELDS), data=st.data())
 def test_methods_on_forms_match_entrywise(field, data):
     n = data.draw(st.integers(1, 4))
@@ -289,24 +294,6 @@ def test_methods_on_forms_match_entrywise(field, data):
             assert str(got.value) == str(exc)
         else:
             assert_same(a.widen(wide), want)
-
-
-@settings(max_examples=80, deadline=None)
-@given(field=st.sampled_from(FIELDS), data=st.data())
-def test_scale_is_the_product_with_alpha_times_identity(field, data):
-    # scale runs part by part; the reference is the product with the
-    # diagonal matrix alpha*I, which coerces its entries
-    n = data.draw(st.integers(1, 4))
-    a = Matrix(field, [[data.draw(entries(field)) for _ in range(n)] for _ in range(n)])
-    several = surd_reals(min_size=2)
-    alpha = data.draw({
-        SURD: st.one_of(alphas(SURD), several),
-        SURD_C: st.one_of(alphas(SURD_C), several, st.builds(SurdComplex, several, several)),
-    }.get(field, alphas(field)))
-    got, want = a.scale(alpha), Matrix.diagonal(field, [alpha] * n) @ a
-    assert got == want and hash(got) == hash(want)
-    assert got.rational_parts() == want.rational_parts()
-    assert [[repr(x) for x in row] for row in got.rows] == [[repr(x) for x in row] for row in want.rows]
 
 
 class TestDataModel:

@@ -215,6 +215,16 @@ class TestNarrowedContract:
         with pytest.raises(FieldMismatch):
             constraint_table([({(0, 0, 0): 1}, GaussianRational(1, 1))], 1)
 
+    def test_table_coefficients_must_be_int(self):
+        # satisfies multiplies integer numerators by each coefficient, so
+        # (1/3)·2 would not be read as 3 in GF(7)
+        with pytest.raises(ValueError, match=r"^key \(0, 0, 0\): coefficient Fraction\(1, 3\) is not an integer$"):
+            satisfies(constraint_table([({(0, 0, 0): Fraction(1, 3)}, 3)], 1), [2], 1, 7)
+        assert satisfies(constraint_table([({(0, 0, 0): 5}, 3)], 1), [2], 1, 7)  # 5 = 1/3
+        for c in (Fraction(2), 2.0, True):  # the key named is the offending one
+            with pytest.raises(ValueError, match=rf"^key \(1, 0, 0\): coefficient {re.escape(repr(c))} is not"):
+                constraint_table([({(0, 0, 0): 1, (1, 0, 0): c}, 0)], 2)
+
     def test_fractions_are_read_modulo_p(self):
         # x/2 = 1/3 over GF(7): x = 2/3 = 2·5 = 3
         space = solve_affine_system([({(0, 0, 0): Fraction(1, 2)}, Fraction(1, 3))], 1, GF(7))

@@ -294,7 +294,7 @@ CATALOGUE: dict[str, CheckDef] = {
         _identity("bullet-assoc", ("o", "a", "b", "c"), (), _ev_bullet_assoc, applies=is_commutator),
         _identity("bullet-commutator", ("o", "a", "b"), (), _ev_bullet_commutator, applies=is_commutator),
         _identity("translate-group-iso", ("o", "obar", "a", "b"), (), _ev_translate_group_iso),
-        _identity("translate-lie-iso", ("o", "obar", "a", "b"), (), _ev_translate_lie_iso, advisory=True),
+        _identity("translate-lie-iso", ("o", "obar", "a", "b"), (), _ev_translate_lie_iso),
         THEOREM,
         COROLLARY,
     ]
@@ -347,13 +347,8 @@ def applicable_checks(kind: BracketKind, names: list[str] | None = None) -> list
     return out
 
 
-def all_passed(reports, include_advisory: bool = False) -> bool:
-    for r in reports:
-        if not include_advisory and CATALOGUE.get(r.check) and CATALOGUE[r.check].advisory:
-            continue
-        if not r.passed:
-            return False
-    return True
+def all_passed(reports) -> bool:
+    return all(r.passed for r in reports)
 
 
 def replay(report_doc: dict) -> CheckReport:

@@ -14,7 +14,7 @@ because the square roots of distinct squarefree g are linearly
 independent over Q(i) (Besicovitch 1940).  Equal matrices have equal
 parts, so equality compares the parts and the hash hashes them.
 
-A matrix built from entries reads its parts on first use, with one
+A matrix built from entries reads its parts when it is built, with one
 reader for every field (``_read_parts``: a rational entry is the single
 term (1, x), a GF(p) entry its residue); every other matrix is built
 from its parts by ``_from_parts``, which makes the canonical scalar
@@ -38,7 +38,8 @@ product with alpha·I.  Only ``commutator_shift`` (one fused pass) and
 O(m²)) multiply outside ``__matmul__``.  The transpose and ``dagger``
 permute each form (and negate its imaginary half); ``widen`` pads each
 form with a zero imaginary half from a real into a complex field; the
-inverse is the integer elimination of ``solve.row_reduce``.
+inverse, of P and of each conjugator's R in ``transforms``, is the
+integer elimination of ``solve.row_reduce``.
 Entries are read only at the boundary: by ``_read_parts``, ``entry``,
 ``with_entry``, ``trace`` (a scalar), ``repr`` and ``matrix_to_wire``;
 ``matrix_from_wire`` builds the parts from the integers that
@@ -93,7 +94,7 @@ _ZERO = RAT(0)
 
 
 class Matrix:
-    # _parts is read from the entries on first use, or set by ``_from_parts``
+    # _parts is read from the entries when built, or set by ``_from_parts``
     __slots__ = ("field", "size", "rows", "_parts")
 
     def __init__(self, field: Field, rows):
@@ -104,7 +105,7 @@ class Matrix:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "size", m)
         object.__setattr__(self, "rows", coerced)
-        object.__setattr__(self, "_parts", None)
+        object.__setattr__(self, "_parts", _read_parts(field, coerced))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -158,11 +159,7 @@ class Matrix:
         (nums, den) the reduced integer form of M_g, over Q or Q(i) for
         the surd fields: g increasing, M_1 always there and no other
         part zero; ((1, form),) over Q, Q(i) and GF(p)."""
-        parts = self._parts
-        if parts is None:
-            parts = _read_parts(self.field, self.rows)
-            object.__setattr__(self, "_parts", parts)
-        return parts
+        return self._parts
 
     def entry(self, i: int, j: int):
         return self.rows[i][j]
@@ -560,29 +557,23 @@ def matrix_to_wire(m: Matrix) -> dict:
     try:
         doc["entries"] = [[m.field.format(x) for x in row] for row in m.rows]
     except ValueError:
-        # name the first entry that the interpreter refuses to write
-        for i, row in enumerate(m.rows):
-            for j, x in enumerate(row):
-                try:
-                    m.field.format(x)
-                except ValueError:
-                    raise DigitLimit(
-                        f"entry (row {i}, column {j}) holds an integer of more than "
-                        f"{sys.get_int_max_str_digits()} digits, the most the interpreter writes as text"
-                    ) from None
-        raise
+        i, j, _, _ = _first_refused(m.rows, m.field.format, ValueError)
+        raise DigitLimit(
+            f"entry (row {i}, column {j}) holds an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits, the most the interpreter writes as text"
+        ) from None
     return doc
 
 
-def _first_refused(field: Field, entries):
-    # (row, column, entry, error) of the first entry that ``read_entries``
-    # refuses on its own
-    for i, row in enumerate(entries):
-        for j, s in enumerate(row):
+def _first_refused(rows, call, errors):
+    # (row, column, item, error) of the first item on which ``call``
+    # raises one of ``errors``
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
             try:
-                read_entries(field, [s])
-            except (ValueError, ZeroDivisionError) as exc:
-                return i, j, s, exc
+                call(x)
+            except errors as exc:
+                return i, j, x, exc
 
 
 def matrix_from_wire(doc: dict) -> Matrix:
@@ -602,7 +593,7 @@ def matrix_from_wire(doc: dict) -> Matrix:
     try:
         parts, den = read_entries(field, [s for row in entries for s in row])
     except (ValueError, ZeroDivisionError):
-        i, j, s, exc = _first_refused(field, entries)
+        i, j, s, exc = _first_refused(entries, lambda s: read_entries(field, [s]), (ValueError, ZeroDivisionError))
         raise type(exc)(f"entry (row {i}, column {j}) {s!r}: {exc}") from None
     if n < 1 or any(len(row) != n for row in entries):
         raise SizeMismatch("matrix must be square and nonempty")

@@ -186,7 +186,6 @@ class CheckDef:
     context: Context = BRACKET
     trial_stream: str | None = None
     applies: Callable[[BracketKind], bool] = lambda kind: True
-    advisory: bool = False
     default_trials: int = 100
 
 

@@ -1,4 +1,5 @@
-"""Closed-form change-of-basis matrices and the block-space isomorphisms.
+"""Closed-form change-of-basis matrices (P, and the rational frame W of
+U) and the block-space isomorphisms.
 
 The two basis matrices (wire names ``P`` and ``U``) share the same
 shape: the last column is constant and the first n columns have zero
@@ -7,7 +8,8 @@ and column sums equal c" against "everything outside the top-left n x n
 block vanishes except the corner".  ``P`` is integral and works over any
 field where n+1 is invertible; ``U`` is its orthonormal counterpart with
 quadratic-surd entries and is the only route that preserves antisymmetry
-and anti-hermitianity.
+and anti-hermitianity.  Every inverse, P⁻¹ and each frame's R⁻¹, is the
+exact elimination of ``Matrix.inverse``.
 
 Each block target (gl, sl, o, u, su) is written once as data: a
 homogeneous ``constraint_table`` that ``BlockTarget.contains`` tests
@@ -71,20 +73,10 @@ def change_of_basis(n: int, field: Field) -> Matrix:
 
 @lru_cache(maxsize=None)
 def change_of_basis_inverse(n: int, field: Field) -> Matrix:
-    """1/(n+1) times: row r = 1..n has -n in column n+2-r and ones
-    elsewhere; last row all ones.  NonInvertibleScalar when the
-    characteristic divides n+1."""
-    m = n + 1
-    scale = field.inv_int(m)
-    one = field.one()
-    minus_n = field.from_int(-n)
-    rows = []
-    for i in range(n):
-        row = [one] * m
-        row[n - i] = minus_n
-        rows.append(row)
-    rows.append([one] * m)
-    return Matrix(field, rows).scale(scale)
+    """P⁻¹, the exact inverse of ``change_of_basis`` by ``Matrix.inverse``;
+    NonInvertibleScalar when the characteristic divides n+1."""
+    field.inv_int(n + 1)
+    return change_of_basis(n, field).inverse()
 
 
 @lru_cache(maxsize=None)
@@ -257,7 +249,8 @@ class Frame:
     """Conjugation by a basis T = W·D = R·D⁻¹ with W and R = W·D² rational
     (over GF(p) for P over GF(p)) and D = diag(√f_0, ..., √f_n), f_k
     squarefree: for P, W = R = P and D = I; for U, (W, f) is
-    ``_orthonormal_frame`` and R⁻¹ = Wᵀ.
+    ``_orthonormal_frame``.  R⁻¹ is ``Matrix.inverse`` of R on both
+    routes (for U it is Wᵀ, as U is orthonormal).
 
     The image T⁻¹·m·T is D·Z·D⁻¹ with Z = R⁻¹·m·R, so every identity
     the theorem asserts between images (heap, action, the commutator
@@ -349,12 +342,12 @@ def _conjugators(n: int, field: Field, via: str) -> Frame:
     m = n + 1
     if via == VIA_P:
         base = field if field.characteristic else QQ
-        outer = right = change_of_basis(n, base)
-        left, radicals, block = change_of_basis_inverse(n, base), (1,) * m, field
+        base.inv_int(m)  # NonInvertibleScalar where P is singular
+        outer, radicals, block = change_of_basis(n, base), (1,) * m, field
     else:
-        outer, radicals = _orthonormal_frame(n)
-        right = outer @ Matrix.diagonal(QQ, radicals)
-        left, block = outer.transpose(), SURD_C if field.is_complex else SURD
+        (outer, radicals), block = _orthonormal_frame(n), SURD_C if field.is_complex else SURD
+    right = outer @ Matrix.diagonal(outer.field, radicals)
+    left = right.inverse()
     by_radical: dict = {}
     for i, fi in enumerate(radicals):
         for j, fj in enumerate(radicals):

@@ -11,11 +11,14 @@ scalar parsers once did.  ``plain_row_reduce`` and ``plain_sandwich_form``
 are the dense integer loops that the sparse ``solve.row_reduce`` and
 the staircase ``matrix.sandwich_form`` replaced; ``plain_real_product``
 and ``plain_complex_product`` are the entry-by-entry and four-product
-forms of ``matrix._real_product`` and ``matrix._product``.  The one
-exception to exact arithmetic is ``float_gram_schmidt``: the
-floating-point basis that the only tolerance-based check in the
-repository compares the exact orthonormal basis with.  It is imported
-by the test modules, from the tests directory.
+forms of ``matrix._real_product`` and ``matrix._product``.
+``plain_change_of_basis_inverse`` is the closed form of P⁻¹ that
+``transforms.change_of_basis_inverse`` replaced with the elimination
+of ``Matrix.inverse``.  The one exception to exact arithmetic is
+``float_gram_schmidt``: the floating-point basis that the only
+tolerance-based check in the repository compares the exact
+orthonormal basis with.  It is imported by the test modules, from the
+tests directory.
 """
 import math
 from functools import reduce
@@ -376,6 +379,19 @@ def plain_row_reduce(rows, ncols: int, p: int = 0) -> list[int]:
 def _plain_primitive(row: list[int]) -> list[int]:
     g = reduce(gcd, row)
     return [x // g for x in row] if g > 1 else row
+
+
+def plain_change_of_basis_inverse(n: int, field) -> Matrix:
+    """The closed form of P⁻¹: 1/(n+1) times the matrix whose row
+    r = 1..n has -n in column n+2-r and ones elsewhere, and whose last
+    row is all ones.  NonInvertibleScalar when the characteristic
+    divides n+1."""
+    m = n + 1
+    scale = field.inv_int(m)
+    rows = [[scale] * m for _ in range(m)]
+    for i in range(n):
+        rows[i][n - i] = field.from_int(-n) * scale
+    return Matrix(field, rows)
 
 
 def float_gram_schmidt(n: int) -> list[list[float]]:

@@ -15,6 +15,7 @@ from affgebra.checks import (
     run_corollary,
 )
 from affgebra.classes import ClassKind, MatrixClassSpec
+from affgebra.cli import main
 from affgebra.errors import MalformedWire, UnknownCheck
 from affgebra.matrix import Matrix, matrix_to_wire
 from affgebra.report import CheckReport
@@ -179,16 +180,30 @@ class TestDeterminism:
         assert a == b
 
 
-class TestAdvisory:
-    def test_translate_lie_iso_is_advisory(self):
-        assert CATALOGUE["translate-lie-iso"].advisory
-
-    def test_all_passed_ignores_advisory_failures(self):
+class TestTranslateLieIsoGates:
+    def test_failed_translate_lie_iso_fails_all_passed(self):
         fake = CheckReport("translate-lie-iso", False, 1, {"inputs": {}}, 0.0)
         good = CheckReport("malcev", True, 1, None, 0.0)
-        assert all_passed([good, fake])
-        assert not all_passed([good, fake], include_advisory=True)
-        assert not all_passed([CheckReport("malcev", False, 1, {}, 0.0)])
+        assert all_passed([good])
+        assert not all_passed([good, fake])
+
+    def test_verify_exits_one_when_translation_breaks(self, capsys, monkeypatch):
+        # a translation that adds 1 to the corner entry no longer
+        # intertwines the retract brackets, and verify reports it
+        def shifted(self, o, obar, a):
+            x = self.heap(a, o, obar)
+            n = x.size - 1
+            return x.with_entry(n, n, x.entry(n, n) + 1)
+
+        monkeypatch.setattr(Carrier, "translate", shifted)
+        code = main([
+            "verify", "--class", "gna", "--n", "2", "--field", "Q",
+            "--checks", "translate-lie-iso", "--seed", "0", "--trials", "4",
+        ])
+        (line,) = capsys.readouterr().out.splitlines()
+        assert json.loads(line)["check"] == "translate-lie-iso"
+        assert not json.loads(line)["passed"]
+        assert code == 1
 
 
 class PointLineCarrier(Carrier):

@@ -3,13 +3,15 @@ from fractions import Fraction
 import pytest
 
 from affgebra.affine import COMMUTATOR, action, bracket, heap
-from affgebra.classes import ClassKind, MatrixClassSpec, base_point, contains, derive_rng, sample
+from affgebra.classes import MAX_N, ClassKind, MatrixClassSpec, base_point, contains, derive_rng, sample
 from affgebra.errors import ClassViolation, FieldMismatch, NonInvertibleScalar, SingularMatrix, SizeMismatch
-from affgebra.matrix import Matrix
+from affgebra.matrix import Matrix, sandwich_form, staircase
 from affgebra.scalars import GF, QI, QQ, SURD, SurdReal, widen_scalar
 from affgebra.transforms import (
     VIA_P,
     VIA_U,
+    _conjugators,
+    _orthonormal_frame,
     _route,
     base_point_image,
     block_target,
@@ -21,7 +23,7 @@ from affgebra.transforms import (
     to_block,
     verify_theorem,
 )
-from oracle import float_gram_schmidt
+from oracle import float_gram_schmidt, plain_change_of_basis_inverse
 
 
 def spec(kind, n, field=None, c=None):
@@ -79,9 +81,12 @@ class TestIntegralBasis:
             with pytest.raises(SingularMatrix):
                 change_of_basis(n, GF(p_char)).inverse()
 
-    def test_matches_elimination_inverse(self):
-        for n in (1, 2, 3, 4):
-            assert change_of_basis_inverse(n, QQ) == change_of_basis(n, QQ).inverse()
+    def test_matches_closed_form_oracle(self):
+        for field in (QQ, QI, GF(7), GF(101)):
+            for n in range(1, MAX_N + 1):
+                if field.characteristic and (n + 1) % field.characteristic == 0:
+                    continue
+                assert change_of_basis_inverse(n, field) == plain_change_of_basis_inverse(n, field)
 
 
 class TestOrthonormalBasis:
@@ -108,6 +113,18 @@ class TestOrthonormalBasis:
             u = orthonormal_change_of_basis(n)
             for j in range(n):
                 assert sum((u.entry(i, j) for i in range(n + 1)), start=SURD.zero()) == SURD.zero()
+
+    def test_frame_inverse_is_the_transpose(self):
+        # U = W·D is orthonormal, so the frame's R⁻¹ = (W·D²)⁻¹ is Wᵀ
+        for n in range(1, MAX_N + 1):
+            m = n + 1
+            identity = Matrix.identity(QQ, m).integer_form()[0]
+            w, _ = _orthonormal_frame(n)
+            for field in (QQ, QI):
+                # L·I·I decodes the staircase encoding L
+                left, den = _conjugators(n, field, VIA_U).left
+                decoded = sandwich_form(left, identity, staircase(identity, m), m)
+                assert (decoded, den) == w.transpose().integer_form()
 
     def test_float_gram_schmidt_cross_check(self):
         for n in range(1, 6):

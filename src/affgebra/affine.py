@@ -41,9 +41,8 @@ def heap5(a: Matrix, b: Matrix, c: Matrix, d: Matrix, e: Matrix) -> Matrix:
 def action(alpha, base: Matrix, b: Matrix) -> Matrix:
     """alpha |>_base b = alpha*b - alpha*base + base."""
     base._guard(b)
-    field = base.field
-    alpha = field.coerce(alpha)
-    r = alpha.residue if field.characteristic else rational_value(alpha)
+    alpha = base.field.coerce(alpha)
+    r = rational_value(alpha)
     if r is not None:
         # alpha = p/q: (p*b + (q - p)*base) / q; a residue r is r/1
         p, q = int(r.numerator), int(r.denominator)

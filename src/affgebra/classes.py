@@ -30,14 +30,11 @@ from .errors import FieldMismatch, MalformedWire, SizeMismatch, wire_field
 from .matrix import Matrix
 from .scalars import (
     PART_FIELDS,
-    SAMPLE_DEN,
     Field,
     QI,
     QQ,
     can_widen,
     field_from_wire,
-    sample_numerators,
-    sample_residues,
 )
 from .solve import AffineSubspace, constraint_table, satisfies, solve_affine_system
 
@@ -284,13 +281,11 @@ def draw_element(spec: MatrixClassSpec, rng: random.Random) -> Matrix:
 
 def draw_form(field: Field, m: int, part, den: int, gens, rng: random.Random) -> Matrix:
     """The form part/den plus one drawn coefficient times each generator
-    ((k, x), ...), x over den, as an m x m matrix over ``field``: a
-    residue over GF(p), else a rational over SAMPLE_DEN, drawn as
-    ``Field.sample`` draws (an empty generator still takes its draw)."""
-    if field.characteristic:
-        seen, ints = 1, sample_residues(rng, field.p, len(gens))
-    else:
-        seen, ints = SAMPLE_DEN, sample_numerators(rng, len(gens))
+    ((k, x), ...), x over den, as an m x m matrix over ``field``: the
+    coefficients are ``field.draw`` (residues over 1 for GF(p), else
+    rationals over SAMPLE_DEN), drawn as ``Field.sample`` draws (an empty
+    generator still takes its draw)."""
+    ints, seen = field.draw(rng, len(gens))
     acc = [x * seen for x in part]
     for f, gen in zip(ints, gens):
         if f:

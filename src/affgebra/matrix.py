@@ -14,44 +14,36 @@ because the square roots of distinct squarefree g are linearly
 independent over Q(i) (Besicovitch 1940).  Equal matrices have equal
 parts, so equality compares the parts and the hash hashes them.
 
-A matrix built from entries reads its parts when it is built, with one
-reader for every field (``_read_parts``: a rational entry is the single
-term (1, x), a GF(p) entry its residue); every other matrix is built
-from its parts by ``_from_parts``, which makes the canonical scalar
-entries with one list comprehension per field and builds no matrix per
-part.  Those entries are canonical by construction, so it builds them
-with the raw constructors that skip ``__init__`` and its checks:
-``GaussianRational._raw`` and ``SurdComplex._raw`` (of ``_ComplexPair``),
-``PrimeFieldElement._raw`` and ``SurdReal._raw``, and each rational
-x/den with ``scalars.raw_rational``, which reduces by gcd(x, den) and
-sets the two slots of ``Fraction`` without ``Fraction.__new__``.  Every
-matrix-valued method runs on the parts: the heap, the action, the affine
-commutator, the sum, the difference, the negation and the product are
-integer loops with one normalisation per part of the result (``graded``:
-combine each part, drop the zero parts, then build).  The product of
-two forms is ``_product``: over a real form ``_real_product``, which
-slices each row and each column once per product, and over a complex
-form Gauss's three real products Ar·Br, Ai·Bi and (Ar + Ai)·(Br + Bi)
-in place of four (Knuth, TAOCP vol. 2, §4.6.4).  ``scale`` is the
-product with alpha·I.  Only ``commutator_shift`` (one fused pass) and
-``sandwich`` (by the ``staircase`` encodings of two conjugators, in
-O(m²)) multiply outside ``__matmul__``.  The transpose and ``dagger``
-permute each form (and negate its imaginary half); ``widen`` pads each
-form with a zero imaginary half from a real into a complex field; the
-inverse, of P and of each conjugator's R in ``transforms``, is the
-integer elimination of ``solve.row_reduce``.
-Entries are read only at the boundary: by ``_read_parts``, ``entry``,
+The rule between entries and parts is the field's integer-form codec
+(``scalars.Field``).  A matrix built from entries reads its parts when
+it is built, by ``field.parts``; every other matrix is built from its
+parts by ``_from_parts``, which makes the canonical scalar entries by
+``field.entries`` (with the raw constructors, as they are canonical by
+construction) and builds no matrix per part.  Every matrix-valued method
+runs on the parts: the heap, the action, the affine commutator, the sum,
+the difference, the negation and the product are integer loops with one
+normalisation per part of the result (``graded``: combine each part,
+drop the zero parts, then build).  The product of two forms is
+``_product``: over a real form ``_real_product``, which slices each row
+and each column once per product, and over a complex form Gauss's three
+real products Ar·Br, Ai·Bi and (Ar + Ai)·(Br + Bi) in place of four
+(Knuth, TAOCP vol. 2, §4.6.4).  ``scale`` is the product with alpha·I.
+Only ``commutator_shift`` (one fused pass) and ``sandwich`` (by the
+``staircase`` encodings of two conjugators, in O(m²)) multiply outside
+``__matmul__``.  The transpose and ``dagger`` permute each form (and
+negate its imaginary half); ``widen`` pads each form with a zero
+imaginary half from a real into a complex field; the inverse, of P and
+of each conjugator's R in ``transforms``, is the integer elimination of
+``solve.row_reduce``.
+Entries are read only at the boundary: by ``field.parts``, ``entry``,
 ``with_entry``, ``trace`` (a scalar), ``repr`` and ``matrix_to_wire``;
-``matrix_from_wire`` builds the parts from the integers that
-``scalars.read_entries`` reads from the entry strings, with one
-``graded`` call, and names the row, the column and the string of an
-entry that does not read.  Every zero numerator of a form over Q or
-Q(i) becomes one shared rational zero, not a fresh ``Fraction(0, den)``:
-fractions are immutable, so values, hashes and wire strings do not
-change.  The numerators are a list, never mutated, and gcd/lcm fold
-over them with ``reduce``: CPython keeps freed tuples of up to 19 items
-in per-size free lists, so short-lived tuples of those sizes would raise
-the peak memory of a long run.
+``matrix_from_wire`` reduces the parts that ``scalars.read_entries``
+reads from the entry strings with one ``graded`` call, and names the
+row, the column and the string of an entry that does not read.  The
+numerators are a list, never mutated, and gcd/lcm fold over them with
+``reduce``: CPython keeps freed tuples of up to 19 items in per-size
+free lists, so short-lived tuples of those sizes would raise the peak
+memory of a long run.
 """
 from __future__ import annotations
 
@@ -72,29 +64,17 @@ from .errors import (
 )
 from .scalars import (
     PART_FIELDS,
-    RAT,
     Field,
-    GaussianRational,
-    PrimeFieldElement,
     QI,
-    QQ,
-    SurdComplex,
-    SurdReal,
     can_widen,
-    common_denominator,
     field_from_wire,
-    raw_rational,
     read_entries,
     surd_basis_product,
 )
 
 
-# the one rational zero that every zero numerator of a form becomes
-_ZERO = RAT(0)
-
-
 class Matrix:
-    # _parts is read from the entries when built, or set by ``_from_parts``
+    # _parts is read by ``Field.parts`` when built, or set by ``_from_parts``
     __slots__ = ("field", "size", "rows", "_parts")
 
     def __init__(self, field: Field, rows):
@@ -105,7 +85,7 @@ class Matrix:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "size", m)
         object.__setattr__(self, "rows", coerced)
-        object.__setattr__(self, "_parts", _read_parts(field, coerced))
+        object.__setattr__(self, "_parts", field.parts([x for row in coerced for x in row]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -276,26 +256,6 @@ class Matrix:
         return _from_parts(field, self.size, parts)
 
 
-def _read_parts(field: Field, rows) -> tuple:
-    """The reduced parts (``Matrix.rational_parts``) of canonical entries:
-    the coefficient of sqrt(g) of each entry (a rational entry is the
-    single term (1, x)), each list over its least common denominator; a
-    GF(p) entry gives its residue."""
-    flat = [x for row in rows for x in row]
-    if field.characteristic:
-        return ((1, ([x.residue for x in flat], 1)),)
-    if field.is_complex:
-        flat = [x.re for x in flat] + [x.im for x in flat]
-    if field in PART_FIELDS:
-        coeffs = {1: [0] * len(flat)}  # and the radicals with a nonzero coefficient
-        for k, x in enumerate(flat):
-            for g, q in x.terms:
-                coeffs.setdefault(g, [0] * len(flat))[k] = q
-    else:
-        coeffs = {1: flat}
-    return tuple((g, common_denominator(v)) for g, v in sorted(coeffs.items()))
-
-
 def _reduced(field: Field, nums, den: int) -> tuple[list[int], int]:
     # nums / den (den > 0) as a reduced form: residues over 1 for GF(p),
     # else divided by the gcd of the numerators and the denominator
@@ -311,31 +271,9 @@ def _reduced(field: Field, nums, den: int) -> tuple[list[int], int]:
 
 def _from_parts(field: Field, m: int, parts: tuple) -> Matrix:
     """The m x m matrix over ``field`` of the reduced parts ``parts`` (as
-    ``Matrix.rational_parts`` gives them), its entries made from the
-    numerators with one list comprehension per field."""
-    if field in PART_FIELDS:
-        keys, dens = [g for g, _ in parts], [d for _, (_, d) in parts]
-        flat = [
-            SurdReal._raw([(g, raw_rational(x, d)) for g, d, x in zip(keys, dens, xs) if x])
-            for xs in zip(*[nums for _, (nums, _) in parts])
-        ]
-        if field.is_complex:
-            raw = SurdComplex._raw
-            flat = [raw(x, y) for x, y in zip(flat, flat[m * m :])]
-    else:
-        ((_, (nums, den)),) = parts
-        if field.characteristic:
-            p, raw = field.p, PrimeFieldElement._raw
-            flat = [raw(x, p) for x in nums]
-        elif field is QQ:
-            flat = [raw_rational(x, den) if x else _ZERO for x in nums]
-        else:
-            # real parts first; zip stops after the m*m of them
-            raw = GaussianRational._raw
-            flat = [
-                raw(raw_rational(x, den) if x else _ZERO, raw_rational(y, den) if y else _ZERO)
-                for x, y in zip(nums, nums[m * m :])
-            ]
+    ``Matrix.rational_parts`` gives them), its entries made by
+    ``field.entries``."""
+    flat = field.entries(parts)
     out = object.__new__(Matrix)
     object.__setattr__(out, "field", field)
     object.__setattr__(out, "size", m)
@@ -591,10 +529,10 @@ def matrix_from_wire(doc: dict) -> Matrix:
     if len(entries) != n:
         raise SizeMismatch("entry rows do not match declared size")
     try:
-        parts, den = read_entries(field, [s for row in entries for s in row])
+        parts = read_entries(field, [s for row in entries for s in row])
     except (ValueError, ZeroDivisionError):
         i, j, s, exc = _first_refused(entries, lambda s: read_entries(field, [s]), (ValueError, ZeroDivisionError))
         raise type(exc)(f"entry (row {i}, column {j}) {s!r}: {exc}") from None
     if n < 1 or any(len(row) != n for row in entries):
         raise SizeMismatch("matrix must be square and nonempty")
-    return graded(field, n, [(g, 1, (nums, den)) for g, nums in parts.items()])
+    return graded(field, n, [(g, 1, form) for g, form in parts])

@@ -28,12 +28,13 @@ types do not divide, as every matrix operation runs on rational parts.
 coercion differ.
 
 Entry strings have one reader, ``read_entries``, which returns them as
-integers laid out as an integer form; ``Field.parse`` is that reader on
-one string.
+rational parts, the layout of each field's integer-form codec
+(``Field.parts``, ``Field.entries``); ``Field.parse`` is ``entries`` of
+that reader on one string.
 
 Random elements are small rationals num/den with |num| <= SAMPLE_BOUND
 and 1 <= den <= SAMPLE_BOUND, drawn numerator first, and residues of
-GF(p).  Every draw goes through ``sample_numerators`` (numerators over
+GF(p).  Every draw is ``Field.draw``: ``sample_numerators`` (over
 SAMPLE_DEN) or ``sample_residues``, which call ``rng.getrandbits`` with
 the rejection rule of CPython's ``randint`` and ``randrange``: the same
 random stream, without their per-call frames.  The samplers of the
@@ -74,6 +75,10 @@ def raw_rational(x: int, den: int) -> Fraction:
     _set_numerator(out, x // g)
     _set_denominator(out, den // g)
     return out
+
+
+# the one rational zero that every zero numerator over Q or Q(i) becomes
+_ZERO = RAT(0)
 
 
 def common_denominator(values) -> tuple[list[int], int]:
@@ -507,15 +512,16 @@ class SurdComplex(_ComplexPair):
 def conjugate(x):
     """Field conjugation: identity on real fields, negated imaginary part
     on complex ones."""
-    if isinstance(x, RATIONAL_TYPES):
-        return x
     return x.conjugate()
 
 
 def rational_value(x):
-    """x as a rational when it is one, else None (x in Q, Q(i) or a surd field)."""
+    """x as a rational when it is one, else None; a GF(p) element is its
+    residue, an int."""
     if type(x) is RAT:
         return x
+    if type(x) is PrimeFieldElement:
+        return x.residue
     if isinstance(x, (GaussianRational, SurdComplex)):
         return None if x.im else rational_value(x.re)
     return x.coefficient(1) if all(d == 1 for d, _ in x.terms) else None
@@ -613,7 +619,7 @@ def _surd_terms(text: str, k: int, terms: list) -> None:
         terms.append((g, k, int(q) * s, int(d)))
 
 
-def _read_rationals(strings: list, gaussian: bool) -> tuple[dict[int, list[int]], int]:
+def _read_rationals(strings: list, gaussian: bool) -> tuple:
     # numerator and denominator per half: digit strings (None for a
     # missing part) of a plain entry, ints of any other
     if gaussian:
@@ -626,10 +632,10 @@ def _read_rationals(strings: list, gaussian: bool) -> tuple[dict[int, list[int]]
         qs = [x[0] for x in ratios]
         ds = [int(x[1] or 1) for x in ratios]
     den = lcm(*ds)
-    return {1: [int(q or 0) * (den // d) for q, d in zip(qs, ds)]}, den
+    return ((1, ([int(q or 0) * (den // d) for q, d in zip(qs, ds)], den)),)
 
 
-def _read_surds(strings: list, complex_: bool) -> tuple[dict[int, list[int]], int]:
+def _read_surds(strings: list, complex_: bool) -> tuple:
     mm, terms = len(strings), []
     for k, s in enumerate(strings):
         s = str.strip(s).replace(" ", "")
@@ -648,21 +654,21 @@ def _read_surds(strings: list, complex_: bool) -> tuple[dict[int, list[int]], in
         if g not in parts:
             parts[g] = [0] * size
         parts[g][k] += q * (den // d)
-    return parts, den
+    return tuple((g, (parts[g], den)) for g in sorted(parts))
 
 
-def read_entries(field: Field, strings: list) -> tuple[dict[int, list[int]], int]:
-    """({radical: numerators}, den): the entry strings of ``field`` over
-    one positive common denominator, each list laid out as
-    ``Matrix.integer_form`` lays out a form (real parts, then imaginary
-    parts), one per squarefree radical (only 1 outside the surd fields).
-    Blanks are ignored inside surd entries; a GF(p) entry is what ``int``
-    reads.  The error is that of the first refused entry: of ``_ratio``
-    or ``int``, a non-string, a sqrt( term that does not end in ')', a
-    radicand out of bounds or a malformed complex surd."""
+def read_entries(field: Field, strings: list) -> tuple:
+    """The entry strings of ``field`` as parts laid out as
+    ``Matrix.rational_parts``, but unreduced, over one positive common
+    denominator: g increasing, 1 first, a cancelled radical's part kept as
+    zeros.  Blanks are ignored inside surd entries; a GF(p) entry is the
+    residue of what ``int`` reads.  The error is that of the first refused
+    entry: of ``_ratio`` or ``int``, a non-string, a sqrt( term that does
+    not end in ')', a radicand out of bounds or a malformed complex surd."""
     try:
         if field.characteristic:
-            return {1: [int(t) for t in map(str.strip, strings)]}, 1
+            p = field.p
+            return ((1, ([int(t) % p for t in map(str.strip, strings)], 1)),)
         if field in PART_FIELDS:
             return _read_surds(strings, field.is_complex)
         return _read_rationals(strings, field.is_complex)
@@ -699,9 +705,18 @@ class Field:
     ``coerce``: first the operand rule of the field's element type
     (``_operand``: an element, or a value of a field that embeds in this
     one), then a string through ``parse`` (``read_entries`` on one
-    string); anything else is a ``FieldMismatch``.  Every field defines
-    ``parse`` and ``format``.
+    string); anything else is a ``FieldMismatch``.
+
+    Each field has one integer-form codec: ``parts`` reads canonical
+    values into reduced parts ((g, (nums, den)), ...), laid out as
+    ``Matrix.rational_parts``; ``entries`` makes the canonical values of
+    such parts, or of ``read_entries``, with the raw constructors; ``draw``
+    draws ``count`` coefficients as (numerators, den).  The base writes
+    the rational codec.
     """
+
+    # ``parse``, ``format`` and ``sample`` stay on each field class that
+    # defines them: ``perfbench/tracer.py`` times them there.
 
     tag: str = ""
     characteristic: int = 0
@@ -716,6 +731,16 @@ class Field:
         if isinstance(x, str):
             return self.parse(x)
         raise FieldMismatch(f"cannot take {type(x).__name__} {self._as}")
+
+    def parts(self, values) -> tuple:
+        return ((1, common_denominator(values)),)
+
+    def entries(self, parts) -> list:
+        ((_, (nums, den)),) = parts
+        return [raw_rational(x, den) if x else _ZERO for x in nums]
+
+    def draw(self, rng, count: int) -> tuple[list[int], int]:
+        return sample_numerators(rng, count), SAMPLE_DEN
 
     def from_int(self, k):
         return self.coerce(k)
@@ -762,42 +787,13 @@ class RationalField(Field):
         return None
 
     def parse(self, s):
-        parts, den = read_entries(self, [s])
-        return raw_rational(parts[1][0], den)
+        return self.entries(read_entries(self, [s]))[0]
 
     def format(self, x):
         return str(x)
 
     def sample(self, rng):
-        (x,) = sample_numerators(rng, 1)
-        return raw_rational(x, SAMPLE_DEN)
-
-
-class GaussianField(Field):
-    tag = "Qi"
-    is_complex = True
-    _as = "as a Gaussian rational"
-    _operand = staticmethod(GaussianRational._coerce)
-
-    def imaginary_unit(self):
-        return I_GAUSS
-
-    def parse(self, s):
-        parts, den = read_entries(self, [s])
-        re, im = parts[1]
-        return GaussianRational._raw(raw_rational(re, den), raw_rational(im, den))
-
-    def format(self, x):
-        if not x.im:
-            return str(x.re)
-        if not x.re:
-            return f"{x.im}i"
-        sep = "+" if x.im > 0 else "-"
-        return f"{x.re}{sep}{abs(x.im)}i"
-
-    def sample(self, rng):
-        re, im = sample_numerators(rng, 2)
-        return GaussianRational._raw(raw_rational(re, SAMPLE_DEN), raw_rational(im, SAMPLE_DEN))
+        return self.entries(((1, self.draw(rng, 1)),))[0]
 
 
 class PrimeField(Field):
@@ -824,16 +820,25 @@ class PrimeField(Field):
             return PrimeFieldElement(x.numerator, self.p) / PrimeFieldElement(x.denominator, self.p)
         return None
 
+    def parts(self, values):
+        return ((1, ([x.residue for x in values], 1)),)
+
+    def entries(self, parts):
+        ((_, (nums, _)),) = parts
+        p, raw = self.p, PrimeFieldElement._raw
+        return [raw(x, p) for x in nums]
+
+    def draw(self, rng, count):
+        return sample_residues(rng, self.p, count), 1
+
     def parse(self, s):
-        parts, _ = read_entries(self, [s])
-        return PrimeFieldElement(parts[1][0], self.p)
+        return self.entries(read_entries(self, [s]))[0]
 
     def format(self, x):
         return str(x.residue)
 
     def sample(self, rng):
-        (r,) = sample_residues(rng, self.p, 1)
-        return PrimeFieldElement(r, self.p)
+        return self.entries(((1, self.draw(rng, 1)),))[0]
 
     def describe(self):
         return f"GF({self.p})"
@@ -844,35 +849,89 @@ class SurdRealField(Field):
     _as = "as a real surd"
     _operand = staticmethod(SurdReal._coerce)
 
+    def parts(self, values):
+        # the coefficients of sqrt(g) for g = 1 and every radical that
+        # occurs, each list over its least common denominator
+        coeffs = {1: [0] * len(values)}
+        for k, x in enumerate(values):
+            for g, q in x.terms:
+                coeffs.setdefault(g, [0] * len(values))[k] = q
+        return tuple((g, common_denominator(v)) for g, v in sorted(coeffs.items()))
+
+    def entries(self, parts):
+        keys, dens = [g for g, _ in parts], [d for _, (_, d) in parts]
+        return [
+            SurdReal._raw([(g, raw_rational(x, d)) for g, d, x in zip(keys, dens, xs) if x])
+            for xs in zip(*[nums for _, (nums, _) in parts])
+        ]
+
     def parse(self, s):
-        parts, den = read_entries(self, [s])
-        return SurdReal({g: raw_rational(x, den) for g, (x,) in parts.items()})
+        return self.entries(read_entries(self, [s]))[0]
 
     def format(self, x):
         return _format_surd_real(x)
 
 
-class SurdComplexField(Field):
-    tag = "surd_c"
+QQ = RationalField()
+SURD = SurdRealField()
+
+
+class _ComplexField(Field):
+    """The codec of the real field ``_real`` on the real parts, then the
+    imaginary parts, of the values, paired by ``_pair``."""
+
     is_complex = True
+
+    def parts(self, values):
+        return self._real.parts([x.re for x in values] + [x.im for x in values])
+
+    def entries(self, parts):
+        flat = self._real.entries(parts)
+        # map stops after the first half, the real parts
+        return list(map(self._pair, flat, flat[len(flat) // 2 :]))
+
+
+class GaussianField(_ComplexField):
+    tag = "Qi"
+    _as = "as a Gaussian rational"
+    _operand = staticmethod(GaussianRational._coerce)
+    _real, _pair = QQ, staticmethod(GaussianRational._raw)
+
+    def imaginary_unit(self):
+        return I_GAUSS
+
+    def parse(self, s):
+        return self.entries(read_entries(self, [s]))[0]
+
+    def format(self, x):
+        if not x.im:
+            return str(x.re)
+        if not x.re:
+            return f"{x.im}i"
+        sep = "+" if x.im > 0 else "-"
+        return f"{x.re}{sep}{abs(x.im)}i"
+
+    def sample(self, rng):
+        return self.entries(((1, self.draw(rng, 2)),))[0]
+
+
+class SurdComplexField(_ComplexField):
+    tag = "surd_c"
     _as = "as a complex surd"
     _operand = staticmethod(SurdComplex._coerce)
+    _real, _pair = SURD, staticmethod(SurdComplex._raw)
 
     def imaginary_unit(self):
         return SurdComplex(0, 1)
 
     def parse(self, s):
-        parts, den = read_entries(self, [s])
-        re, im = ({g: raw_rational(halves[k], den) for g, halves in parts.items()} for k in (0, 1))
-        return SurdComplex(SurdReal(re), SurdReal(im))
+        return self.entries(read_entries(self, [s]))[0]
 
     def format(self, x):
         return f"({_format_surd_real(x.re)})+({_format_surd_real(x.im)})i"
 
 
-QQ = RationalField()
 QI = GaussianField()
-SURD = SurdRealField()
 SURD_C = SurdComplexField()
 
 # the field of the rational parts of a surd matrix (``Matrix.rational_parts``)

@@ -48,7 +48,6 @@ from .scalars import (
     can_widen,
     squarefree_split,
     surd_basis_product,
-    widen_scalar,
 )
 from .solve import constraint_table, satisfies
 
@@ -424,7 +423,7 @@ def evaluate_theorem_case(spec: MatrixClassSpec, via: str, inputs: dict) -> tupl
         return mismatch("heap preservation", lhs, rhs)
 
     lhs = _class_image(spec, frame, action(alpha, a, b))
-    rhs = action(widen_scalar(alpha, spec.scalar_field, za.field), za, zb)
+    rhs = action(alpha, za, zb)
     if lhs != rhs:
         return mismatch("action preservation", lhs, rhs)
 

@@ -4,10 +4,10 @@
 three real products, and ``matrix._real_product`` slices each row once
 per product; the oracle is the entry-by-entry loop and the four-product
 formula of ``tests/oracle.py``, and, on whole matrices, the plain
-entrywise product over Q, Q(i), GF(p) and surd_c.  ``_from_parts``
-builds its canonical entries with ``_raw`` constructors that skip
-``__init__``, and its rationals with ``scalars.raw_rational``, which
-skips ``Fraction.__new__``: a raw value must equal, hash and print as
+entrywise product over Q, Q(i), GF(p) and surd_c.  ``Field.entries``
+(behind ``_from_parts``) builds its canonical entries with ``_raw``
+constructors that skip ``__init__``, and its rationals with
+``scalars.raw_rational``, which skips ``Fraction.__new__``: a raw value must equal, hash and print as
 the value ``__init__`` (or ``Fraction(x, den)``) builds
 (``from_integer_form`` is held to entries built entry by entry in
 ``tests/test_integer_form.py``).  Numerators run from negative to above
@@ -78,7 +78,7 @@ def test_products_match_the_entrywise_loops(m, data):
 @settings(max_examples=12, deadline=None)
 @given(m=st.integers(1, 9), data=st.data())
 def test_matrix_products_match_entrywise(field, m, data):
-    # inputs through __init__; the kernels' results are built by _from_parts
+    # inputs through __init__; the kernels' results are built by Field.entries
     a, b = (Matrix(field, data.draw(st.lists(st.lists(entries(field), min_size=m, max_size=m),
                                              min_size=m, max_size=m))) for _ in range(2))
     want = plain_matmul(a, b)

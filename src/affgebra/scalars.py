@@ -904,12 +904,12 @@ class GaussianField(_ComplexField):
         return self.entries(read_entries(self, [s]))[0]
 
     def format(self, x):
-        if not x.im:
-            return str(x.re)
-        if not x.re:
-            return f"{x.im}i"
-        sep = "+" if x.im > 0 else "-"
-        return f"{x.re}{sep}{abs(x.im)}i"
+        re, im = str(x.re), str(x.im)
+        if im == "0":
+            return re
+        if re == "0":
+            return im + "i"
+        return f"{re}{im}i" if im[0] == "-" else f"{re}+{im}i"
 
     def sample(self, rng):
         return self.entries(((1, self.draw(rng, 2)),))[0]

@@ -7,7 +7,9 @@ entry types ``RAT``, ``GaussianRational``, ``PrimeFieldElement``,
 ``Matrix`` constructor, so none of it goes through integer forms or
 rational parts.  ``plain_parse`` reads an entry string by splitting it
 with per-field string loops into tokens for ``Fraction``, as the
-scalar parsers once did.  ``plain_row_reduce`` and ``plain_sandwich_form``
+scalar parsers once did, and ``gaussian_text`` writes a Gaussian
+rational with the ``Fraction`` sign test that ``GaussianField.format``
+once made.  ``plain_row_reduce`` and ``plain_sandwich_form``
 are the dense integer loops that the sparse ``solve.row_reduce`` and
 the staircase ``matrix.sandwich_form`` replaced; ``plain_real_product``
 and ``plain_complex_product`` are the entry-by-entry and four-product
@@ -304,6 +306,19 @@ def plain_parse(field, s):
     if not rest.startswith("+(") or not rest.endswith(")i"):
         raise ValueError(f"malformed complex surd string {s!r}")
     return SurdComplex(_parse_surd_real(re_part), _parse_surd_real(rest[2:-2]))
+
+
+def gaussian_text(x: GaussianRational) -> str:
+    """The wire text of a Gaussian rational, the sign of the imaginary
+    half chosen by comparing it with zero: ``a``, ``bi``, ``a+bi`` or
+    ``a-bi``.  ``GaussianField.format`` writes it from the text of each
+    half instead."""
+    if not x.im:
+        return str(x.re)
+    if not x.re:
+        return f"{x.im}i"
+    sep = "+" if x.im > 0 else "-"
+    return f"{x.re}{sep}{abs(x.im)}i"
 
 
 def plain_real_product(m: int, a, b) -> list[int]:

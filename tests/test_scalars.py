@@ -2,7 +2,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from affgebra.errors import (
     DivisionByZero,
@@ -27,10 +27,18 @@ from affgebra.scalars import (
     surd_basis_product,
     widen_scalar,
 )
-from oracle import plain_squarefree_split
+from oracle import gaussian_text, plain_squarefree_split
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 nonzero_rationals = rationals.filter(bool)
+# one half of a Gaussian rational: zero, a unit, an integer, a small
+# fraction, or a fraction with numerator and denominator of up to 60 digits
+gaussian_halves = (
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)])
+    | st.integers(-(10**6), 10**6).map(Fraction)
+    | rationals
+    | st.builds(Fraction, st.integers(-(10**60), 10**60), st.integers(1, 10**60))
+)
 squarefree = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 11, 13, 15, 21, 30])
 
 
@@ -207,13 +215,24 @@ class TestParseFormat:
     def test_rational_roundtrip(self, x):
         assert QQ.parse(QQ.format(QQ.coerce(x))) == QQ.coerce(x)
 
-    @given(rationals, rationals)
+    @given(gaussian_halves, gaussian_halves)
+    @example(Fraction(0), Fraction(0))
+    @example(Fraction(0), Fraction(1))
+    @example(Fraction(0), Fraction(-1))
+    @example(Fraction(-2), Fraction(1))
+    @example(Fraction(2), Fraction(-1))
+    @example(Fraction(-10**50, 3), Fraction(-7, 10**40))
     def test_gaussian_roundtrip(self, a, b):
+        # format reads the sign off the imaginary half's text; the oracle
+        # compares that half with zero
         x = GaussianRational(a, b)
+        assert QI.format(x) == gaussian_text(x)
         assert QI.parse(QI.format(x)) == x
 
     def test_gaussian_forms(self):
         assert QI.format(GaussianRational(Fraction(1, 2), Fraction(-3, 4))) == "1/2-3/4i"
+        halves = [(0, 0), (-5, 0), (0, 1), (0, -1), (2, 1), (2, -1), (0, Fraction(-3, 4))]
+        assert [QI.format(GaussianRational(a, b)) for a, b in halves] == ["0", "-5", "1i", "-1i", "2+1i", "2-1i", "-3/4i"]
         assert QI.parse("1/2+3/4i") == GaussianRational(Fraction(1, 2), Fraction(3, 4))
         assert QI.parse("2i") == GaussianRational(0, 2)
         assert QI.parse("-7") == GaussianRational(-7, 0)

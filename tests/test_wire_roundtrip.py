@@ -111,7 +111,8 @@ def _pair(field, big):
 
 @at_limit
 @pytest.mark.parametrize("field, entry", [
-    ("Q", LONG), ("Q", f"-{LONG}/3"), ("Qi", f"{LONG}i"), ("surd", f"{LONG}*sqrt(2)"), ("surd_c", f"(0)+({LONG})i"),
+    ("Q", LONG), ("Q", f"-{LONG}/3"), ("Qi", f"{LONG}i"), ("Qi", f"1-{LONG}i"), ("surd", f"{LONG}*sqrt(2)"),
+    ("surd_c", f"(0)+({LONG})i"),
 ])
 def test_an_entry_at_the_digit_limit_round_trips(field, entry):
     identity, b = _pair(field, entry)
@@ -122,8 +123,8 @@ def test_an_entry_at_the_digit_limit_round_trips(field, entry):
 
 @at_limit
 @pytest.mark.parametrize("field, entry", [
-    ("Q", f"1e{LIMIT}"), ("Q", f"1e-{LIMIT}"), ("Qi", f"1e{LIMIT}i"), ("surd", f"1e{LIMIT}*sqrt(2)"),
-    ("surd_c", f"(0)+(1e{LIMIT})i"),
+    ("Q", f"1e{LIMIT}"), ("Q", f"1e-{LIMIT}"), ("Qi", f"1e{LIMIT}i"), ("Qi", f"1-1e{LIMIT}i"),
+    ("surd", f"1e{LIMIT}*sqrt(2)"), ("surd_c", f"(0)+(1e{LIMIT})i"),
 ])
 def test_an_entry_over_the_digit_limit_is_usage_error(field, entry):
     identity, b = _pair(field, entry)

@@ -13,7 +13,6 @@ and product.  The public retract functions are those methods on
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .errors import MalformedWire, wire_field
@@ -97,38 +96,18 @@ def bracket(kind: BracketKind, a: Matrix, b: Matrix) -> Matrix:
 class Carrier:
     """A space under test: what the checks need from it, and its retracts.
 
-    A carrier defines sampling, ``heap``, ``action``, ``bracket``, optionally
-    ``product``, membership and the scalar units.  Every retract operation
-    is written once below from those, so a custom carrier gets all of them
-    (the retract product needs ``product``); it may override ``heap5``.
+    A carrier defines eight methods: ``sample_point(rng)``,
+    ``sample_scalar(rng)``, ``heap(a, b, c)``, ``action(alpha, base, b)``,
+    ``bracket(kind, a, b)``, ``contains(x)``, ``scalar_zero()`` and
+    ``scalar_one()``; a check that reaches a missing one raises
+    ``AttributeError``, which names it.  It may define ``product``.  Every
+    retract operation is written once below from those, so a custom
+    carrier gets all of them (the retract product needs ``product``); it
+    may override ``heap5``.
     """
 
     def describe(self) -> str:
         return type(self).__name__
-
-    def sample_point(self, rng: random.Random):
-        raise NotImplementedError
-
-    def sample_scalar(self, rng: random.Random):
-        raise NotImplementedError
-
-    def heap(self, a, b, c):
-        raise NotImplementedError
-
-    def action(self, alpha, base, b):
-        raise NotImplementedError
-
-    def bracket(self, kind: BracketKind, a, b):
-        raise NotImplementedError
-
-    def contains(self, x) -> bool:
-        raise NotImplementedError
-
-    def scalar_zero(self):
-        raise NotImplementedError
-
-    def scalar_one(self):
-        raise NotImplementedError
 
     def product(self, a, b):
         raise ValueError(f"{self.describe()} has no product, which the retract product needs")

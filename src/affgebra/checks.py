@@ -15,6 +15,7 @@ the retract product with a ``product``.
 """
 from __future__ import annotations
 
+import inspect
 import time
 from typing import Callable
 
@@ -39,7 +40,11 @@ from .transforms import BLOCK, THEOREM, block_target
 
 # -- identity evaluators -------------------------------------------------
 # Every evaluator returns (passed, detail); detail names the failed
-# sub-property and carries expected/actual in wire-friendly form.
+# sub-property and carries expected/actual in wire-friendly form.  It
+# takes the carrier and the bracket kind, then its inputs under the
+# names its counterexample gives them, in counterexample order: points
+# positional, scalars keyword-only.  ``_identity`` reads the input list
+# from that signature.
 
 
 def _expect(*cases):
@@ -51,104 +56,83 @@ def _expect(*cases):
     return True, {}
 
 
-def _ev_heap_assoc(cr, kind, v):
-    lhs = cr.heap(cr.heap(v["a"], v["b"], v["c"]), v["d"], v["e"])
-    rhs = cr.heap(v["a"], v["b"], cr.heap(v["c"], v["d"], v["e"]))
+def _ev_heap_assoc(cr, kind, a, b, c, d, e):
+    lhs = cr.heap(cr.heap(a, b, c), d, e)
+    rhs = cr.heap(a, b, cr.heap(c, d, e))
     return _expect(("heap associativity", lhs, rhs))
 
 
-def _ev_malcev(cr, kind, v):
-    a, b = v["a"], v["b"]
+def _ev_malcev(cr, kind, a, b):
     return _expect(("<a,b,b> = a", cr.heap(a, b, b), a), ("<b,b,a> = a", cr.heap(b, b, a), a))
 
 
-def _ev_heap_comm(cr, kind, v):
-    return _expect((
-        "<a,b,c> = <c,b,a>",
-        cr.heap(v["a"], v["b"], v["c"]),
-        cr.heap(v["c"], v["b"], v["a"]),
-    ))
+def _ev_heap_comm(cr, kind, a, b, c):
+    return _expect(("<a,b,c> = <c,b,a>", cr.heap(a, b, c), cr.heap(c, b, a)))
 
 
-def _ev_act_add(cr, kind, v):
-    a, b = v["a"], v["b"]
-    al, be, ga = v["alpha"], v["beta"], v["gamma"]
-    lhs = cr.action(al - be + ga, a, b)
-    rhs = cr.heap(cr.action(al, a, b), cr.action(be, a, b), cr.action(ga, a, b))
+def _ev_act_add(cr, kind, a, b, *, alpha, beta, gamma):
+    lhs = cr.action(alpha - beta + gamma, a, b)
+    rhs = cr.heap(cr.action(alpha, a, b), cr.action(beta, a, b), cr.action(gamma, a, b))
     return _expect(("action is additive in the scalar", lhs, rhs))
 
 
-def _ev_act_heap(cr, kind, v):
-    a, al = v["a"], v["alpha"]
-    lhs = cr.action(al, a, cr.heap(v["b"], v["c"], v["d"]))
-    rhs = cr.heap(
-        cr.action(al, a, v["b"]), cr.action(al, a, v["c"]), cr.action(al, a, v["d"])
-    )
+def _ev_act_heap(cr, kind, a, b, c, d, *, alpha):
+    lhs = cr.action(alpha, a, cr.heap(b, c, d))
+    rhs = cr.heap(cr.action(alpha, a, b), cr.action(alpha, a, c), cr.action(alpha, a, d))
     return _expect(("action distributes over the heap", lhs, rhs))
 
 
-def _ev_act_assoc(cr, kind, v):
-    a, b, al, be = v["a"], v["b"], v["alpha"], v["beta"]
-    lhs = cr.action(al * be, a, b)
-    rhs = cr.action(al, a, cr.action(be, a, b))
+def _ev_act_assoc(cr, kind, a, b, *, alpha, beta):
+    lhs = cr.action(alpha * beta, a, b)
+    rhs = cr.action(alpha, a, cr.action(beta, a, b))
     return _expect(("action is multiplicative in the scalar", lhs, rhs))
 
 
-def _ev_act_unit(cr, kind, v):
-    return _expect(("1 acts as identity", cr.action(cr.scalar_one(), v["a"], v["b"]), v["b"]))
+def _ev_act_unit(cr, kind, a, b):
+    return _expect(("1 acts as identity", cr.action(cr.scalar_one(), a, b), b))
 
 
-def _ev_act_zero(cr, kind, v):
-    return _expect(("0 acts as the base", cr.action(cr.scalar_zero(), v["a"], v["b"]), v["a"]))
+def _ev_act_zero(cr, kind, a, b):
+    return _expect(("0 acts as the base", cr.action(cr.scalar_zero(), a, b), a))
 
 
-def _ev_act_base_change(cr, kind, v):
-    a, b, c, al = v["a"], v["b"], v["c"], v["alpha"]
-    lhs = cr.action(al, a, b)
-    rhs = cr.heap(cr.action(al, c, b), cr.action(al, c, a), a)
+def _ev_act_base_change(cr, kind, a, b, c, *, alpha):
+    lhs = cr.action(alpha, a, b)
+    rhs = cr.heap(cr.action(alpha, c, b), cr.action(alpha, c, a), a)
     return _expect(("base change", lhs, rhs))
 
 
-def _ev_bracket_left_affine(cr, kind, v):
-    a, b, c, d, al = v["a"], v["b"], v["c"], v["d"], v["alpha"]
+def _ev_bracket_left_affine(cr, kind, a, b, c, d, *, alpha):
     br = lambda x, y: cr.bracket(kind, x, y)
     return _expect(
         ("[a,-] preserves the heap", br(a, cr.heap(b, c, d)), cr.heap(br(a, b), br(a, c), br(a, d))),
-        ("[a,-] intertwines the action", br(a, cr.action(al, b, c)), cr.action(al, br(a, b), br(a, c))),
+        ("[a,-] intertwines the action", br(a, cr.action(alpha, b, c)), cr.action(alpha, br(a, b), br(a, c))),
     )
 
 
-def _ev_bracket_right_affine(cr, kind, v):
-    a, b, c, d, al = v["a"], v["b"], v["c"], v["d"], v["alpha"]
+def _ev_bracket_right_affine(cr, kind, a, b, c, d, *, alpha):
     br = lambda x, y: cr.bracket(kind, x, y)
     return _expect(
         ("[-,a] preserves the heap", br(cr.heap(b, c, d), a), cr.heap(br(b, a), br(c, a), br(d, a))),
-        ("[-,a] intertwines the action", br(cr.action(al, b, c), a), cr.action(al, br(b, a), br(c, a))),
+        ("[-,a] intertwines the action", br(cr.action(alpha, b, c), a), cr.action(alpha, br(b, a), br(c, a))),
     )
 
 
-def _ev_antisym(cr, kind, v):
-    a, b = v["a"], v["b"]
+def _ev_antisym(cr, kind, a, b):
     lhs = cr.heap(cr.bracket(kind, a, b), cr.bracket(kind, a, a), cr.bracket(kind, b, a))
     return _expect(("affine antisymmetry", lhs, cr.bracket(kind, b, b)))
 
 
-def _ev_jacobi(cr, kind, v):
-    a, b, c = v["a"], v["b"], v["c"]
+def _ev_jacobi(cr, kind, a, b, c):
     br = lambda x, y: cr.bracket(kind, x, y)
-    lhs = cr.heap(
-        cr.heap(br(a, br(b, c)), br(a, a), br(b, br(c, a))),
-        br(b, b),
-        br(c, br(a, b)),
-    )
+    lhs = cr.heap(cr.heap(br(a, br(b, c)), br(a, a), br(b, br(c, a))), br(b, b), br(c, br(a, b)))
     return _expect(("affine Jacobi identity", lhs, br(c, c)))
 
 
-def _ev_closure(cr, kind, v):
-    x, y, z, al = v["x"], v["y"], v["z"], v["alpha"]
+def _ev_closure(cr, kind, x, y, z, *, alpha):
     got = {
         "heap": cr.contains(cr.heap(x, y, z)),
-        "action": cr.contains(cr.action(al, x, y)),
+        "action": cr.contains(cr.action(alpha, x, y)),
         "bracket": cr.contains(cr.bracket(kind, x, y)),
     }
     if all(got.values()):
@@ -156,13 +140,11 @@ def _ev_closure(cr, kind, v):
     return failure("closure under heap/action/bracket", {k: True for k in got}, got)
 
 
-def _ev_idempotent(cr, kind, v):
-    a = v["a"]
+def _ev_idempotent(cr, kind, a):
     return _expect(("[a,a] = a", cr.bracket(kind, a, a), a))
 
 
-def _ev_retract_group(cr, kind, v):
-    o, a, b, c = v["o"], v["a"], v["b"], v["c"]
+def _ev_retract_group(cr, kind, o, a, b, c):
     add = cr.retract_add
     return _expect(
         ("retract addition associative", add(o, add(o, a, b), c), add(o, a, add(o, b, c))),
@@ -172,55 +154,48 @@ def _ev_retract_group(cr, kind, v):
     )
 
 
-def _ev_retract_vector(cr, kind, v):
-    o, a, b, al, be = v["o"], v["a"], v["b"], v["alpha"], v["beta"]
+def _ev_retract_vector(cr, kind, o, a, b, *, alpha, beta):
     add, scale = cr.retract_add, cr.retract_scale
     return _expect(
-        ("scalar distributes over vectors", scale(o, al, add(o, a, b)), add(o, scale(o, al, a), scale(o, al, b))),
-        ("vector distributes over scalars", scale(o, al + be, a), add(o, scale(o, al, a), scale(o, be, a))),
-        ("scaling is multiplicative", scale(o, al * be, a), scale(o, al, scale(o, be, a))),
+        ("scalar distributes over vectors",
+         scale(o, alpha, add(o, a, b)), add(o, scale(o, alpha, a), scale(o, alpha, b))),
+        ("vector distributes over scalars", scale(o, alpha + beta, a), add(o, scale(o, alpha, a), scale(o, beta, a))),
+        ("scaling is multiplicative", scale(o, alpha * beta, a), scale(o, alpha, scale(o, beta, a))),
         ("1 scales trivially", scale(o, cr.scalar_one(), a), a),
         ("0 scales to the origin", scale(o, cr.scalar_zero(), a), o),
     )
 
 
-def _ev_retract_lie(cr, kind, v):
-    o, a, b, c, al = v["o"], v["a"], v["b"], v["c"], v["alpha"]
-    add, scale, lb = cr.retract_add, cr.retract_scale, cr.lie_retract_bracket
+def _ev_retract_lie(cr, kind, o, a, b, c, *, alpha):
+    add, scale = cr.retract_add, cr.retract_scale
+    lb = lambda x, y: cr.lie_retract_bracket(kind, o, x, y)
     return _expect(
-        ("retract bracket alternating", lb(kind, o, a, a), o),
-        ("additive in the left slot", lb(kind, o, add(o, a, b), c), add(o, lb(kind, o, a, c), lb(kind, o, b, c))),
-        ("homogeneous in the left slot", lb(kind, o, scale(o, al, a), b), scale(o, al, lb(kind, o, a, b))),
-        ("additive in the right slot", lb(kind, o, a, add(o, b, c)), add(o, lb(kind, o, a, b), lb(kind, o, a, c))),
-        ("homogeneous in the right slot", lb(kind, o, a, scale(o, al, b)), scale(o, al, lb(kind, o, a, b))),
-        ("retract Jacobi identity", add(
-            o, lb(kind, o, a, lb(kind, o, b, c)),
-            add(o, lb(kind, o, b, lb(kind, o, c, a)), lb(kind, o, c, lb(kind, o, a, b))),
-        ), o),
+        ("retract bracket alternating", lb(a, a), o),
+        ("additive in the left slot", lb(add(o, a, b), c), add(o, lb(a, c), lb(b, c))),
+        ("homogeneous in the left slot", lb(scale(o, alpha, a), b), scale(o, alpha, lb(a, b))),
+        ("additive in the right slot", lb(a, add(o, b, c)), add(o, lb(a, b), lb(a, c))),
+        ("homogeneous in the right slot", lb(a, scale(o, alpha, b)), scale(o, alpha, lb(a, b))),
+        ("retract Jacobi identity", add(o, lb(a, lb(b, c)), add(o, lb(b, lb(c, a)), lb(c, lb(a, b)))), o),
     )
 
 
-def _ev_zeta_retract_trivial(cr, kind, v):
-    o, a, b = v["o"], v["a"], v["b"]
+def _ev_zeta_retract_trivial(cr, kind, o, a, b):
     return _expect(("retract of a scalar-action bracket is trivial", cr.lie_retract_bracket(kind, o, a, b), o))
 
 
-def _ev_bullet_assoc(cr, kind, v):
-    o, a, b, c = v["o"], v["a"], v["b"], v["c"]
+def _ev_bullet_assoc(cr, kind, o, a, b, c):
     p = lambda x, y: cr.retract_product(o, x, y)
     return _expect(("retract product associative", p(p(a, b), c), p(a, p(b, c))))
 
 
-def _ev_bullet_commutator(cr, kind, v):
-    o, a, b = v["o"], v["a"], v["b"]
+def _ev_bullet_commutator(cr, kind, o, a, b):
     p = lambda x, y: cr.retract_product(o, x, y)
     lhs = cr.lie_retract_bracket(kind, o, a, b)
     rhs = cr.retract_sub(o, p(a, b), p(b, a))
     return _expect(("retract bracket is the product commutator", lhs, rhs))
 
 
-def _ev_translate_group_iso(cr, kind, v):
-    o, obar, a, b = v["o"], v["obar"], v["a"], v["b"]
+def _ev_translate_group_iso(cr, kind, o, obar, a, b):
     tau, add = cr.translate, cr.retract_add
     return _expect(
         ("translation is additive", tau(o, obar, add(o, a, b)), add(obar, tau(o, obar, a), tau(o, obar, b))),
@@ -229,22 +204,19 @@ def _ev_translate_group_iso(cr, kind, v):
     )
 
 
-def _ev_translate_lie_iso(cr, kind, v):
-    o, obar, a, b = v["o"], v["obar"], v["a"], v["b"]
+def _ev_translate_lie_iso(cr, kind, o, obar, a, b):
     tau, lb = cr.translate, cr.lie_retract_bracket
     lhs = tau(o, obar, lb(kind, o, a, b))
     rhs = lb(kind, obar, tau(o, obar, a), tau(o, obar, b))
     return _expect(("translation intertwines retract brackets", lhs, rhs))
 
 
-def _ev_corollary(cr, context, v):
+def _ev_corollary(cr, context, a, b):
     """In the block picture the retract bracket at the base point must be
     the plain matrix commutator of the block parts (shifted by the base)."""
     target = block_target(cr.spec)
     o = target.base_block
-    a, b = v["a"], v["b"]
-    x = a - o
-    y = b - o
+    x, y = a - o, b - o
     lhs = affine.lie_retract_bracket(COMMUTATOR, o, a, b)
     rhs = o + (x @ y - y @ x)
     if lhs != rhs:
@@ -254,9 +226,12 @@ def _ev_corollary(cr, context, v):
     return True, {}
 
 
-def _identity(name, points, scalars, evaluate, **options) -> CheckDef:
-    """A catalogue identity: points, then scalars, drawn from the carrier."""
-    inputs = tuple((p, POINT) for p in points) + tuple((s, SCALAR) for s in scalars)
+def _identity(name, evaluate, **options) -> CheckDef:
+    """A catalogue identity whose inputs are the parameters of
+    ``evaluate`` after (carrier, kind): a positional one is a point drawn
+    from the carrier, a keyword-only one a scalar."""
+    params = list(inspect.signature(evaluate).parameters.values())[2:]
+    inputs = tuple((p.name, SCALAR if p.kind is p.KEYWORD_ONLY else POINT) for p in params)
     return CheckDef(name, inputs, evaluate, **options)
 
 
@@ -272,29 +247,29 @@ COROLLARY = CheckDef(
 CATALOGUE: dict[str, CheckDef] = {
     c.name: c
     for c in [
-        _identity("heap-assoc", ("a", "b", "c", "d", "e"), (), _ev_heap_assoc),
-        _identity("malcev", ("a", "b"), (), _ev_malcev),
-        _identity("heap-comm", ("a", "b", "c"), (), _ev_heap_comm),
-        _identity("act-add", ("a", "b"), ("alpha", "beta", "gamma"), _ev_act_add),
-        _identity("act-heap", ("a", "b", "c", "d"), ("alpha",), _ev_act_heap),
-        _identity("act-assoc", ("a", "b"), ("alpha", "beta"), _ev_act_assoc),
-        _identity("act-unit", ("a", "b"), (), _ev_act_unit),
-        _identity("act-zero", ("a", "b"), (), _ev_act_zero),
-        _identity("act-base-change", ("a", "b", "c"), ("alpha",), _ev_act_base_change),
-        _identity("bracket-left-affine", ("a", "b", "c", "d"), ("alpha",), _ev_bracket_left_affine),
-        _identity("bracket-right-affine", ("a", "b", "c", "d"), ("alpha",), _ev_bracket_right_affine),
-        _identity("antisym", ("a", "b"), (), _ev_antisym),
-        _identity("jacobi", ("a", "b", "c"), (), _ev_jacobi, default_trials=50),
-        _identity("closure", ("x", "y", "z"), ("alpha",), _ev_closure),
-        _identity("idempotent", ("a",), (), _ev_idempotent),
-        _identity("retract-group", ("o", "a", "b", "c"), (), _ev_retract_group),
-        _identity("retract-vector", ("o", "a", "b"), ("alpha", "beta"), _ev_retract_vector),
-        _identity("retract-lie", ("o", "a", "b", "c"), ("alpha",), _ev_retract_lie),
-        _identity("zeta-retract-trivial", ("o", "a", "b"), (), _ev_zeta_retract_trivial, applies=is_zeta),
-        _identity("bullet-assoc", ("o", "a", "b", "c"), (), _ev_bullet_assoc, applies=is_commutator),
-        _identity("bullet-commutator", ("o", "a", "b"), (), _ev_bullet_commutator, applies=is_commutator),
-        _identity("translate-group-iso", ("o", "obar", "a", "b"), (), _ev_translate_group_iso),
-        _identity("translate-lie-iso", ("o", "obar", "a", "b"), (), _ev_translate_lie_iso),
+        _identity("heap-assoc", _ev_heap_assoc),
+        _identity("malcev", _ev_malcev),
+        _identity("heap-comm", _ev_heap_comm),
+        _identity("act-add", _ev_act_add),
+        _identity("act-heap", _ev_act_heap),
+        _identity("act-assoc", _ev_act_assoc),
+        _identity("act-unit", _ev_act_unit),
+        _identity("act-zero", _ev_act_zero),
+        _identity("act-base-change", _ev_act_base_change),
+        _identity("bracket-left-affine", _ev_bracket_left_affine),
+        _identity("bracket-right-affine", _ev_bracket_right_affine),
+        _identity("antisym", _ev_antisym),
+        _identity("jacobi", _ev_jacobi, default_trials=50),
+        _identity("closure", _ev_closure),
+        _identity("idempotent", _ev_idempotent),
+        _identity("retract-group", _ev_retract_group),
+        _identity("retract-vector", _ev_retract_vector),
+        _identity("retract-lie", _ev_retract_lie),
+        _identity("zeta-retract-trivial", _ev_zeta_retract_trivial, applies=is_zeta),
+        _identity("bullet-assoc", _ev_bullet_assoc, applies=is_commutator),
+        _identity("bullet-commutator", _ev_bullet_commutator, applies=is_commutator),
+        _identity("translate-group-iso", _ev_translate_group_iso),
+        _identity("translate-lie-iso", _ev_translate_lie_iso),
         THEOREM,
         COROLLARY,
     ]
@@ -381,7 +356,7 @@ def replay(report_doc: dict) -> CheckReport:
     inputs = {name: codec.from_wire(spec, inputs_doc[name]) for name, codec in cdef.inputs}
     carrier = MatrixClassCarrier(spec)
     context = cdef.context.resolve(carrier, context)
-    passed, detail = cdef.evaluate(carrier, context, inputs)
+    passed, detail = cdef.evaluate(carrier, context, **inputs)
     elapsed = (time.perf_counter() - start) * 1000
     counterexample = None if passed else {
         "class": ce["class"], **cdef.context.to_wire(carrier, context), "inputs": inputs_doc, **detail

@@ -24,7 +24,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
 
 from .errors import FieldMismatch, MalformedWire, SizeMismatch, wire_field
 from .matrix import Matrix
@@ -35,6 +34,7 @@ from .scalars import (
     QQ,
     can_widen,
     field_from_wire,
+    memo,
 )
 from .solve import AffineSubspace, constraint_table, satisfies, solve_affine_system
 
@@ -173,7 +173,7 @@ def contains_parts(spec: MatrixClassSpec, field: Field, forms) -> bool:
     return all(satisfies(table, [x * d + y * d1 for x, y in zip(one, nums)], d1 * d, p) for nums, d in rest)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _membership_table(spec: MatrixClassSpec, field: Field) -> tuple:
     """The equations of ``constraint_system``, the ones the solver
     solves, compiled for integer forms over ``field``; a spec over a
@@ -238,7 +238,7 @@ def _solve(spec: MatrixClassSpec) -> AffineSubspace:
     return solve_affine_system(constraint_system(spec), spec.ambient, spec.field)
 
 
-@lru_cache(maxsize=None)
+@memo
 def subspace(spec: MatrixClassSpec) -> AffineSubspace:
     """The class as a particular solution plus direction matrices (built
     from the solver's integer forms on first read; v and i·v for each
@@ -259,7 +259,7 @@ def derive_rng(*parts) -> random.Random:
     return random.Random("\x1f".join(str(p) for p in parts))
 
 
-@lru_cache(maxsize=None)
+@memo
 def _sampling_data(spec: MatrixClassSpec):
     """(dimension, den, part, gens): the solver's particular solution
     and direction generators, flat integer vectors over its one common

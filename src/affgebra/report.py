@@ -176,7 +176,7 @@ def failure(prop: str, expected, actual) -> tuple[bool, dict]:
 class CheckDef:
     """One catalogue check.  ``inputs`` are its input names in
     counterexample order, each with its codec; ``evaluate(carrier,
-    context, inputs)`` returns (passed, detail).  The check draws one
+    context, **inputs)`` returns (passed, detail).  The check draws one
     random stream keyed by its name or, with ``trial_stream``, a fresh
     stream per trial keyed by that name and the trial index."""
 
@@ -216,7 +216,7 @@ def run_trials(
         inputs = {name: codec.sample(carrier, rng) for name, codec in cdef.inputs}
         if mutate is not None:
             inputs = mutate(i, inputs)
-        passed, detail = cdef.evaluate(carrier, context, inputs)
+        passed, detail = cdef.evaluate(carrier, context, **inputs)
         if not passed:
             counterexample = {
                 "class": carrier.class_wire(),

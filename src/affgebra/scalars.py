@@ -46,6 +46,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, isqrt, lcm
+from weakref import WeakValueDictionary
 
 from .errors import (
     DivisionByZero,
@@ -57,6 +58,15 @@ from .errors import (
 
 RAT = Fraction
 RATIONAL_TYPES = (int, Fraction)
+
+# The most entries a memo (every memo of the package is ``memo``) keeps:
+# memos are keyed by request values, so a process serving many requests
+# would otherwise keep an entry per distinct spec, field or radicand for
+# good.  512 is above the most any memo holds in a full test run (about
+# 300) and the 28 specs of the largest benchmark workload, so neither
+# evicts; an evicted entry is only recomputed.  A fixed bound, not an option.
+MEMO_SIZE = 512
+memo = lru_cache(maxsize=MEMO_SIZE)
 
 # the ``_raw`` constructors build a value of canonical parts without
 # ``__init__``: they set its slots through the slot descriptors
@@ -89,7 +99,7 @@ def common_denominator(values) -> tuple[list[int], int]:
     return [int(x.numerator) * (den // d) for x, d in zip(values, dens)], den
 
 
-@lru_cache(maxsize=None)
+@memo
 def squarefree_split(m: int) -> tuple[int, int]:
     """Factor m > 0 as s*s*f with f squarefree, by trial division up to
     the cube root: the cofactor left has no prime factor below d and is
@@ -940,14 +950,17 @@ PART_FIELDS = {SURD: QQ, SURD_C: QI}
 # the fields of the wire tags but GF, whose field depends on p
 _TAGGED = {field.tag: field for field in (QQ, QI, SURD, SURD_C)}
 
-_prime_fields: dict[int, PrimeField] = {}
+# each GF(p) lives while a spec, a matrix or a memo uses it
+_prime_fields: WeakValueDictionary[int, PrimeField] = WeakValueDictionary()
 
 
 def GF(p: int) -> PrimeField:
-    """The prime field GF(p); instances are cached so identity works."""
-    if p not in _prime_fields:
-        _prime_fields[p] = PrimeField(p)
-    return _prime_fields[p]
+    """The prime field GF(p), one instance while any is in use, so
+    identity works."""
+    field = _prime_fields.get(p)
+    if field is None:
+        field = _prime_fields[p] = PrimeField(p)
+    return field
 
 
 def field_by_tag(tag: str, p: int | None = None) -> Field:

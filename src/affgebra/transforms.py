@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .affine import COMMUTATOR, action, bracket, heap, is_commutator
 from .classes import REAL_LINEAR, TRACELESS, MatrixClassSpec, base_point, contains, contains_parts, draw_form
@@ -46,6 +45,7 @@ from .scalars import (
     SURD_C,
     SurdReal,
     can_widen,
+    memo,
     squarefree_split,
     surd_basis_product,
 )
@@ -55,7 +55,7 @@ VIA_P = "P"
 VIA_U = "U"
 
 
-@lru_cache(maxsize=None)
+@memo
 def change_of_basis(n: int, field: Field) -> Matrix:
     """Size n+1: first row all ones; row r = 2..n+1 has -1 in column
     n+2-r and +1 in the last column."""
@@ -70,7 +70,7 @@ def change_of_basis(n: int, field: Field) -> Matrix:
     return Matrix(field, rows)
 
 
-@lru_cache(maxsize=None)
+@memo
 def change_of_basis_inverse(n: int, field: Field) -> Matrix:
     """P⁻¹, the exact inverse of ``change_of_basis`` by ``Matrix.inverse``;
     NonInvertibleScalar when the characteristic divides n+1."""
@@ -78,7 +78,7 @@ def change_of_basis_inverse(n: int, field: Field) -> Matrix:
     return change_of_basis(n, field).inverse()
 
 
-@lru_cache(maxsize=None)
+@memo
 def _orthonormal_frame(n: int) -> tuple[Matrix, tuple]:
     """(W, f) with U = W·diag(√f_0, ..., √f_n), W rational, f_j squarefree.
     For j = 1..n, with top = n+2-j, drop = n+1-j and top·drop = s²·f_j,
@@ -98,7 +98,7 @@ def _orthonormal_frame(n: int) -> tuple[Matrix, tuple]:
     return Matrix(QQ, list(zip(*cols))), tuple(radicals)
 
 
-@lru_cache(maxsize=None)
+@memo
 def orthonormal_change_of_basis(n: int) -> Matrix:
     """The orthonormal counterpart of ``change_of_basis`` over the real
     surd field, built from its rational frame as U = W·D.  Its transpose
@@ -150,7 +150,7 @@ class BlockTarget:
         return draw_form(self.field, self.n + 1, base, bden, gens, rng)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _block_table(kind: str, n: int, radicals, halves: int) -> tuple:
     """The ``constraint_table`` of the block algebra ``kind`` on forms with
     ``halves`` halves: zero last row and column and, for sl and su, zero
@@ -174,7 +174,7 @@ def _block_table(kind: str, n: int, radicals, halves: int) -> tuple:
     return constraint_table(rows, size)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _block_generators(kind: str, n: int, halves: int, scale: int = 1) -> tuple:
     """One generator ((k, x * scale), ...) per draw, in the order of drawing
     the block entry by entry: gl and sl every entry (real, then imaginary
@@ -205,7 +205,7 @@ def _block_generators(kind: str, n: int, halves: int, scale: int = 1) -> tuple:
     return tuple(tuple((k, x * scale) for k, x in gen.items()) for gen in gens)
 
 
-@lru_cache(maxsize=None)
+@memo
 def block_target(spec: MatrixClassSpec) -> BlockTarget:
     """The target of the class: its base is diag(h, ..., h, c) for the
     normalisation c, with h = 0 for gl and u, c for o and -c/n for sl and
@@ -336,7 +336,7 @@ class Frame:
         return contains_parts(spec, z.field, [form for _, _, form in self._pulled(self._admit(z))])
 
 
-@lru_cache(maxsize=None)
+@memo
 def _conjugators(n: int, field: Field, via: str) -> Frame:
     m = n + 1
     if via == VIA_P:
@@ -460,7 +460,7 @@ BLOCK = POINT._replace(sample=lambda cr, rng: block_target(class_of(cr)).sample(
 THEOREM = CheckDef(
     "theorem-iso",
     (("a", POINT), ("b", POINT), ("c", POINT), ("alpha", SCALAR), ("z", BLOCK)),
-    lambda cr, via, inputs: evaluate_theorem_case(cr.spec, via, inputs),
+    lambda cr, via, **inputs: evaluate_theorem_case(cr.spec, via, inputs),
     context=_Route(),
     trial_stream="theorem",
     applies=is_commutator,

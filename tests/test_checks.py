@@ -264,6 +264,21 @@ class TestCustomCarrier:
         with pytest.raises(ValueError):
             run_check("theorem-iso", PointLineCarrier(), COMMUTATOR, 0, 1)
 
+    def test_describe_defaults_to_the_class_name(self):
+        class Line(PointLineCarrier):
+            describe = Carrier.describe  # as if it defined no describe
+
+        carrier = Line()
+        assert run_check("malcev", carrier, Zeta(Fraction(1)), seed=0, trials=3).passed
+        assert carrier.describe() == "Line"
+
+    def test_a_missing_method_is_named(self):
+        class Bare(Carrier):
+            pass
+
+        with pytest.raises(AttributeError, match="'Bare' object has no attribute 'sample_point'"):
+            run_check("malcev", Bare(), Zeta(Fraction(1)), seed=0, trials=1)
+
 
 class CommutatorLineCarrier(PointLineCarrier):
     """The line with the affine commutator, ab - ba + b = b, and still no

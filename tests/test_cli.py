@@ -1,6 +1,10 @@
+import gc
+import importlib
 import importlib.util
+import inspect
 import io
 import json
+import pkgutil
 import random
 import shutil
 import subprocess
@@ -9,13 +13,14 @@ from pathlib import Path
 
 import pytest
 
+import affgebra
 from affgebra.checks import run_check
 from affgebra.classes import MAX_N, ClassKind, MatrixClassSpec, spec_to_wire
 from affgebra.cli import build_parser, main
 from affgebra.affine import COMMUTATOR
 from affgebra.matrix import Matrix, matrix_from_wire, matrix_to_wire
 from affgebra.report import MatrixClassCarrier
-from affgebra.scalars import MAX_EXPONENT, MAX_P, MAX_RADICAND, QQ
+from affgebra.scalars import GF, MAX_EXPONENT, MAX_P, MAX_RADICAND, MEMO_SIZE, QQ
 from affgebra.transforms import THEOREM
 
 CYCLE = Matrix(QQ, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
@@ -121,6 +126,16 @@ class TestFieldFlags:
         code, out, err = run_cli(capsys, "bracket", bad, '{"field":"Q","n":1,"entries":[["2"]]}')
         assert (code, out) == (2, "")
         assert err == f"error: a prime p is only for the field GF, not {tag!r}\n"
+
+    @pytest.mark.parametrize("argv, p", [
+        (("sample", "--class", "gna", "--n", "2", "--field", "GF", "--p", "1"), 1),
+        (("bracket", json.dumps({"field": "GF", "p": 0, "n": 1, "entries": [["1"]]}),
+          '{"field":"Q","n":1,"entries":[["2"]]}'), 0),
+    ], ids=["flag", "matrix"])
+    def test_a_p_that_is_not_prime_is_usage_error(self, capsys, argv, p):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {p} is not prime\n"
 
 
 class TestIsoCheck:
@@ -745,6 +760,43 @@ class TestParserReuse:
         for seed, out in outs.items():
             assert run_cli(capsys, *args, "--seed", seed)[1] == out
         assert outs["5"] != outs["6"]
+
+
+def _memos():
+    """Every memo of the package that takes an argument (the shared
+    parser's takes none, so it holds one entry at most)."""
+    for info in pkgutil.iter_modules(affgebra.__path__):
+        module = importlib.import_module(f"affgebra.{info.name}")
+        for f in vars(module).values():
+            if hasattr(f, "cache_info") and f.__module__ == module.__name__ and inspect.signature(f).parameters:
+                yield f
+
+
+class TestMemoBound:
+    """A memo is keyed by request values, so each one keeps at most
+    ``MEMO_SIZE`` entries, however many distinct requests a process
+    serves."""
+
+    def test_every_memo_is_bounded(self):
+        memos = list(_memos())
+        assert len(memos) >= 12
+        assert all(f.cache_info().maxsize == MEMO_SIZE for f in memos), memos
+
+    def test_distinct_requests_stay_within_the_bound(self, capsys):
+        try:
+            for c in range(1, 2 * MEMO_SIZE + 1):
+                code, _, _ = run_cli(capsys, "iso-check", "--class", "ga_c", "--n", "1", "--c", str(c), "--trials", "1")
+                assert code == 0
+            sizes = {f.__qualname__: f.cache_info().currsize for f in _memos()}
+            assert max(sizes.values()) == MEMO_SIZE, sizes
+        finally:
+            for f in _memos():  # leave the other tests their warm memos
+                f.cache_clear()
+
+    def test_a_prime_field_in_use_stays_one_object(self):
+        m = matrix_from_wire({"field": "GF", "p": 10007, "n": 1, "entries": [["1"]]})
+        gc.collect()
+        assert GF(10007) is m.field
 
 
 class TestConsoleScript:

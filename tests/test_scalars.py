@@ -1,4 +1,5 @@
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -153,8 +154,9 @@ class TestPrimeField:
             assert gf.coerce(k) * (gf.one() / gf.coerce(k)) == gf.one()
 
     def test_requires_prime(self):
-        with pytest.raises(ValueError):
-            GF(6)
+        for p in (6, 1, 0, -7):
+            with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+                GF(p)
 
     def test_modulus_mismatch(self):
         with pytest.raises(FieldMismatch):
@@ -169,6 +171,18 @@ class TestPrimeField:
         assert gf5.coerce(3) * gf5.coerce(4) == gf5.coerce(2)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7), SURD], ids=lambda f: f.describe())
+def test_a_real_field_has_no_imaginary_unit(field):
+    with pytest.raises(FieldMismatch, match=f"^{field.tag} has no imaginary unit$"):
+        field.imaginary_unit()
+
+
+@pytest.mark.parametrize("field", [SURD, SURD_C], ids=lambda f: f.describe())
+def test_the_surd_fields_do_not_sample(field):
+    with pytest.raises(NotImplementedError):
+        field.sample(random.Random(0))
+
+
 @pytest.mark.parametrize("field", [QQ, QI, SURD, SURD_C, GF(7), GF(101)], ids=lambda f: f.describe())
 def test_inv_int_is_the_reciprocal_in_the_field(field):
     for k in range(1, 40):
@@ -181,6 +195,10 @@ def test_inv_int_is_the_reciprocal_in_the_field(field):
 
 
 class TestSurdReal:
+    def test_default_is_zero(self):
+        assert SurdReal() == SurdReal(0)
+        assert not SurdReal()
+
     def test_spec_product(self):
         assert SurdReal({2: Fraction(1, 2)}) * SurdReal({2: 1}) == SurdReal(1)
 

@@ -32,79 +32,70 @@ from .report import (
     CheckReport,
     Context,
     MatrixClassCarrier,
-    failure,
+    expect,
     run_trials,
 )
 from .transforms import BLOCK, THEOREM, block_target
 
 
 # -- identity evaluators -------------------------------------------------
-# Every evaluator returns (passed, detail); detail names the failed
-# sub-property and carries expected/actual in wire-friendly form.  It
-# takes the carrier and the bracket kind, then its inputs under the
-# names its counterexample gives them, in counterexample order: points
-# positional, scalars keyword-only.  ``_identity`` reads the input list
-# from that signature.
-
-
-def _expect(*cases):
-    """Each case is (property, lhs, rhs); the first whose lhs differs from
-    its rhs fails, with rhs reported as the expected value."""
-    for prop, lhs, rhs in cases:
-        if lhs != rhs:
-            return failure(prop, rhs, lhs)
-    return True, {}
+# Every evaluator returns ``report.expect`` of its properties in order:
+# (passed, detail), detail naming the first failed property with its
+# expected and actual values.  It takes the carrier and the bracket
+# kind, then its inputs under the names its counterexample gives them,
+# in counterexample order: points positional, scalars keyword-only.
+# ``_identity`` reads the input list from that signature.
 
 
 def _ev_heap_assoc(cr, kind, a, b, c, d, e):
     lhs = cr.heap(cr.heap(a, b, c), d, e)
     rhs = cr.heap(a, b, cr.heap(c, d, e))
-    return _expect(("heap associativity", lhs, rhs))
+    return expect(("heap associativity", lhs, rhs))
 
 
 def _ev_malcev(cr, kind, a, b):
-    return _expect(("<a,b,b> = a", cr.heap(a, b, b), a), ("<b,b,a> = a", cr.heap(b, b, a), a))
+    return expect(("<a,b,b> = a", cr.heap(a, b, b), a), ("<b,b,a> = a", cr.heap(b, b, a), a))
 
 
 def _ev_heap_comm(cr, kind, a, b, c):
-    return _expect(("<a,b,c> = <c,b,a>", cr.heap(a, b, c), cr.heap(c, b, a)))
+    return expect(("<a,b,c> = <c,b,a>", cr.heap(a, b, c), cr.heap(c, b, a)))
 
 
 def _ev_act_add(cr, kind, a, b, *, alpha, beta, gamma):
     lhs = cr.action(alpha - beta + gamma, a, b)
     rhs = cr.heap(cr.action(alpha, a, b), cr.action(beta, a, b), cr.action(gamma, a, b))
-    return _expect(("action is additive in the scalar", lhs, rhs))
+    return expect(("action is additive in the scalar", lhs, rhs))
 
 
 def _ev_act_heap(cr, kind, a, b, c, d, *, alpha):
     lhs = cr.action(alpha, a, cr.heap(b, c, d))
     rhs = cr.heap(cr.action(alpha, a, b), cr.action(alpha, a, c), cr.action(alpha, a, d))
-    return _expect(("action distributes over the heap", lhs, rhs))
+    return expect(("action distributes over the heap", lhs, rhs))
 
 
 def _ev_act_assoc(cr, kind, a, b, *, alpha, beta):
     lhs = cr.action(alpha * beta, a, b)
     rhs = cr.action(alpha, a, cr.action(beta, a, b))
-    return _expect(("action is multiplicative in the scalar", lhs, rhs))
+    return expect(("action is multiplicative in the scalar", lhs, rhs))
 
 
 def _ev_act_unit(cr, kind, a, b):
-    return _expect(("1 acts as identity", cr.action(cr.scalar_one(), a, b), b))
+    return expect(("1 acts as identity", cr.action(cr.scalar_one(), a, b), b))
 
 
 def _ev_act_zero(cr, kind, a, b):
-    return _expect(("0 acts as the base", cr.action(cr.scalar_zero(), a, b), a))
+    return expect(("0 acts as the base", cr.action(cr.scalar_zero(), a, b), a))
 
 
 def _ev_act_base_change(cr, kind, a, b, c, *, alpha):
     lhs = cr.action(alpha, a, b)
     rhs = cr.heap(cr.action(alpha, c, b), cr.action(alpha, c, a), a)
-    return _expect(("base change", lhs, rhs))
+    return expect(("base change", lhs, rhs))
 
 
 def _ev_bracket_left_affine(cr, kind, a, b, c, d, *, alpha):
     br = lambda x, y: cr.bracket(kind, x, y)
-    return _expect(
+    return expect(
         ("[a,-] preserves the heap", br(a, cr.heap(b, c, d)), cr.heap(br(a, b), br(a, c), br(a, d))),
         ("[a,-] intertwines the action", br(a, cr.action(alpha, b, c)), cr.action(alpha, br(a, b), br(a, c))),
     )
@@ -112,7 +103,7 @@ def _ev_bracket_left_affine(cr, kind, a, b, c, d, *, alpha):
 
 def _ev_bracket_right_affine(cr, kind, a, b, c, d, *, alpha):
     br = lambda x, y: cr.bracket(kind, x, y)
-    return _expect(
+    return expect(
         ("[-,a] preserves the heap", br(cr.heap(b, c, d), a), cr.heap(br(b, a), br(c, a), br(d, a))),
         ("[-,a] intertwines the action", br(cr.action(alpha, b, c), a), cr.action(alpha, br(b, a), br(c, a))),
     )
@@ -120,13 +111,13 @@ def _ev_bracket_right_affine(cr, kind, a, b, c, d, *, alpha):
 
 def _ev_antisym(cr, kind, a, b):
     lhs = cr.heap(cr.bracket(kind, a, b), cr.bracket(kind, a, a), cr.bracket(kind, b, a))
-    return _expect(("affine antisymmetry", lhs, cr.bracket(kind, b, b)))
+    return expect(("affine antisymmetry", lhs, cr.bracket(kind, b, b)))
 
 
 def _ev_jacobi(cr, kind, a, b, c):
     br = lambda x, y: cr.bracket(kind, x, y)
     lhs = cr.heap(cr.heap(br(a, br(b, c)), br(a, a), br(b, br(c, a))), br(b, b), br(c, br(a, b)))
-    return _expect(("affine Jacobi identity", lhs, br(c, c)))
+    return expect(("affine Jacobi identity", lhs, br(c, c)))
 
 
 def _ev_closure(cr, kind, x, y, z, *, alpha):
@@ -135,18 +126,16 @@ def _ev_closure(cr, kind, x, y, z, *, alpha):
         "action": cr.contains(cr.action(alpha, x, y)),
         "bracket": cr.contains(cr.bracket(kind, x, y)),
     }
-    if all(got.values()):
-        return True, {}
-    return failure("closure under heap/action/bracket", {k: True for k in got}, got)
+    return expect(("closure under heap/action/bracket", got, dict.fromkeys(got, True)))
 
 
 def _ev_idempotent(cr, kind, a):
-    return _expect(("[a,a] = a", cr.bracket(kind, a, a), a))
+    return expect(("[a,a] = a", cr.bracket(kind, a, a), a))
 
 
 def _ev_retract_group(cr, kind, o, a, b, c):
     add = cr.retract_add
-    return _expect(
+    return expect(
         ("retract addition associative", add(o, add(o, a, b), c), add(o, a, add(o, b, c))),
         ("retract addition commutative", add(o, a, b), add(o, b, a)),
         ("o is neutral", add(o, a, o), a),
@@ -156,7 +145,7 @@ def _ev_retract_group(cr, kind, o, a, b, c):
 
 def _ev_retract_vector(cr, kind, o, a, b, *, alpha, beta):
     add, scale = cr.retract_add, cr.retract_scale
-    return _expect(
+    return expect(
         ("scalar distributes over vectors",
          scale(o, alpha, add(o, a, b)), add(o, scale(o, alpha, a), scale(o, alpha, b))),
         ("vector distributes over scalars", scale(o, alpha + beta, a), add(o, scale(o, alpha, a), scale(o, beta, a))),
@@ -169,7 +158,7 @@ def _ev_retract_vector(cr, kind, o, a, b, *, alpha, beta):
 def _ev_retract_lie(cr, kind, o, a, b, c, *, alpha):
     add, scale = cr.retract_add, cr.retract_scale
     lb = lambda x, y: cr.lie_retract_bracket(kind, o, x, y)
-    return _expect(
+    return expect(
         ("retract bracket alternating", lb(a, a), o),
         ("additive in the left slot", lb(add(o, a, b), c), add(o, lb(a, c), lb(b, c))),
         ("homogeneous in the left slot", lb(scale(o, alpha, a), b), scale(o, alpha, lb(a, b))),
@@ -180,24 +169,24 @@ def _ev_retract_lie(cr, kind, o, a, b, c, *, alpha):
 
 
 def _ev_zeta_retract_trivial(cr, kind, o, a, b):
-    return _expect(("retract of a scalar-action bracket is trivial", cr.lie_retract_bracket(kind, o, a, b), o))
+    return expect(("retract of a scalar-action bracket is trivial", cr.lie_retract_bracket(kind, o, a, b), o))
 
 
 def _ev_bullet_assoc(cr, kind, o, a, b, c):
     p = lambda x, y: cr.retract_product(o, x, y)
-    return _expect(("retract product associative", p(p(a, b), c), p(a, p(b, c))))
+    return expect(("retract product associative", p(p(a, b), c), p(a, p(b, c))))
 
 
 def _ev_bullet_commutator(cr, kind, o, a, b):
     p = lambda x, y: cr.retract_product(o, x, y)
     lhs = cr.lie_retract_bracket(kind, o, a, b)
     rhs = cr.retract_sub(o, p(a, b), p(b, a))
-    return _expect(("retract bracket is the product commutator", lhs, rhs))
+    return expect(("retract bracket is the product commutator", lhs, rhs))
 
 
 def _ev_translate_group_iso(cr, kind, o, obar, a, b):
     tau, add = cr.translate, cr.retract_add
-    return _expect(
+    return expect(
         ("translation is additive", tau(o, obar, add(o, a, b)), add(obar, tau(o, obar, a), tau(o, obar, b))),
         ("translation maps origin to origin", tau(o, obar, o), obar),
         ("translation inverts", tau(obar, o, tau(o, obar, a)), a),
@@ -208,7 +197,7 @@ def _ev_translate_lie_iso(cr, kind, o, obar, a, b):
     tau, lb = cr.translate, cr.lie_retract_bracket
     lhs = tau(o, obar, lb(kind, o, a, b))
     rhs = lb(kind, obar, tau(o, obar, a), tau(o, obar, b))
-    return _expect(("translation intertwines retract brackets", lhs, rhs))
+    return expect(("translation intertwines retract brackets", lhs, rhs))
 
 
 def _ev_corollary(cr, context, a, b):
@@ -218,12 +207,10 @@ def _ev_corollary(cr, context, a, b):
     o = target.base_block
     x, y = a - o, b - o
     lhs = affine.lie_retract_bracket(COMMUTATOR, o, a, b)
-    rhs = o + (x @ y - y @ x)
-    if lhs != rhs:
-        return failure("retract bracket equals block commutator", rhs, lhs)
-    if not target.contains(lhs):
-        return failure("retract bracket stays in the block target", True, False)
-    return True, {}
+    return expect(
+        ("retract bracket equals block commutator", lhs, o + (x @ y - y @ x)),
+        ("retract bracket stays in the block target", target.contains(lhs), True),
+    )
 
 
 def _identity(name, evaluate, **options) -> CheckDef:

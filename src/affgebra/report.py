@@ -4,7 +4,9 @@ Every catalogue check, the conjugation checks included, is a ``CheckDef``:
 its inputs with their wire codecs, its evaluator, the context it runs
 under and how its random stream is keyed.  ``run_trials`` samples and
 evaluates any of them on a ``Carrier``, stopping at the first failure
-with a counterexample that ``checks.replay`` can re-evaluate.
+with a counterexample that ``checks.replay`` can re-evaluate.  Every
+evaluator states its properties through ``expect``, the one builder of
+a failure's detail.
 """
 from __future__ import annotations
 
@@ -165,11 +167,15 @@ class BracketContext(Context):
 BRACKET = BracketContext()
 
 
-def failure(prop: str, expected, actual) -> tuple[bool, dict]:
-    """A failed evaluation: the failed property with its expected and
-    actual values, matrices in wire form."""
-    render = lambda v: matrix_to_wire(v) if isinstance(v, Matrix) else v
-    return False, {"property": prop, "expected": render(expected), "actual": render(actual)}
+def expect(*cases, show: Callable = matrix_to_wire) -> tuple[bool, dict]:
+    """Each case is (property, lhs, rhs); the first whose lhs differs from
+    its rhs fails, reporting rhs as expected and lhs as actual, each
+    matrix written by ``show``."""
+    for prop, lhs, rhs in cases:
+        if lhs != rhs:
+            render = lambda v: show(v) if isinstance(v, Matrix) else v
+            return False, {"property": prop, "expected": render(rhs), "actual": render(lhs)}
+    return True, {}
 
 
 @dataclass(frozen=True)

@@ -772,10 +772,6 @@ class Field:
             )
         return self.coerce(RAT(1, k))
 
-    def sample(self, rng):
-        """Small random element; drives deterministic test data."""
-        raise NotImplementedError
-
     def conjugate(self, x):
         return conjugate(x)
 

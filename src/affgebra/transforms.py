@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .affine import COMMUTATOR, action, bracket, heap, is_commutator
 from .classes import REAL_LINEAR, TRACELESS, MatrixClassSpec, base_point, contains, contains_parts, draw_form
 from .errors import ClassViolation, FieldMismatch, SizeMismatch, wire_field
-from .matrix import Matrix, graded, sandwich, sandwich_form, staircase
+from .matrix import Matrix, graded, matrix_to_wire, sandwich, sandwich_form, staircase
 from .report import (
     POINT,
     SCALAR,
@@ -33,7 +33,7 @@ from .report import (
     Context,
     MatrixClassCarrier,
     class_of,
-    failure,
+    expect,
     run_trials,
 )
 from .scalars import (
@@ -394,47 +394,35 @@ def evaluate_theorem_case(spec: MatrixClassSpec, via: str, inputs: dict) -> tupl
 
     inputs: points a, b, c over the class field, scalar alpha, and a
     block-target element z for the surjectivity direction.  Returns
-    (passed, detail) where detail names the first failed property and
-    carries expected/actual wire forms.  Properties are checked on the
+    ``report.expect`` of the properties in order: the images of a, b and
+    c lie in the block target; for each of bracket, heap and action, the
+    result stays in the class and conjugation preserves it; the inverse
+    conjugation round trip; surjectivity.  Properties are checked on the
     frame matrices Z (see ``Frame``); a failure reports the block
-    matrices D·Z·D⁻¹.
+    matrices D·Z·D⁻¹, or a and its round trip over the block field.
+    An input that is not a member is a ClassViolation.
     """
     a, b, c = inputs["a"], inputs["b"], inputs["c"]
     alpha, z = inputs["alpha"], inputs["z"]
     target = block_target(spec)
     frame = _frame(spec, via)
-
-    def mismatch(label, lhs, rhs):
-        return failure(label, frame.materialise(lhs), frame.materialise(rhs))
-
     za, zb, zc = (_class_image(spec, frame, x) for x in (a, b, c))
-    for name, img in (("a", za), ("b", zb), ("c", zc)):
-        if not target.contains(img, frame.radicals):
-            return failure(f"image of {name} not in block target", True, False)
-
-    lhs = _class_image(spec, frame, bracket(COMMUTATOR, a, b))
-    rhs = bracket(COMMUTATOR, za, zb)
-    if lhs != rhs:
-        return mismatch("bracket preservation", lhs, rhs)
-
-    lhs = _class_image(spec, frame, heap(a, b, c))
-    rhs = heap(za, zb, zc)
-    if lhs != rhs:
-        return mismatch("heap preservation", lhs, rhs)
-
-    lhs = _class_image(spec, frame, action(alpha, a, b))
-    rhs = action(alpha, za, zb)
-    if lhs != rhs:
-        return mismatch("action preservation", lhs, rhs)
-
-    back = frame.preimage(za)
-    if back != a:
-        wide = frame.block_field
-        return failure("inverse conjugation roundtrip", a.widen(wide), back.widen(wide))
-
-    if not frame.pulls_back_into(spec, z):
-        return failure("surjectivity pullback membership", True, False)
-    return True, {}
+    cases = [(f"image of {name} not in block target", target.contains(img, frame.radicals), True)
+             for name, img in (("a", za), ("b", zb), ("c", zc))]
+    for op, m, zm in (
+        ("bracket", bracket(COMMUTATOR, a, b), bracket(COMMUTATOR, za, zb)),
+        ("heap", heap(a, b, c), heap(za, zb, zc)),
+        ("action", action(alpha, a, b), action(alpha, za, zb)),
+    ):
+        cases += [(f"{op} stays in the class", contains(spec, m), True), (f"{op} preservation", zm, frame.image(m))]
+    passed, detail = expect(*cases, show=lambda x: matrix_to_wire(frame.materialise(x)))
+    if not passed:
+        return passed, detail
+    return expect(
+        ("inverse conjugation roundtrip", frame.preimage(za), a),
+        ("surjectivity pullback membership", frame.pulls_back_into(spec, z), True),
+        show=lambda x: matrix_to_wire(x.widen(frame.block_field)),
+    )
 
 
 class _Route(Context):

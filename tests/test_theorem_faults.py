@@ -7,7 +7,11 @@ target; its inverse misses the input), or the bracket, the heap or the
 action on the class side only.  Each failure must report the block
 matrices D·Z·D⁻¹ (``Frame.materialise``) of both sides, and its report
 must replay through the CLI under the fault (exit 0) and not without it
-(exit 1), on one class of each route.
+(exit 1), on one class of each route.  A class-side result that leaves
+the class fails "<op> stays in the class" the same way: ``iso-check``
+exits 1 with a replayable report, where a non-member input is a
+``ClassViolation`` (exit 2).  Those cases are not part of the golden
+document.
 
 ``tests/golden/theorem_faults.json`` holds the wire output of
 ``golden_document()``; regenerate it only for an intended change of
@@ -58,12 +62,13 @@ def moved_corner(image):
     return broken
 
 
-def moved_entry(preimage):
-    def broken(frame, z):
-        m = preimage(frame, z)
-        return m.with_entry(0, 0, m.entry(0, 0) + m.field.one())
+def shifted(m):
+    # m with entry (0, 0) moved by one, which no class of CASES admits
+    return m.with_entry(0, 0, m.entry(0, 0) + m.field.one())
 
-    return broken
+
+def moved_entry(preimage):
+    return lambda frame, z: shifted(preimage(frame, z))
 
 
 # fault -> (where, what, the broken operation from the original, failed property)
@@ -149,3 +154,31 @@ def test_golden_reports_replay_under_the_fault_only():
     for entry in doc:
         assert entry["report"]["counterexample"]["property"] == FAULTS[entry["fault"]][3]
         assert (entry["replay_exit_under_fault"], entry["replay_exit_without"]) == (0, 1)
+
+
+def leaving_the_class(op):
+    """A context in which the class-side call of the named operation
+    returns a matrix outside the class."""
+    original = getattr(transforms, op)
+    return mock.patch.object(transforms, op, class_side_only(original, lambda *args: shifted(original(*args))))
+
+
+@pytest.mark.parametrize("op", ["bracket", "heap", "action"])
+@pytest.mark.parametrize("s, via", CASES)
+def test_a_result_that_leaves_the_class_is_a_failed_check(s, via, op):
+    inputs = theorem_inputs(s, via)
+    detail = {"property": f"{op} stays in the class", "expected": True, "actual": False}
+    args = ["iso-check", "--class", s.kind.value, "--n", str(s.n), "--field", s.field.describe(), "--via", via]
+    out = io.StringIO()
+    with leaving_the_class(op):
+        assert evaluate_theorem_case(s, via, inputs) == (False, detail)
+        report = verify_theorem(s, 1, 2, via).to_wire()
+        with redirect_stdout(out):
+            code = main([*args, "--seed", "1", "--trials", "2"])
+        under_fault = _replay_exit(report)
+    cli_report = json.loads(out.getvalue().splitlines()[-1])
+    assert {k: v for k, v in report["counterexample"].items() if k != "inputs"} == {
+        "class": spec_to_wire(s), "via": via, **detail
+    }
+    assert (code, cli_report["counterexample"]["property"]) == (1, detail["property"])
+    assert (under_fault, _replay_exit(report)) == (0, 1)

@@ -96,14 +96,15 @@ def bracket(kind: BracketKind, a: Matrix, b: Matrix) -> Matrix:
 class Carrier:
     """A space under test: what the checks need from it, and its retracts.
 
-    A carrier defines eight methods: ``sample_point(rng)``,
+    A carrier defines six methods: ``sample_point(rng)``,
     ``sample_scalar(rng)``, ``heap(a, b, c)``, ``action(alpha, base, b)``,
-    ``bracket(kind, a, b)``, ``contains(x)``, ``scalar_zero()`` and
-    ``scalar_one()``; a check that reaches a missing one raises
+    ``bracket(kind, a, b)`` and ``contains(x)``, its ``action`` taking
+    the ints 0 and 1 as scalars; a check that reaches a missing one raises
     ``AttributeError``, which names it.  It may define ``product``.  Every
     retract operation is written once below from those, so a custom
     carrier gets all of them (the retract product needs ``product``); it
-    may override ``heap5``.
+    may override ``heap5``.  The wire writers below have defaults, and
+    ``scalar_to_wire`` also writes a zeta bracket's scalar.
     """
 
     def describe(self) -> str:
@@ -156,11 +157,6 @@ class Carrier:
     def scalar_to_wire(self, alpha):
         return repr(alpha)
 
-    def kind_to_wire(self, kind: BracketKind) -> dict:
-        if isinstance(kind, Zeta):
-            return {"kind": "zeta", "zeta": str(kind.zeta)}
-        return {"kind": "commutator"}
-
     def class_wire(self) -> dict | None:
         return None
 
@@ -199,9 +195,10 @@ assoc_retract_product = _MATRICES.retract_product
 # -- bracket kind wire form --------------------------------------------
 
 
-def kind_to_wire(kind: BracketKind, field: Field) -> dict:
+def kind_to_wire(kind: BracketKind, write) -> dict:
+    """The wire form of a bracket kind, its zeta written by ``write``."""
     if isinstance(kind, Zeta):
-        return {"kind": "zeta", "zeta": field.format(field.coerce(kind.zeta))}
+        return {"kind": "zeta", "zeta": write(kind.zeta)}
     return {"kind": "commutator"}
 
 

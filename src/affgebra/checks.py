@@ -80,11 +80,11 @@ def _ev_act_assoc(cr, kind, a, b, *, alpha, beta):
 
 
 def _ev_act_unit(cr, kind, a, b):
-    return expect(("1 acts as identity", cr.action(cr.scalar_one(), a, b), b))
+    return expect(("1 acts as identity", cr.action(1, a, b), b))
 
 
 def _ev_act_zero(cr, kind, a, b):
-    return expect(("0 acts as the base", cr.action(cr.scalar_zero(), a, b), a))
+    return expect(("0 acts as the base", cr.action(0, a, b), a))
 
 
 def _ev_act_base_change(cr, kind, a, b, c, *, alpha):
@@ -150,8 +150,8 @@ def _ev_retract_vector(cr, kind, o, a, b, *, alpha, beta):
          scale(o, alpha, add(o, a, b)), add(o, scale(o, alpha, a), scale(o, alpha, b))),
         ("vector distributes over scalars", scale(o, alpha + beta, a), add(o, scale(o, alpha, a), scale(o, beta, a))),
         ("scaling is multiplicative", scale(o, alpha * beta, a), scale(o, alpha, scale(o, beta, a))),
-        ("1 scales trivially", scale(o, cr.scalar_one(), a), a),
-        ("0 scales to the origin", scale(o, cr.scalar_zero(), a), o),
+        ("1 scales trivially", scale(o, 1, a), a),
+        ("0 scales to the origin", scale(o, 0, a), o),
     )
 
 

@@ -81,20 +81,11 @@ class MatrixClassCarrier(MatrixCarrier):
     def contains(self, x):
         return contains(self.spec, x)
 
-    def scalar_zero(self):
-        return self.scalar_field.zero()
-
-    def scalar_one(self):
-        return self.scalar_field.one()
-
     def point_to_wire(self, x):
         return matrix_to_wire(x)
 
     def scalar_to_wire(self, alpha):
-        return self.scalar_field.format(alpha)
-
-    def kind_to_wire(self, kind):
-        return kind_to_wire(kind, self.scalar_field)
+        return self.scalar_field.format(self.scalar_field.coerce(alpha))
 
     def class_wire(self):
         return spec_to_wire(self.spec)
@@ -158,7 +149,7 @@ class BracketContext(Context):
         return (kind.label(),)
 
     def to_wire(self, carrier, kind):
-        return {"bracket": carrier.kind_to_wire(kind)}
+        return {"bracket": kind_to_wire(kind, carrier.scalar_to_wire)}
 
     def from_wire(self, ce, spec):
         return kind_from_wire(wire_field(ce, "bracket", None, "counterexample"), spec.scalar_field)

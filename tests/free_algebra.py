@@ -122,9 +122,3 @@ class FreeAlgebraCarrier(Carrier):
 
     def contains(self, x):
         return True
-
-    def scalar_zero(self):
-        return Scalar({})
-
-    def scalar_one(self):
-        return Scalar({(): 1})

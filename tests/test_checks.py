@@ -153,6 +153,23 @@ class TestFaultInjection:
         assert fresh.trials == 1
         assert fresh.counterexample["inputs"] == report.counterexample["inputs"]
 
+    @pytest.mark.parametrize("field, kind, bracket, alpha", [
+        (QI, COMMUTATOR, {"kind": "commutator"}, "1/2"),
+        (GF(7), COMMUTATOR, {"kind": "commutator"}, "4"),
+        (GF(7), Zeta(Fraction(1, 2)), {"kind": "zeta", "zeta": "4"}, "4"),
+    ], ids=["Qi", "GF7", "GF7-zeta"])
+    def test_fraction_scalars_are_written_in_the_action_field(self, field, kind, bracket, alpha):
+        # a Fraction alpha is written in the action field, as zeta is
+        def mutate(i, inputs):
+            x = inputs["x"]
+            return dict(inputs, x=x.with_entry(0, 0, x.entry(0, 0) + 1), alpha=Fraction(1, 2))
+
+        report = run_check("closure", spec(ClassKind.GNA, 2, field), kind, 0, 2, mutate)
+        assert not report.passed
+        assert report.counterexample["bracket"] == bracket
+        assert report.counterexample["inputs"]["alpha"] == alpha
+        json.dumps(report.to_wire())
+
     def test_replay_needs_counterexample(self):
         good = run_check("malcev", spec(ClassKind.GNA, 1), COMMUTATOR, seed=0, trials=2)
         with pytest.raises(ValueError):
@@ -232,11 +249,12 @@ class PointLineCarrier(Carrier):
     def contains(self, x):
         return True
 
-    def scalar_zero(self):
-        return Fraction(0)
 
-    def scalar_one(self):
-        return Fraction(1)
+class SkewedLineCarrier(PointLineCarrier):
+    """The line with a heap that breaks the Mal'cev identities."""
+
+    def heap(self, a, b, c):
+        return a - b + c + 1
 
 
 class TestCustomCarrier:
@@ -250,15 +268,17 @@ class TestCustomCarrier:
             assert report.passed, (name, report.counterexample)
 
     def test_counterexamples_without_class_cannot_replay(self):
-        class SkewedLineCarrier(PointLineCarrier):
-            def heap(self, a, b, c):
-                return a - b + c + 1
-
         report = run_check("malcev", SkewedLineCarrier(), Zeta(Fraction(1)), seed=0, trials=3)
         assert not report.passed
         assert report.counterexample["class"] is None
         with pytest.raises(ValueError):
             replay(report.to_wire())
+
+    def test_zeta_is_written_like_the_scalar_inputs(self):
+        report = run_check("act-heap", SkewedLineCarrier(), Zeta(Fraction(5, 3)), seed=0, trials=3)
+        ce = report.counterexample
+        assert ce["bracket"] == {"kind": "zeta", "zeta": "Fraction(5, 3)"}
+        assert ce["inputs"]["alpha"].startswith("Fraction(")
 
     def test_matrix_checks_refuse_custom_carrier(self):
         with pytest.raises(ValueError):

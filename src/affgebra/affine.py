@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import MalformedWire, wire_field
 from .matrix import Matrix, combine, commutator_shift
-from .scalars import Field, rational_value
+from .scalars import rational_value
 
 
 def heap(a: Matrix, b: Matrix, c: Matrix) -> Matrix:
@@ -103,8 +103,10 @@ class Carrier:
     ``AttributeError``, which names it.  It may define ``product``.  Every
     retract operation is written once below from those, so a custom
     carrier gets all of them (the retract product needs ``product``); it
-    may override ``heap5``.  The wire writers below have defaults, and
-    ``scalar_to_wire`` also writes a zeta bracket's scalar.
+    may override ``heap5``.  It writes and reads its reports: the writers
+    below have defaults (``scalar_to_wire`` also writes a zeta), and the
+    readers ``point_from_wire(doc)`` and ``scalar_from_wire(doc)``, which
+    ``checks.replay`` calls, have none.
     """
 
     def describe(self) -> str:
@@ -150,7 +152,7 @@ class Carrier:
         p = self.product
         return self.heap5(p(a, b), p(a, o), p(o, o), p(o, b), o)
 
-    # wire helpers; only needed for counterexample serialisation
+    # wire writers; only needed for counterexample serialisation
     def point_to_wire(self, x):
         return repr(x)
 
@@ -202,12 +204,12 @@ def kind_to_wire(kind: BracketKind, write) -> dict:
     return {"kind": "commutator"}
 
 
-def kind_from_wire(doc: dict, field: Field) -> BracketKind:
+def kind_from_wire(doc: dict, read) -> BracketKind:
     if not isinstance(doc, dict):
         raise MalformedWire(f"a bracket must be a JSON object, got {type(doc).__name__}")
     kind = wire_field(doc, "kind", str, "bracket")
     if kind == "commutator":
         return COMMUTATOR
     if kind == "zeta":
-        return Zeta(field.parse(wire_field(doc, "zeta", str, "bracket")))
+        return Zeta(read(wire_field(doc, "zeta", str, "bracket")))
     raise ValueError(f"unknown bracket kind {kind!r}")

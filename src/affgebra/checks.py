@@ -39,58 +39,58 @@ from .transforms import BLOCK, THEOREM, block_target
 
 
 # -- identity evaluators -------------------------------------------------
-# Every evaluator returns ``report.expect`` of its properties in order:
-# (passed, detail), detail naming the first failed property with its
-# expected and actual values.  It takes the carrier and the bracket
-# kind, then its inputs under the names its counterexample gives them,
-# in counterexample order: points positional, scalars keyword-only.
-# ``_identity`` reads the input list from that signature.
+# Every evaluator returns ``report.expect`` of its properties in order,
+# its points written by the carrier's ``point_to_wire``.  It takes the
+# carrier and the bracket kind, then its inputs under the names its
+# counterexample gives them, in counterexample order: points positional,
+# scalars keyword-only.  ``_identity`` reads the input list from that
+# signature.
 
 
 def _ev_heap_assoc(cr, kind, a, b, c, d, e):
     lhs = cr.heap(cr.heap(a, b, c), d, e)
     rhs = cr.heap(a, b, cr.heap(c, d, e))
-    return expect(("heap associativity", lhs, rhs))
+    return expect(("heap associativity", lhs, rhs), show=cr.point_to_wire)
 
 
 def _ev_malcev(cr, kind, a, b):
-    return expect(("<a,b,b> = a", cr.heap(a, b, b), a), ("<b,b,a> = a", cr.heap(b, b, a), a))
+    return expect(("<a,b,b> = a", cr.heap(a, b, b), a), ("<b,b,a> = a", cr.heap(b, b, a), a), show=cr.point_to_wire)
 
 
 def _ev_heap_comm(cr, kind, a, b, c):
-    return expect(("<a,b,c> = <c,b,a>", cr.heap(a, b, c), cr.heap(c, b, a)))
+    return expect(("<a,b,c> = <c,b,a>", cr.heap(a, b, c), cr.heap(c, b, a)), show=cr.point_to_wire)
 
 
 def _ev_act_add(cr, kind, a, b, *, alpha, beta, gamma):
     lhs = cr.action(alpha - beta + gamma, a, b)
     rhs = cr.heap(cr.action(alpha, a, b), cr.action(beta, a, b), cr.action(gamma, a, b))
-    return expect(("action is additive in the scalar", lhs, rhs))
+    return expect(("action is additive in the scalar", lhs, rhs), show=cr.point_to_wire)
 
 
 def _ev_act_heap(cr, kind, a, b, c, d, *, alpha):
     lhs = cr.action(alpha, a, cr.heap(b, c, d))
     rhs = cr.heap(cr.action(alpha, a, b), cr.action(alpha, a, c), cr.action(alpha, a, d))
-    return expect(("action distributes over the heap", lhs, rhs))
+    return expect(("action distributes over the heap", lhs, rhs), show=cr.point_to_wire)
 
 
 def _ev_act_assoc(cr, kind, a, b, *, alpha, beta):
     lhs = cr.action(alpha * beta, a, b)
     rhs = cr.action(alpha, a, cr.action(beta, a, b))
-    return expect(("action is multiplicative in the scalar", lhs, rhs))
+    return expect(("action is multiplicative in the scalar", lhs, rhs), show=cr.point_to_wire)
 
 
 def _ev_act_unit(cr, kind, a, b):
-    return expect(("1 acts as identity", cr.action(1, a, b), b))
+    return expect(("1 acts as identity", cr.action(1, a, b), b), show=cr.point_to_wire)
 
 
 def _ev_act_zero(cr, kind, a, b):
-    return expect(("0 acts as the base", cr.action(0, a, b), a))
+    return expect(("0 acts as the base", cr.action(0, a, b), a), show=cr.point_to_wire)
 
 
 def _ev_act_base_change(cr, kind, a, b, c, *, alpha):
     lhs = cr.action(alpha, a, b)
     rhs = cr.heap(cr.action(alpha, c, b), cr.action(alpha, c, a), a)
-    return expect(("base change", lhs, rhs))
+    return expect(("base change", lhs, rhs), show=cr.point_to_wire)
 
 
 def _ev_bracket_left_affine(cr, kind, a, b, c, d, *, alpha):
@@ -98,6 +98,7 @@ def _ev_bracket_left_affine(cr, kind, a, b, c, d, *, alpha):
     return expect(
         ("[a,-] preserves the heap", br(a, cr.heap(b, c, d)), cr.heap(br(a, b), br(a, c), br(a, d))),
         ("[a,-] intertwines the action", br(a, cr.action(alpha, b, c)), cr.action(alpha, br(a, b), br(a, c))),
+        show=cr.point_to_wire,
     )
 
 
@@ -106,18 +107,19 @@ def _ev_bracket_right_affine(cr, kind, a, b, c, d, *, alpha):
     return expect(
         ("[-,a] preserves the heap", br(cr.heap(b, c, d), a), cr.heap(br(b, a), br(c, a), br(d, a))),
         ("[-,a] intertwines the action", br(cr.action(alpha, b, c), a), cr.action(alpha, br(b, a), br(c, a))),
+        show=cr.point_to_wire,
     )
 
 
 def _ev_antisym(cr, kind, a, b):
     lhs = cr.heap(cr.bracket(kind, a, b), cr.bracket(kind, a, a), cr.bracket(kind, b, a))
-    return expect(("affine antisymmetry", lhs, cr.bracket(kind, b, b)))
+    return expect(("affine antisymmetry", lhs, cr.bracket(kind, b, b)), show=cr.point_to_wire)
 
 
 def _ev_jacobi(cr, kind, a, b, c):
     br = lambda x, y: cr.bracket(kind, x, y)
     lhs = cr.heap(cr.heap(br(a, br(b, c)), br(a, a), br(b, br(c, a))), br(b, b), br(c, br(a, b)))
-    return expect(("affine Jacobi identity", lhs, br(c, c)))
+    return expect(("affine Jacobi identity", lhs, br(c, c)), show=cr.point_to_wire)
 
 
 def _ev_closure(cr, kind, x, y, z, *, alpha):
@@ -130,7 +132,7 @@ def _ev_closure(cr, kind, x, y, z, *, alpha):
 
 
 def _ev_idempotent(cr, kind, a):
-    return expect(("[a,a] = a", cr.bracket(kind, a, a), a))
+    return expect(("[a,a] = a", cr.bracket(kind, a, a), a), show=cr.point_to_wire)
 
 
 def _ev_retract_group(cr, kind, o, a, b, c):
@@ -140,6 +142,7 @@ def _ev_retract_group(cr, kind, o, a, b, c):
         ("retract addition commutative", add(o, a, b), add(o, b, a)),
         ("o is neutral", add(o, a, o), a),
         ("inverses cancel", add(o, a, cr.retract_neg(o, a)), o),
+        show=cr.point_to_wire,
     )
 
 
@@ -152,6 +155,7 @@ def _ev_retract_vector(cr, kind, o, a, b, *, alpha, beta):
         ("scaling is multiplicative", scale(o, alpha * beta, a), scale(o, alpha, scale(o, beta, a))),
         ("1 scales trivially", scale(o, 1, a), a),
         ("0 scales to the origin", scale(o, 0, a), o),
+        show=cr.point_to_wire,
     )
 
 
@@ -165,23 +169,25 @@ def _ev_retract_lie(cr, kind, o, a, b, c, *, alpha):
         ("additive in the right slot", lb(a, add(o, b, c)), add(o, lb(a, b), lb(a, c))),
         ("homogeneous in the right slot", lb(a, scale(o, alpha, b)), scale(o, alpha, lb(a, b))),
         ("retract Jacobi identity", add(o, lb(a, lb(b, c)), add(o, lb(b, lb(c, a)), lb(c, lb(a, b)))), o),
+        show=cr.point_to_wire,
     )
 
 
 def _ev_zeta_retract_trivial(cr, kind, o, a, b):
-    return expect(("retract of a scalar-action bracket is trivial", cr.lie_retract_bracket(kind, o, a, b), o))
+    lhs = cr.lie_retract_bracket(kind, o, a, b)
+    return expect(("retract of a scalar-action bracket is trivial", lhs, o), show=cr.point_to_wire)
 
 
 def _ev_bullet_assoc(cr, kind, o, a, b, c):
     p = lambda x, y: cr.retract_product(o, x, y)
-    return expect(("retract product associative", p(p(a, b), c), p(a, p(b, c))))
+    return expect(("retract product associative", p(p(a, b), c), p(a, p(b, c))), show=cr.point_to_wire)
 
 
 def _ev_bullet_commutator(cr, kind, o, a, b):
     p = lambda x, y: cr.retract_product(o, x, y)
     lhs = cr.lie_retract_bracket(kind, o, a, b)
     rhs = cr.retract_sub(o, p(a, b), p(b, a))
-    return expect(("retract bracket is the product commutator", lhs, rhs))
+    return expect(("retract bracket is the product commutator", lhs, rhs), show=cr.point_to_wire)
 
 
 def _ev_translate_group_iso(cr, kind, o, obar, a, b):
@@ -190,6 +196,7 @@ def _ev_translate_group_iso(cr, kind, o, obar, a, b):
         ("translation is additive", tau(o, obar, add(o, a, b)), add(obar, tau(o, obar, a), tau(o, obar, b))),
         ("translation maps origin to origin", tau(o, obar, o), obar),
         ("translation inverts", tau(obar, o, tau(o, obar, a)), a),
+        show=cr.point_to_wire,
     )
 
 
@@ -197,7 +204,7 @@ def _ev_translate_lie_iso(cr, kind, o, obar, a, b):
     tau, lb = cr.translate, cr.lie_retract_bracket
     lhs = tau(o, obar, lb(kind, o, a, b))
     rhs = lb(kind, obar, tau(o, obar, a), tau(o, obar, b))
-    return expect(("translation intertwines retract brackets", lhs, rhs))
+    return expect(("translation intertwines retract brackets", lhs, rhs), show=cr.point_to_wire)
 
 
 def _ev_corollary(cr, context, a, b):
@@ -209,7 +216,8 @@ def _ev_corollary(cr, context, a, b):
     lhs = affine.lie_retract_bracket(COMMUTATOR, o, a, b)
     return expect(
         ("retract bracket equals block commutator", lhs, o + (x @ y - y @ x)),
-        ("retract bracket stays in the block target", target.contains(lhs), True),
+        ("retract bracket stays in the block target", target.contains(lhs)),
+        show=cr.point_to_wire,
     )
 
 
@@ -313,9 +321,10 @@ def all_passed(reports) -> bool:
     return all(r.passed for r in reports)
 
 
-def replay(report_doc: dict) -> CheckReport:
-    """Re-evaluate a serialised counterexample from its own inputs; no
-    seed involved.  Returns a fresh single-trial report."""
+def replay(report_doc: dict, carrier: Carrier | None = None) -> CheckReport:
+    """Re-evaluate a serialised counterexample from its own inputs, read by
+    ``carrier``: the matrix class of its ``class`` by default, else one whose
+    ``class_wire()`` equals it.  No seed involved; returns a one-trial report."""
     check = wire_field(report_doc, "check", str, "report")
     if check not in CATALOGUE:
         raise UnknownCheck(check)
@@ -325,11 +334,14 @@ def replay(report_doc: dict) -> CheckReport:
         raise ValueError("report has no counterexample to replay")
     if not isinstance(ce, dict):
         raise MalformedWire(f"{check} counterexample must be a JSON object")
-    if ce.get("class") is None:
-        raise ValueError("counterexample from a custom carrier cannot be replayed")
-    if not isinstance(ce["class"], dict):
-        raise MalformedWire(f"{check} counterexample: class must be a JSON object")
-    spec = spec_from_wire(ce["class"])
+    if carrier is None:
+        if ce.get("class") is None:
+            raise ValueError("counterexample from a custom carrier cannot be replayed")
+        if not isinstance(ce["class"], dict):
+            raise MalformedWire(f"{check} counterexample: class must be a JSON object")
+        carrier = MatrixClassCarrier(spec_from_wire(ce["class"]))
+    elif carrier.class_wire() != ce.get("class"):
+        raise ValueError(f"{check} counterexample is not from {carrier.describe()}: its class is {ce.get('class')!r}")
     inputs_doc = ce.get("inputs")
     if not isinstance(inputs_doc, dict):
         raise MalformedWire(f"{check} counterexample: inputs must be a JSON object")
@@ -338,14 +350,13 @@ def replay(report_doc: dict) -> CheckReport:
         plural = "s" if len(missing) > 1 else ""
         raise MalformedWire(f"{check} counterexample lacks input{plural} {', '.join(map(repr, missing))}")
     start = time.perf_counter()
-    context = cdef.context.from_wire(ce, spec)
+    context = cdef.context.from_wire(ce, carrier)
     _require_applicable(cdef, context)
-    inputs = {name: codec.from_wire(spec, inputs_doc[name]) for name, codec in cdef.inputs}
-    carrier = MatrixClassCarrier(spec)
+    inputs = {name: codec.from_wire(carrier, inputs_doc[name]) for name, codec in cdef.inputs}
     context = cdef.context.resolve(carrier, context)
     passed, detail = cdef.evaluate(carrier, context, **inputs)
     elapsed = (time.perf_counter() - start) * 1000
     counterexample = None if passed else {
-        "class": ce["class"], **cdef.context.to_wire(carrier, context), "inputs": inputs_doc, **detail
+        "class": ce.get("class"), **cdef.context.to_wire(carrier, context), "inputs": inputs_doc, **detail
     }
     return CheckReport(check, passed, 1, counterexample, elapsed)

@@ -1,12 +1,12 @@
 """Check definitions, the one trial engine, and the outcome record.
 
 Every catalogue check, the conjugation checks included, is a ``CheckDef``:
-its inputs with their wire codecs, its evaluator, the context it runs
-under and how its random stream is keyed.  ``run_trials`` samples and
-evaluates any of them on a ``Carrier``, stopping at the first failure
-with a counterexample that ``checks.replay`` can re-evaluate.  Every
-evaluator states its properties through ``expect``, the one builder of
-a failure's detail.
+its inputs with their codecs (the carrier draws, writes and reads each),
+its evaluator, the context it runs under and how its random stream is
+keyed.  ``run_trials`` samples and evaluates any of them on a ``Carrier``,
+stopping at the first failure with a counterexample that ``checks.replay``
+can re-evaluate.  Every evaluator states its properties through ``expect``,
+the one builder of a failure's detail.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 from .affine import BracketKind, Carrier, MatrixCarrier, kind_from_wire, kind_to_wire
 from .classes import MatrixClassSpec, contains, derive_rng, draw_element, spec_to_wire
 from .errors import wire_field
-from .matrix import Matrix, matrix_from_wire, matrix_to_wire
+from .matrix import matrix_from_wire, matrix_to_wire
 
 
 @dataclass(frozen=True)
@@ -43,16 +43,6 @@ class CheckReport:
             "counterexample": self.counterexample,
             "elapsed_ms": self.elapsed_ms,
         }
-
-    @classmethod
-    def from_wire(cls, doc: dict) -> "CheckReport":
-        return cls(
-            check=wire_field(doc, "check", str, "report"),
-            passed=wire_field(doc, "passed", bool, "report"),
-            trials=wire_field(doc, "trials", int, "report"),
-            counterexample=doc.get("counterexample"),
-            elapsed_ms=doc.get("elapsed_ms", 0.0),
-        )
 
 
 # -- carriers -----------------------------------------------------------
@@ -87,6 +77,12 @@ class MatrixClassCarrier(MatrixCarrier):
     def scalar_to_wire(self, alpha):
         return self.scalar_field.format(self.scalar_field.coerce(alpha))
 
+    def point_from_wire(self, doc):
+        return matrix_from_wire(doc)
+
+    def scalar_from_wire(self, doc):
+        return self.scalar_field.parse(doc)
+
     def class_wire(self):
         return spec_to_wire(self.spec)
 
@@ -102,23 +98,23 @@ def class_of(carrier: Carrier) -> MatrixClassSpec:
 
 
 class Codec(NamedTuple):
-    """How one input of a check is drawn, written to wire JSON and read
-    back from it."""
+    """How the carrier draws one input of a check, writes it to wire JSON
+    and reads it back."""
 
     sample: Callable  # (carrier, rng) -> value
     to_wire: Callable  # (carrier, value) -> JSON
-    from_wire: Callable  # (spec, JSON) -> value
+    from_wire: Callable  # (carrier, JSON) -> value
 
 
 POINT = Codec(
     lambda cr, rng: cr.sample_point(rng),
     lambda cr, x: cr.point_to_wire(x),
-    lambda spec, doc: matrix_from_wire(doc),
+    lambda cr, doc: cr.point_from_wire(doc),
 )
 SCALAR = Codec(
     lambda cr, rng: cr.sample_scalar(rng),
     lambda cr, alpha: cr.scalar_to_wire(alpha),
-    lambda spec, doc: spec.scalar_field.parse(doc),
+    lambda cr, doc: cr.scalar_from_wire(doc),
 )
 
 
@@ -127,7 +123,7 @@ class Context:
     context.  ``resolve`` gives the value the evaluator gets, checked
     before the first trial; ``label`` its part of the random-stream key;
     ``to_wire`` its keys in a counterexample; ``from_wire`` reads the
-    value back from a counterexample."""
+    value back from a counterexample through the carrier."""
 
     def resolve(self, carrier: Carrier, value):
         return value
@@ -138,7 +134,7 @@ class Context:
     def to_wire(self, carrier: Carrier, value) -> dict:
         return {}
 
-    def from_wire(self, ce: dict, spec: MatrixClassSpec):
+    def from_wire(self, ce: dict, carrier: Carrier):
         return None
 
 
@@ -151,21 +147,21 @@ class BracketContext(Context):
     def to_wire(self, carrier, kind):
         return {"bracket": kind_to_wire(kind, carrier.scalar_to_wire)}
 
-    def from_wire(self, ce, spec):
-        return kind_from_wire(wire_field(ce, "bracket", None, "counterexample"), spec.scalar_field)
+    def from_wire(self, ce, carrier):
+        return kind_from_wire(wire_field(ce, "bracket", None, "counterexample"), carrier.scalar_from_wire)
 
 
 BRACKET = BracketContext()
 
 
-def expect(*cases, show: Callable = matrix_to_wire) -> tuple[bool, dict]:
-    """Each case is (property, lhs, rhs); the first whose lhs differs from
-    its rhs fails, reporting rhs as expected and lhs as actual, each
-    matrix written by ``show``."""
-    for prop, lhs, rhs in cases:
+def expect(*cases, show: Callable = lambda v: v) -> tuple[bool, dict]:
+    """Each case is (property, lhs, rhs), or a truth (property, holds) with
+    rhs True; the first whose lhs differs from its rhs fails, reporting rhs
+    as expected and lhs as actual, written by ``show`` unless it is a truth."""
+    for prop, lhs, *rhs in cases:
+        rhs, write = (rhs[0], show) if rhs else (True, lambda v: v)
         if lhs != rhs:
-            render = lambda v: show(v) if isinstance(v, Matrix) else v
-            return False, {"property": prop, "expected": render(rhs), "actual": render(lhs)}
+            return False, {"property": prop, "expected": write(rhs), "actual": write(lhs)}
     return True, {}
 
 

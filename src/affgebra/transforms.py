@@ -407,20 +407,20 @@ def evaluate_theorem_case(spec: MatrixClassSpec, via: str, inputs: dict) -> tupl
     target = block_target(spec)
     frame = _frame(spec, via)
     za, zb, zc = (_class_image(spec, frame, x) for x in (a, b, c))
-    cases = [(f"image of {name} not in block target", target.contains(img, frame.radicals), True)
+    cases = [(f"image of {name} not in block target", target.contains(img, frame.radicals))
              for name, img in (("a", za), ("b", zb), ("c", zc))]
     for op, m, zm in (
         ("bracket", bracket(COMMUTATOR, a, b), bracket(COMMUTATOR, za, zb)),
         ("heap", heap(a, b, c), heap(za, zb, zc)),
         ("action", action(alpha, a, b), action(alpha, za, zb)),
     ):
-        cases += [(f"{op} stays in the class", contains(spec, m), True), (f"{op} preservation", zm, frame.image(m))]
+        cases += [(f"{op} stays in the class", contains(spec, m)), (f"{op} preservation", zm, frame.image(m))]
     passed, detail = expect(*cases, show=lambda x: matrix_to_wire(frame.materialise(x)))
     if not passed:
         return passed, detail
     return expect(
         ("inverse conjugation roundtrip", frame.preimage(za), a),
-        ("surjectivity pullback membership", frame.pulls_back_into(spec, z), True),
+        ("surjectivity pullback membership", frame.pulls_back_into(spec, z)),
         show=lambda x: matrix_to_wire(x.widen(frame.block_field)),
     )
 
@@ -438,7 +438,7 @@ class _Route(Context):
     def to_wire(self, carrier, via):
         return {"via": via}
 
-    def from_wire(self, ce, spec):
+    def from_wire(self, ce, carrier):
         return wire_field(ce, "via", str, "counterexample") if "via" in ce else None
 
 
